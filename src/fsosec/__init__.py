@@ -15,7 +15,7 @@ evaluator, and Monte Carlo simulation with a counter-based RNG.
 from .errors import ConfigError, FsosecError, NonConvergent, PoleCollision
 from .fading import FFadingParams, SnrChannel
 from .mc import McConfig, McEstimate
-from .secrecy import SecrecyReport, WiretapScenario, evaluate_scenario
+from .secrecy import WiretapScenario, evaluate_scenario
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "McEstimate",
     "NonConvergent",
     "PoleCollision",
-    "SecrecyReport",
     "SnrChannel",
     "WiretapScenario",
     "evaluate_scenario",

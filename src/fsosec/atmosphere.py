@@ -19,8 +19,6 @@ coefficients are natural-log per kilometre.
 import math
 from dataclasses import dataclass
 
-from .specfun import erf
-
 _DB_PER_KM_TO_NATURAL = 10.0 * math.log10(math.e)
 
 
@@ -113,7 +111,7 @@ def aperture_ratio(geom):
 def peak_collection(geom):
     """Collected power fraction at zero offset, A0 = erf(v)^2."""
     v = aperture_ratio(geom)
-    e = erf(v)
+    e = math.erf(v)
     return e * e
 
 
@@ -121,7 +119,7 @@ def equivalent_beam_width_sq(geom):
     """Squared equivalent beam width of the offset Gaussian model, m^2."""
     v = aperture_ratio(geom)
     wl = beam_radius(geom)
-    return (wl * wl * math.sqrt(math.pi) * erf(v)
+    return (wl * wl * math.sqrt(math.pi) * math.erf(v)
             / (2.0 * v * math.exp(-v * v)))
 
 

@@ -23,15 +23,15 @@ import math
 import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .config import build_scenario, link_state, parse_config, parse_methods
 from .errors import ConfigError, NonConvergent, PoleCollision
-from .mc import McConfig, mc_asc, mc_sop, mc_spsc
-from .secrecy import (asc_closed_form, asc_quadrature, sop_exact,
-                      sop_lower_bound, spsc)
+from .mc import MC_METRICS, McConfig, mc_metrics
+from .secrecy import evaluate_scenario
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
@@ -72,22 +72,6 @@ def _map_points(items, worker, jobs):
     return [worker(item) for item in items]
 
 
-def _analytic_rows(scenario, method):
-    if method == "quadrature":
-        return [asc_quadrature(scenario), sop_exact(scenario),
-                sop_lower_bound(scenario, method="quadrature"),
-                spsc(scenario, method="quadrature")]
-    return [asc_closed_form(scenario),
-            sop_lower_bound(scenario, method="closed_form"),
-            spsc(scenario, method="closed_form")]
-
-
-def _mc_rows(scenario, cfg):
-    return [("asc", mc_asc(scenario, cfg)),
-            ("sop", mc_sop(scenario, cfg)),
-            ("spsc", mc_spsc(scenario, cfg))]
-
-
 def _metric_rows_for_point(coord, rc, methods, jobs_inside):
     """All CSV rows of one sweep point; failures become status rows."""
     rows = []
@@ -102,11 +86,11 @@ def _metric_rows_for_point(coord, rc, methods, jobs_inside):
             if method == "monte_carlo":
                 cfg = McConfig(samples=rc.mc_samples, seed=rc.mc_seed,
                                jobs=jobs_inside, batch_size=rc.mc_batch_size)
-                for name, est in _mc_rows(scenario, cfg):
+                for name, est in zip(MC_METRICS, mc_metrics(scenario, cfg)):
                     rows.append((coord, name, method, fmt_number(est.mean),
                                  fmt_number(est.std_error), "ok"))
             else:
-                for mv in _analytic_rows(scenario, method):
+                for mv in evaluate_scenario(scenario, method):
                     rows.append((coord, mv.metric, mv.method,
                                  fmt_number(mv.value), fmt_number(mv.error),
                                  "ok"))
@@ -197,10 +181,10 @@ def cmd_validate(rc, methods, jobs):
             return [(coord, "all", "all", "", "", "", "", "non_convergent")]
         cfg = McConfig(samples=rc_point.mc_samples, seed=rc_point.mc_seed,
                        jobs=jobs_inside, batch_size=rc_point.mc_batch_size)
-        reference = dict(_mc_rows(scenario, cfg))
+        reference = dict(zip(MC_METRICS, mc_metrics(scenario, cfg)))
         for method in analytic:
             try:
-                for mv in _analytic_rows(scenario, method):
+                for mv in evaluate_scenario(scenario, method):
                     if mv.metric not in reference:
                         continue
                     est = reference[mv.metric]
@@ -234,7 +218,8 @@ def cmd_validate(rc, methods, jobs):
 
 
 def _manifest(rc, args, command, out_path):
-    digest = hashlib.sha256(open(args.config, "rb").read()).hexdigest()
+    with open(args.config, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     return json.dumps({
         "command": command,
         "config": args.config,
@@ -298,7 +283,7 @@ def main(argv=None):
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("--seed must be >= 0")
-            rc = _replace_seed(rc, args.seed)
+            rc = replace(rc, mc_seed=args.seed)
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         methods = _resolved_methods(rc, args)
@@ -329,11 +314,6 @@ def main(argv=None):
     except (NonConvergent, PoleCollision) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICS
-
-
-def _replace_seed(rc, seed):
-    from dataclasses import replace
-    return replace(rc, mc_seed=seed)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ import numpy as np
 
 from .fading import sample_ht
 
+MC_METRICS = ("asc", "sop", "spsc")
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -63,11 +65,24 @@ def _batches(cfg):
     return sizes
 
 
-def _reduce(scenario, cfg, stat):
+def mc_metrics(scenario, cfg):
+    """Monte Carlo ASC (bits), SOP and SPSC from one pass over the stream.
+
+    Returns one McEstimate per name in MC_METRICS, in that order.  Each
+    batch is drawn once and reduced to the sums of all three metrics.
+    At target rate zero the outage event is the closed complement of
+    the positive-capacity event, so SOP and SPSC sum to one exactly.
+    """
+    ct = scenario.target_rate
+
     def one(item):
         index, size = item
-        x = stat(_capacity_delta_batch(scenario, cfg, index, size))
-        return index, float(np.sum(x)), float(np.sum(x * x)), size
+        d = _capacity_delta_batch(scenario, cfg, index, size)
+        outage = d <= 0.0 if ct == 0.0 else d < ct
+        stats = (np.maximum(d, 0.0), outage.astype(float),
+                 (d > 0.0).astype(float))
+        return index, [(float(np.sum(x)), float(np.sum(x * x)))
+                       for x in stats], size
 
     items = _batches(cfg)
     if cfg.jobs > 1:
@@ -76,13 +91,18 @@ def _reduce(scenario, cfg, stat):
     else:
         parts = [one(it) for it in items]
     parts.sort(key=lambda p: p[0])
+    n = sum(size for _, _, size in parts)
+    return tuple(_estimate([sums[k] for _, sums, _ in parts], n)
+                 for k in range(len(MC_METRICS)))
+
+
+def _estimate(sums, n):
+    # batch sums in index order, so the result is worker-count invariant
     s = 0.0
     s2 = 0.0
-    n = 0
-    for _, bs, bs2, bn in parts:
+    for bs, bs2 in sums:
         s += bs
         s2 += bs2
-        n += bn
     mean = s / n
     if n < 2:
         return McEstimate(mean, 0.0, n)
@@ -92,22 +112,4 @@ def _reduce(scenario, cfg, stat):
 
 def mc_asc(scenario, cfg):
     """Monte Carlo average secrecy capacity (bits)."""
-    return _reduce(scenario, cfg, lambda d: np.maximum(d, 0.0))
-
-
-def mc_sop(scenario, cfg):
-    """Monte Carlo secrecy outage probability against the target rate.
-
-    At target rate zero the outage event is the closed complement of
-    the positive-capacity event, so on a shared stream mc_sop and
-    mc_spsc sum to one exactly.
-    """
-    ct = scenario.target_rate
-    if ct == 0.0:
-        return _reduce(scenario, cfg, lambda d: (d <= 0.0).astype(float))
-    return _reduce(scenario, cfg, lambda d: (d < ct).astype(float))
-
-
-def mc_spsc(scenario, cfg):
-    """Monte Carlo probability of strictly positive secrecy capacity."""
-    return _reduce(scenario, cfg, lambda d: (d > 0.0).astype(float))
+    return mc_metrics(scenario, cfg)[0]

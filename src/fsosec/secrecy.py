@@ -29,6 +29,7 @@ from .quadrature import quad_positive_axis
 from .specfun import MeijerGSpec, log_beta, meijer_g
 
 _LN2 = math.log(2.0)
+_METHODS = ("quadrature", "closed_form")
 
 
 @dataclass(frozen=True)
@@ -55,19 +56,6 @@ class MetricValue:
     error: float
 
 
-@dataclass(frozen=True)
-class SecrecyReport:
-    """Bundle of metric evaluations for one scenario."""
-
-    entries: tuple
-
-    def get(self, metric, method=None):
-        for e in self.entries:
-            if e.metric == metric and (method is None or e.method == method):
-                return e
-        raise KeyError(f"no entry for metric={metric!r} method={method!r}")
-
-
 def secrecy_capacity(snr_bob, snr_eve):
     """Instantaneous secrecy capacity, elementwise on arrays."""
     gb = np.asarray(snr_bob, dtype=float)
@@ -81,6 +69,36 @@ def secrecy_capacity(snr_bob, snr_eve):
 def _fixed_snr(channel):
     # degenerate (no-fading) branch pins h_t at its unit mean
     return 4.0 * channel.mean_snr
+
+
+def _check_method(method):
+    if method not in _METHODS:
+        raise ValueError(f"unknown analytic method {method!r}")
+
+
+def _asc_cross_terms(bob, eve, tol_rel):
+    # the two fading cross terms both ASC routes integrate, summed;
+    # (value, error) in nats
+    v1, e1 = quad_positive_axis(
+        lambda g: math.log1p(g) * snr_pdf(bob, g) * snr_cdf(eve, g),
+        tol_rel=tol_rel)
+    v2, e2 = quad_positive_axis(
+        lambda g: math.log1p(g) * snr_pdf(eve, g) * snr_cdf(bob, g),
+        tol_rel=tol_rel)
+    return v1 + v2, e1 + e2
+
+
+def _asc_value(total, err, method):
+    # nats to bits, then the negative-value clamp of both ASC routes
+    value = total / _LN2
+    err /= _LN2
+    if value < 0.0:
+        if -value <= max(err, 1e-12):
+            value = 0.0
+        else:
+            raise NonConvergent(f"ASC by {method} produced {value:.3e} "
+                                f"below its error bar {err:.3e}")
+    return MetricValue("asc", method, value, err)
 
 
 def asc_quadrature(scenario, tol_rel=1e-10):
@@ -103,32 +121,17 @@ def asc_quadrature(scenario, tol_rel=1e-10):
         v1, e1 = quad_positive_axis(
             lambda x: math.log1p(ge + x) * snr_pdf(bob, ge + x), tol_rel=tol_rel)
         v2 = math.log1p(ge) * (snr_cdf(bob, ge) - 1.0)
-        total, err = v1 + v2, e1
-    elif bob.fading.no_fading:
+        return _asc_value(v1 + v2, e1, "quadrature")
+    if bob.fading.no_fading:
         gb = _fixed_snr(bob)
         v1, e1 = quad_positive_axis(
             lambda g: (math.log1p(gb) - math.log1p(g)) * snr_pdf(eve, g)
             if g < gb else 0.0, tol_rel=tol_rel)
-        total, err = v1, e1
-    else:
-        v1, e1 = quad_positive_axis(
-            lambda g: math.log1p(g) * snr_pdf(bob, g) * snr_cdf(eve, g),
-            tol_rel=tol_rel)
-        v2, e2 = quad_positive_axis(
-            lambda g: math.log1p(g) * snr_pdf(eve, g) * snr_cdf(bob, g),
-            tol_rel=tol_rel)
-        v3, e3 = quad_positive_axis(
-            lambda g: math.log1p(g) * snr_pdf(eve, g), tol_rel=tol_rel)
-        total, err = v1 + v2 - v3, e1 + e2 + e3
-    value = total / _LN2
-    err /= _LN2
-    if value < 0.0:
-        if -value <= max(err, 1e-12):
-            value = 0.0
-        else:
-            raise NonConvergent(
-                f"ASC quadrature produced {value:.3e} below its error bar {err:.3e}")
-    return MetricValue("asc", "quadrature", value, err)
+        return _asc_value(v1, e1, "quadrature")
+    cross, e_cross = _asc_cross_terms(bob, eve, tol_rel)
+    v3, e3 = quad_positive_axis(
+        lambda g: math.log1p(g) * snr_pdf(eve, g), tol_rel=tol_rel)
+    return _asc_value(cross - v3, e_cross + e3, "quadrature")
 
 
 def eve_ergodic_rate_closed_form(channel):
@@ -158,22 +161,9 @@ def asc_closed_form(scenario, tol_rel=1e-10):
     bob, eve = scenario.bob, scenario.eve
     if bob.fading.no_fading or eve.fading.no_fading:
         return replace(asc_quadrature(scenario, tol_rel), method="closed_form")
-    v1, e1 = quad_positive_axis(
-        lambda g: math.log1p(g) * snr_pdf(bob, g) * snr_cdf(eve, g),
-        tol_rel=tol_rel)
-    v2, e2 = quad_positive_axis(
-        lambda g: math.log1p(g) * snr_pdf(eve, g) * snr_cdf(bob, g),
-        tol_rel=tol_rel)
+    cross, e_cross = _asc_cross_terms(bob, eve, tol_rel)
     v3, e3 = eve_ergodic_rate_closed_form(eve)
-    value = (v1 + v2 - v3) / _LN2
-    err = (e1 + e2 + e3) / _LN2
-    if value < 0.0:
-        if -value <= max(err, 1e-12):
-            value = 0.0
-        else:
-            raise NonConvergent(
-                f"closed-form ASC produced {value:.3e} below its error bar {err:.3e}")
-    return MetricValue("asc", "closed_form", value, err)
+    return _asc_value(cross - v3, e_cross + e3, "closed_form")
 
 
 def _outage_gain_threshold(scenario, h_eve):
@@ -226,6 +216,7 @@ def sop_lower_bound(scenario, method="closed_form", tol_rel=1e-10):
     closed form requires both branches to share the fading shapes;
     mismatched shapes fall back to quadrature.
     """
+    _check_method(method)
     bob, eve = scenario.bob, scenario.eve
     w = _lb_scale(scenario)
     shared = (bob.fading.a == eve.fading.a and bob.fading.b == eve.fading.b)
@@ -259,6 +250,7 @@ def spsc(scenario, method="quadrature", tol_rel=1e-10):
     One minus the outage probability at target rate zero; the closed
     form goes through the outage lower bound, which is exact there.
     """
+    _check_method(method)
     zero_rate = replace(scenario, target_rate=0.0)
     if method == "closed_form":
         base = sop_lower_bound(zero_rate, method="closed_form", tol_rel=tol_rel)
@@ -267,19 +259,13 @@ def spsc(scenario, method="quadrature", tol_rel=1e-10):
     return MetricValue("spsc", method, 1.0 - base.value, base.error)
 
 
-def evaluate_scenario(scenario, methods=("quadrature", "closed_form")):
-    """Evaluate all metrics for every requested analytic method."""
-    entries = []
-    for method in methods:
-        if method == "quadrature":
-            entries.append(asc_quadrature(scenario))
-            entries.append(sop_exact(scenario))
-            entries.append(sop_lower_bound(scenario, method="quadrature"))
-            entries.append(spsc(scenario, method="quadrature"))
-        elif method == "closed_form":
-            entries.append(asc_closed_form(scenario))
-            entries.append(sop_lower_bound(scenario, method="closed_form"))
-            entries.append(spsc(scenario, method="closed_form"))
-        else:
-            raise ValueError(f"unknown analytic method {method!r}")
-    return SecrecyReport(tuple(entries))
+def evaluate_scenario(scenario, method):
+    """MetricValues of one analytic method, in the CLI's row order."""
+    _check_method(method)
+    if method == "quadrature":
+        return (asc_quadrature(scenario), sop_exact(scenario),
+                sop_lower_bound(scenario, method="quadrature"),
+                spsc(scenario, method="quadrature"))
+    return (asc_closed_form(scenario),
+            sop_lower_bound(scenario, method="closed_form"),
+            spsc(scenario, method="closed_form"))

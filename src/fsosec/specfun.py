@@ -1,8 +1,8 @@
 """Self-contained special-function kernel.
 
-Real log-gamma, beta, erf, the regularized incomplete beta function and
-a numerical Meijer G-function evaluator.  The G-function is computed by
-direct quadrature of its Mellin-Barnes representation
+Log-beta, the regularized incomplete beta function, complex log-gamma
+and a numerical Meijer G-function evaluator.  The G-function is
+computed by direct quadrature of its Mellin-Barnes representation
 
     G(z) = 1/(2*pi*i) * integral of Phi(s) z^s ds
 
@@ -52,48 +52,11 @@ _LANCZOS_C = (
 _SUPPORTED_ORDERS = frozenset({(1, 1, 1, 1), (1, 2, 2, 2), (4, 3, 4, 4), (2, 3, 3, 3)})
 
 
-def log_gamma(x):
-    """Natural log of the gamma function for real positive x.
-
-    Parameters
-    ----------
-    x : float
-        Strictly positive argument.
-
-    Returns
-    -------
-    float
-        ln(Gamma(x)).
-    """
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def erf(x):
-    """Error function, odd by construction.
-
-    erf(-x) is computed as -erf(x) so the symmetry holds bit-exactly.
-    """
-    if x < 0.0:
-        return -math.erf(-x)
-    return math.erf(x)
-
-
 def log_beta(a, b):
     """ln B(a, b) for positive a, b, evaluated in log space."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"log_beta requires a, b > 0, got a={a!r} b={b!r}")
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def beta(a, b):
-    """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b).
-
-    Computed as exp(log_beta) so large arguments neither overflow nor
-    lose the a <-> b symmetry (the log-space sum commutes exactly).
-    """
-    return math.exp(log_beta(a, b))
 
 
 def _betacf(x, a, b, max_iter=400, eps=1e-16):

@@ -1,13 +1,17 @@
 """Command-line behaviour, exercised in process through cli.main."""
+import importlib.util
 import json
 import hashlib
 import math
+import warnings
+from pathlib import Path
 
 import pytest
 
+import fsosec.cli as cli
 from fsosec.cli import fmt_number, main
 from fsosec.errors import NonConvergent, PoleCollision
-from fsosec.mc import McEstimate
+from fsosec.mc import McEstimate, mc_metrics
 
 BASE = """\
 [geometry]
@@ -100,15 +104,15 @@ def test_metrics_methods_flag(cfg, capsys):
 def test_metrics_file_and_manifest(cfg, tmp_path):
     out = str(tmp_path / "m.csv")
     assert main(["metrics", "--config", cfg, "--out", out, "--seed", "77"]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert text.startswith("sweep_value,metric,method,value,error,status\n")
-    manifest = json.load(open(out + ".manifest.json"))
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["command"] == "metrics"
     assert manifest["seed"] == 77
     assert manifest["mc_samples"] == 8000
     assert manifest["output"] == out
     assert manifest["config_sha256"] == hashlib.sha256(
-        open(cfg, "rb").read()).hexdigest()
+        Path(cfg).read_bytes()).hexdigest()
     # reproducibility manifest carries no clock
     assert not any("time" in k or "date" in k for k in manifest)
 
@@ -120,7 +124,7 @@ def test_metrics_byte_identical_across_runs_and_jobs(sweep_cfg, tmp_path):
         code = main(["metrics", "--config", sweep_cfg, "--out", out,
                      "--methods", "quadrature,monte_carlo", "--jobs", jobs])
         assert code == 0
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] == outs[2]
 
@@ -132,7 +136,7 @@ def test_metrics_seed_changes_mc_rows(cfg, tmp_path):
           "--out", a, "--seed", "1"])
     main(["metrics", "--config", cfg, "--methods", "monte_carlo",
           "--out", b, "--seed", "2"])
-    assert open(a).read() != open(b).read()
+    assert Path(a).read_text() != Path(b).read_text()
 
 
 def test_metrics_sweep_rows(sweep_cfg, capsys):
@@ -191,9 +195,13 @@ def test_validate_passes(cfg, capsys):
 def test_validate_detects_bias(cfg, monkeypatch):
     # negative control: a Monte Carlo estimator with a wrong mean and a
     # tight error bar must trip the z-test, not pass silently
+    real = mc_metrics
+
     def biased(scenario, mc_cfg):
-        return McEstimate(mean=10.0, std_error=1e-6, n=mc_cfg.samples)
-    monkeypatch.setattr("fsosec.cli.mc_asc", biased)
+        _, sop, positive = real(scenario, mc_cfg)
+        asc = McEstimate(mean=10.0, std_error=1e-6, n=mc_cfg.samples)
+        return asc, sop, positive
+    monkeypatch.setattr("fsosec.cli.mc_metrics", biased)
     code = main(["validate", "--config", cfg,
                  "--methods", "quadrature,monte_carlo"])
     assert code == 1
@@ -208,7 +216,7 @@ def test_validate_needs_monte_carlo(cfg, capsys):
 def test_metrics_nonconvergence_exit(cfg, monkeypatch, capsys):
     def blows_up(scenario, tol_rel=1e-10):
         raise NonConvergent("synthetic")
-    monkeypatch.setattr("fsosec.cli.asc_quadrature", blows_up)
+    monkeypatch.setattr("fsosec.secrecy.asc_quadrature", blows_up)
     code = main(["metrics", "--config", cfg])
     out = capsys.readouterr().out
     assert code == 3
@@ -221,12 +229,51 @@ def test_metrics_nonconvergence_exit(cfg, monkeypatch, capsys):
 def test_metrics_pole_collision_row(cfg, monkeypatch, capsys):
     def collides(scenario, tol_rel=1e-10):
         raise PoleCollision("synthetic")
-    monkeypatch.setattr("fsosec.cli.asc_closed_form", collides)
+    monkeypatch.setattr("fsosec.secrecy.asc_closed_form", collides)
     code = main(["metrics", "--config", cfg])
     out = capsys.readouterr().out
     assert code == 3
     assert ",all,closed_form,,,pole_collision" in out
     assert ",asc,quadrature," in out  # quadrature rows unaffected
+
+
+def test_manifest_closes_the_config_file(cfg, tmp_path):
+    out = str(tmp_path / "budget.csv")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["link-budget", "--config", cfg, "--out", out]) == 0
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == []
+
+
+def test_bench_tracer_reaches_every_layer(cfg, capsys):
+    # the benchmark's tracer wraps cli and module attributes by name;
+    # a rename here would silently zero its per-layer counters
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # the tracer spans the public mc and secrecy functions cli imports
+    assert tracing._functions_from(cli, "fsosec.mc")
+    assert tracing._functions_from(cli, "fsosec.secrecy")
+    real_main = cli.main
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert "not found" not in capsys.readouterr().err
+        assert cli.main(["metrics", "--config", cfg, "--methods",
+                         "quadrature,closed_form,monte_carlo"]) == 0
+    finally:
+        tracer.restore()
+    assert cli.main is real_main
+    names = {span[3] for span in tracer.spans()}
+    assert any(name.startswith("mc.") for name in names)
+    assert {"secrecy.asc_quadrature", "secrecy.asc_closed_form",
+            "quadrature.integral", "specfun.meijer_g"} <= names
+    counts = tracer.counts()
+    assert counts["fading.sample_ht.items"] == 2 * 8000
+    assert counts["quadrature.evals"] > 0
+    assert counts["fading.pdf_calls"] > 0
 
 
 def test_config_error_exits(cfg, tmp_path, capsys):

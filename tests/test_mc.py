@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from fsosec.fading import FFadingParams, SnrChannel
-from fsosec.mc import McConfig, mc_asc, mc_sop, mc_spsc
+from fsosec.fading import FFadingParams, SnrChannel, sample_ht
+from fsosec.mc import McConfig, McEstimate, mc_asc, mc_metrics
 from fsosec.secrecy import (WiretapScenario, asc_quadrature, sop_exact, spsc)
 
 BOB = SnrChannel(FFadingParams(9.1, 11.7), 472.7)
@@ -11,82 +12,124 @@ EVE = SnrChannel(FFadingParams(9.1, 11.7), 48.3)
 PAIR = WiretapScenario(BOB, EVE, target_rate=0.5)
 
 
+def _per_metric_pass(scenario, cfg, stat):
+    # one pass over the stream for a single metric, batches summed in
+    # index order: the estimator that mc_metrics fuses three of
+    full, rem = divmod(cfg.samples, cfg.batch_size)
+    sizes = [cfg.batch_size] * full + ([rem] if rem else [])
+    s = 0.0
+    s2 = 0.0
+    for index, size in enumerate(sizes):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence([cfg.seed, index])))
+        hb = sample_ht(scenario.bob.fading, rng, size)
+        he = sample_ht(scenario.eve.fading, rng, size)
+        d = (np.log2(1.0 + 4.0 * scenario.bob.mean_snr * hb * hb)
+             - np.log2(1.0 + 4.0 * scenario.eve.mean_snr * he * he))
+        x = stat(d)
+        s += float(np.sum(x))
+        s2 += float(np.sum(x * x))
+    n = cfg.samples
+    var = max(s2 - s * s / n, 0.0) / (n - 1)
+    return McEstimate(s / n, math.sqrt(var / n), n)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_one_pass_matches_per_metric_passes_bit_for_bit(jobs, rate):
+    scen = WiretapScenario(BOB, SnrChannel(EVE.fading, 190.0), rate)
+    # seventeen full batches and a remainder batch
+    cfg = McConfig(samples=70_001, seed=17, jobs=jobs, batch_size=1 << 12)
+
+    def outage(d):
+        return (d <= 0.0 if rate == 0.0 else d < rate).astype(float)
+
+    stats = (lambda d: np.maximum(d, 0.0), outage,
+             lambda d: (d > 0.0).astype(float))
+    fused = mc_metrics(scen, cfg)
+    assert len(fused) == len(stats)
+    for est, stat in zip(fused, stats):
+        want = _per_metric_pass(scen, cfg, stat)
+        assert est.mean == want.mean
+        assert est.std_error == want.std_error
+        assert est.n == want.n == 70_001
+    assert 0.0 < fused[1].mean < 1.0
+    assert mc_asc(scen, cfg) == fused[0]
+
+
 def test_worker_count_does_not_change_the_estimate():
     serial = McConfig(samples=200_000, seed=42)
     threaded = McConfig(samples=200_000, seed=42, jobs=8)
-    a = mc_asc(PAIR, serial)
-    b = mc_asc(PAIR, threaded)
-    assert a.mean == b.mean
-    assert a.std_error == b.std_error
-    assert a.n == b.n == 200_000
+    for a, b in zip(mc_metrics(PAIR, serial), mc_metrics(PAIR, threaded)):
+        assert a.mean == b.mean
+        assert a.std_error == b.std_error
+        assert a.n == b.n == 200_000
 
 
 def test_batch_size_does_not_change_the_estimate():
     # same logical stream regardless of how it is cut into batches
     coarse = McConfig(samples=130_000, seed=7, batch_size=1 << 16)
     no_remainder = McConfig(samples=130_000, seed=7, batch_size=65_000)
-    a = mc_sop(PAIR, coarse)
-    b = mc_sop(PAIR, no_remainder)
     # batch boundaries change which Philox counter a sample comes from,
     # so only the statistical agreement is required here
-    assert a.n == b.n == 130_000
-    assert abs(a.mean - b.mean) <= 4.0 * math.hypot(a.std_error, b.std_error)
+    for a, b in zip(mc_metrics(PAIR, coarse), mc_metrics(PAIR, no_remainder)):
+        assert a.n == b.n == 130_000
+        assert abs(a.mean - b.mean) <= 4.0 * math.hypot(a.std_error,
+                                                        b.std_error)
 
 
 def test_batch_remainder_counted():
     cfg = McConfig(samples=150_001, seed=3, batch_size=1 << 16)
-    assert mc_spsc(PAIR, cfg).n == 150_001
+    assert [est.n for est in mc_metrics(PAIR, cfg)] == [150_001] * 3
 
 
 def test_seed_changes_the_stream():
-    a = mc_asc(PAIR, McConfig(samples=50_000, seed=0))
-    b = mc_asc(PAIR, McConfig(samples=50_000, seed=1))
-    assert a.mean != b.mean
+    a = mc_metrics(PAIR, McConfig(samples=50_000, seed=0))
+    b = mc_metrics(PAIR, McConfig(samples=50_000, seed=1))
+    assert a[0].mean != b[0].mean
 
 
 def test_zero_rate_partition_is_exact():
     zero = WiretapScenario(BOB, EVE, target_rate=0.0)
     cfg = McConfig(samples=100_000, seed=11)
-    outage = mc_sop(zero, cfg)
-    positive = mc_spsc(zero, cfg)
+    _, outage, positive = mc_metrics(zero, cfg)
     assert outage.mean + positive.mean == 1.0
 
 
 def test_single_sample_has_no_error_bar():
-    est = mc_asc(PAIR, McConfig(samples=1, seed=5))
-    assert est.n == 1
-    assert est.std_error == 0.0
+    for est in mc_metrics(PAIR, McConfig(samples=1, seed=5)):
+        assert est.n == 1
+        assert est.std_error == 0.0
 
 
 def test_error_bar_shrinks_like_root_n():
-    small = mc_asc(PAIR, McConfig(samples=50_000, seed=9))
-    large = mc_asc(PAIR, McConfig(samples=200_000, seed=9))
+    small, _, _ = mc_metrics(PAIR, McConfig(samples=50_000, seed=9))
+    large, _, _ = mc_metrics(PAIR, McConfig(samples=200_000, seed=9))
     ratio = small.std_error / large.std_error
     assert ratio == pytest.approx(2.0, rel=0.1)
 
 
 def test_estimates_match_analytics():
     cfg = McConfig(samples=400_000, seed=2024, jobs=4)
-    a = mc_asc(PAIR, cfg)
+    a, s, p = mc_metrics(PAIR, cfg)
     assert abs(a.mean - asc_quadrature(PAIR).value) <= 4.0 * a.std_error
-    s = mc_sop(PAIR, cfg)
     assert abs(s.mean - sop_exact(PAIR).value) <= 4.0 * s.std_error
-    p = mc_spsc(PAIR, cfg)
     assert abs(p.mean - spsc(PAIR).value) <= 4.0 * p.std_error
 
 
 def test_probabilities_stay_in_range():
     cfg = McConfig(samples=20_000, seed=1)
     for scen in (PAIR, WiretapScenario(EVE, BOB, target_rate=2.0)):
-        assert 0.0 <= mc_sop(scen, cfg).mean <= 1.0
-        assert 0.0 <= mc_spsc(scen, cfg).mean <= 1.0
-        assert mc_asc(scen, cfg).mean >= 0.0
+        asc, sop, positive = mc_metrics(scen, cfg)
+        assert 0.0 <= sop.mean <= 1.0
+        assert 0.0 <= positive.mean <= 1.0
+        assert asc.mean >= 0.0
 
 
 def test_no_fading_stream_is_constant():
     calm = SnrChannel(FFadingParams(math.inf, math.inf), 100.0)
     scen = WiretapScenario(calm, SnrChannel(FFadingParams(math.inf, math.inf), 10.0))
-    est = mc_asc(scen, McConfig(samples=1000, seed=0))
+    est, _, _ = mc_metrics(scen, McConfig(samples=1000, seed=0))
     want = math.log2(401.0) - math.log2(41.0)
     assert est.mean == pytest.approx(want, rel=1e-14)
     # one-pass variance of a constant stream leaves only roundoff

@@ -168,17 +168,32 @@ def test_both_degenerate():
 
 
 def test_evaluate_scenario_report():
-    report = evaluate_scenario(PAIR)
-    assert report.get("asc", "quadrature").value == pytest.approx(
-        asc_quadrature(PAIR).value, rel=1e-12)
-    assert report.get("sop").method == "quadrature"
-    assert report.get("sop_lb", "closed_form").metric == "sop_lb"
-    assert report.get("spsc", "closed_form").value == pytest.approx(
-        report.get("spsc", "quadrature").value, abs=1e-8)
-    with pytest.raises(KeyError):
-        report.get("nope")
+    quad = evaluate_scenario(PAIR, "quadrature")
+    closed = evaluate_scenario(PAIR, "closed_form")
+    # one method's rows, in CSV row order
+    assert [(mv.metric, mv.method) for mv in quad] == [
+        ("asc", "quadrature"), ("sop", "quadrature"),
+        ("sop_lb", "quadrature"), ("spsc", "quadrature")]
+    assert [(mv.metric, mv.method) for mv in closed] == [
+        ("asc", "closed_form"), ("sop_lb", "closed_form"),
+        ("spsc", "closed_form")]
+    assert quad[0] == asc_quadrature(PAIR)
+    assert closed[0] == asc_closed_form(PAIR)
+    assert closed[2].value == pytest.approx(quad[3].value, abs=1e-8)
     with pytest.raises(ValueError):
-        evaluate_scenario(PAIR, methods=("fancy",))
+        evaluate_scenario(PAIR, "fancy")
+
+
+@pytest.mark.parametrize("method", ["closed-form", "quad", "monte_carlo", ""])
+def test_spsc_rejects_unknown_method(method):
+    with pytest.raises(ValueError, match="unknown analytic method"):
+        spsc(PAIR, method=method)
+
+
+@pytest.mark.parametrize("method", ["closed-form", "quad", "monte_carlo", ""])
+def test_sop_lower_bound_rejects_unknown_method(method):
+    with pytest.raises(ValueError, match="unknown analytic method"):
+        sop_lower_bound(PAIR, method=method)
 
 
 def test_target_rate_validation():

@@ -6,22 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fsosec.specfun import erf, log_beta, log_gamma, log_gamma_complex, reg_inc_beta, reg_inc_beta_many
-
-
-def test_log_gamma_reference():
-    cases = [
-        (0.5, 0.57236494292470009),
-        (1.5, -0.12078223763524522),
-        (3.75, 1.4868155785934171),
-        (9.13, 10.883874258892515),
-        (20.25, 40.084110597917349),
-        (150.5, 602.51395487058541),
-    ]
-    for x, want in cases:
-        assert abs(log_gamma(x) - want) <= 1e-13 * max(1.0, abs(want))
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(2.0) == 0.0
+from fsosec.specfun import log_beta, log_gamma_complex, reg_inc_beta, reg_inc_beta_many
 
 
 def test_log_beta_reference():
@@ -37,19 +22,6 @@ def test_log_beta_reference():
 
 def test_log_beta_symmetry():
     assert log_beta(2.5, 7.25) == pytest.approx(log_beta(7.25, 2.5), rel=1e-15)
-
-
-def test_erf_reference():
-    cases = [
-        (0.1, 0.1124629160182849),
-        (0.5, 0.52049987781304654),
-        (1.0, 0.84270079294971487),
-        (2.0, 0.99532226501895273),
-        (3.5, 0.99999925690162766),
-    ]
-    for x, want in cases:
-        assert abs(erf(x) - want) <= 1e-14
-        assert abs(erf(-x) + want) <= 1e-14
 
 
 def test_reg_inc_beta_reference():
@@ -124,7 +96,7 @@ def test_log_gamma_complex_real_line_agrees():
     for x in (0.5, 1.0, 2.5, 9.13):
         got = log_gamma_complex(complex(x, 0.0))
         assert abs(got.imag) < 1e-13
-        assert got.real == pytest.approx(log_gamma(x), rel=1e-13, abs=1e-13)
+        assert got.real == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-13)
 
 
 def test_log_gamma_complex_recurrence():
