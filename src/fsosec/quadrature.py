@@ -103,8 +103,38 @@ def quad_adaptive(f, a, b, tol_abs=1e-12, tol_rel=1e-10, max_panels=2000):
     return total, total_err
 
 
+def _hinted_scan_range(at, x_peak, u_lo, scan_step, n, stop_rel):
+    # grid indices [lo, hi] around the peak, found from a hint instead of
+    # a scan of the whole grid; None when the hint cannot be used
+    if x_peak is None or not (math.isfinite(x_peak) and x_peak > 0.0):
+        return None
+    i = min(max(round((math.log(x_peak) - u_lo) / scan_step), 0), n)
+    if at(i) == 0.0:
+        return None
+    while i < n and at(i + 1) > at(i):
+        i += 1
+    while i > 0 and at(i - 1) > at(i):
+        i -= 1
+    top = at(i)
+    lo = hi = i
+    # walk out until a probe has dropped far below the floor that
+    # expand() will use and is not rising, so the skipped grid points
+    # cannot change the peak or the scan sum beyond its last bits
+    while lo > 0:
+        lo -= 1
+        top = max(top, at(lo))
+        if at(lo) <= stop_rel * top and at(lo) <= at(lo + 1):
+            break
+    while hi < n:
+        hi += 1
+        top = max(top, at(hi))
+        if at(hi) <= stop_rel * top and at(hi) <= at(hi - 1):
+            break
+    return lo, hi
+
+
 def quad_positive_axis(f, tol_abs=0.0, tol_rel=1e-10, tail_eps=1e-14,
-                       u_lo=-690.0, u_hi=690.0, scan_step=0.5):
+                       u_lo=-690.0, u_hi=690.0, scan_step=0.5, x_peak=None):
     """Integrate f over (0, inf) after the log-axis substitution x = e^u.
 
     The transformed integrand g(u) = f(e^u) e^u is scanned on a coarse
@@ -112,6 +142,16 @@ def quad_positive_axis(f, tol_abs=0.0, tol_rel=1e-10, tail_eps=1e-14,
     below tail_eps relative to the running integral, and the window is
     integrated adaptively.  A bound on the truncated tails, from the
     locally observed geometric decay, is folded into the returned error.
+
+    x_peak, when given, is a guess of where g peaks (in x, not u).  The
+    scan then starts at the grid point nearest ln(x_peak), climbs to the
+    grid maximum and walks outward only until g has dropped to
+    1e-3 * tail_eps of its largest sample, instead of probing the whole
+    grid.  This assumes g is unimodal in ln x: the hinted scan then
+    finds the same peak as the full one, and the grid points it skips
+    are too small to move the window, so the result is the same as
+    without the hint.  A hint that is None, not finite, not positive,
+    or whose sample is zero falls back to the full scan.
 
     Returns (value, error_estimate).
     """
@@ -129,12 +169,21 @@ def quad_positive_axis(f, tol_abs=0.0, tol_rel=1e-10, tail_eps=1e-14,
         return val if val == val else 0.0
 
     n = int((u_hi - u_lo) / scan_step)
+    seen = {}
+
+    def at(i):
+        if i not in seen:
+            seen[i] = probe(u_lo + i * scan_step)
+        return seen[i]
+
+    lo, hi = (_hinted_scan_range(at, x_peak, u_lo, scan_step, n,
+                                 1e-3 * tail_eps) or (0, n))
     best_u = None
     best = 0.0
     coarse = 0.0
-    for i in range(n + 1):
+    for i in range(lo, hi + 1):
         u = u_lo + i * scan_step
-        val = probe(u)
+        val = at(i)
         coarse += val * scan_step
         if val > best:
             best = val

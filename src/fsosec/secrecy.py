@@ -71,6 +71,18 @@ def _fixed_snr(channel):
     return 4.0 * channel.mean_snr
 
 
+def _gain_mode(fading):
+    # peak of h * pdf(h), i.e. of the gain density in u = ln h: the
+    # derivative of a*u - (a+b)*ln(a*e^u + b - 1) vanishes at (b-1)/b
+    return (fading.b - 1.0) / fading.b
+
+
+def _snr_mode(channel):
+    # the same peak in u = ln(snr), since snr = 4 * mean_snr * h^2
+    h = _gain_mode(channel.fading)
+    return 4.0 * channel.mean_snr * h * h
+
+
 def _check_method(method):
     if method not in _METHODS:
         raise ValueError(f"unknown analytic method {method!r}")
@@ -81,10 +93,10 @@ def _asc_cross_terms(bob, eve, tol_rel):
     # (value, error) in nats
     v1, e1 = quad_positive_axis(
         lambda g: math.log1p(g) * snr_pdf(bob, g) * snr_cdf(eve, g),
-        tol_rel=tol_rel)
+        tol_rel=tol_rel, x_peak=_snr_mode(bob))
     v2, e2 = quad_positive_axis(
         lambda g: math.log1p(g) * snr_pdf(eve, g) * snr_cdf(bob, g),
-        tol_rel=tol_rel)
+        tol_rel=tol_rel, x_peak=_snr_mode(eve))
     return v1 + v2, e1 + e2
 
 
@@ -130,7 +142,8 @@ def asc_quadrature(scenario, tol_rel=1e-10):
         return _asc_value(v1, e1, "quadrature")
     cross, e_cross = _asc_cross_terms(bob, eve, tol_rel)
     v3, e3 = quad_positive_axis(
-        lambda g: math.log1p(g) * snr_pdf(eve, g), tol_rel=tol_rel)
+        lambda g: math.log1p(g) * snr_pdf(eve, g), tol_rel=tol_rel,
+        x_peak=_snr_mode(eve))
     return _asc_value(cross - v3, e_cross + e3, "quadrature")
 
 
@@ -197,7 +210,8 @@ def sop_exact(scenario, tol_rel=1e-10):
         return MetricValue("sop", "quadrature", value, 0.0)
     value, err = quad_positive_axis(
         lambda h: cdf_ht(bob.fading, _outage_gain_threshold(scenario, h))
-        * pdf_ht(eve.fading, h), tol_rel=tol_rel)
+        * pdf_ht(eve.fading, h), tol_rel=tol_rel,
+        x_peak=_gain_mode(eve.fading))
     value = min(max(value, 0.0), 1.0)
     return MetricValue("sop", "quadrature", value, err)
 
@@ -239,7 +253,7 @@ def sop_lower_bound(scenario, method="closed_form", tol_rel=1e-10):
         return MetricValue("sop_lb", "quadrature", value, 0.0)
     value, err = quad_positive_axis(
         lambda h: cdf_ht(bob.fading, w * h) * pdf_ht(eve.fading, h),
-        tol_rel=tol_rel)
+        tol_rel=tol_rel, x_peak=_gain_mode(eve.fading))
     value = min(max(value, 0.0), 1.0)
     return MetricValue("sop_lb", "quadrature", value, err)
 

@@ -62,12 +62,18 @@ def test_positive_axis_heavy_tail():
 
 
 def test_positive_axis_far_peak():
-    # lognormal-like mass centred around x = 1e8
+    # lognormal-like mass centred around x = 1e8, found by the full scan
+    # and from a hint at the peak
     mu = math.log(1e8)
     f = lambda x: math.exp(-0.5 * (math.log(x) - mu) ** 2) / x
-    val, err = quad_positive_axis(f)
     exact = math.sqrt(2.0 * math.pi)
-    assert abs(val - exact) / exact < 1e-10
+    full = quad_positive_axis(f)
+    assert abs(full[0] - exact) / exact < 1e-10
+    calls = []
+    hinted = quad_positive_axis(lambda x: calls.append(x) or f(x),
+                                x_peak=1e8)
+    assert hinted == full
+    assert len(calls) < 1000
 
 
 def test_positive_axis_zero_integrand():
@@ -85,9 +91,25 @@ def test_positive_axis_survives_bad_tail_points():
             return float("nan")
         lx = math.log(x)
         return math.exp(-0.5 * lx * lx) / x
-    val, err = quad_positive_axis(f)
     exact = math.sqrt(2.0 * math.pi)
-    assert abs(val - exact) <= max(10.0 * err, 1e-9 * exact)
+    for x_peak in (None, 1.0):
+        val, err = quad_positive_axis(f, x_peak=x_peak)
+        assert abs(val - exact) <= max(10.0 * err, 1e-9 * exact)
+
+
+def _gauss(x):
+    return math.exp(-x * x)
+
+
+@pytest.mark.parametrize("x_peak", [
+    math.inf, math.nan, 0.0, -1.0,  # unusable: full scan
+    1e200,  # the integrand is 0 there: full scan
+    1e-320, 1e305,  # off the grid: clipped to its ends
+    0.7,  # near the peak
+])
+def test_positive_axis_hint_cannot_change_the_result(x_peak):
+    assert (quad_positive_axis(_gauss, x_peak=x_peak)
+            == quad_positive_axis(_gauss))
 
 
 @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0))

@@ -1,11 +1,14 @@
 """Secrecy metrics: route agreement, analytic identities, frozen
 references (mpmath, 50 digits), and degenerate branches."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fsosec.fading import FFadingParams, SnrChannel, cdf_ht, snr_pdf
+from fsosec import secrecy
+from fsosec.config import build_scenario, parse_config
+from fsosec.fading import FFadingParams, SnrChannel, cdf_ht, pdf_ht, snr_pdf
 from fsosec.quadrature import quad_positive_axis
 from fsosec.secrecy import (WiretapScenario, asc_closed_form, asc_quadrature,
                             eve_ergodic_rate_closed_form, evaluate_scenario,
@@ -14,6 +17,7 @@ from fsosec.secrecy import (WiretapScenario, asc_closed_form, asc_quadrature,
 BOB = SnrChannel(FFadingParams(9.1, 11.7), 472.7)
 EVE = SnrChannel(FFadingParams(9.1, 11.7), 48.3)
 PAIR = WiretapScenario(BOB, EVE, target_rate=0.5)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_secrecy_capacity_positive_part():
@@ -201,3 +205,89 @@ def test_target_rate_validation():
         WiretapScenario(BOB, EVE, target_rate=-0.5)
     with pytest.raises(ValueError):
         WiretapScenario(BOB, EVE, target_rate=math.inf)
+
+
+def _grid_argmax(fn, u_lo=-60.0, u_hi=60.0, step=0.5):
+    grid = [u_lo + i * step for i in range(int((u_hi - u_lo) / step) + 1)]
+    return max(grid, key=lambda u: fn(math.exp(u)) * math.exp(u))
+
+
+@pytest.mark.parametrize("a, b", [(0.4, 1.1), (1.0, 2.0), (2.5, 3.2),
+                                  (9.1, 11.7), (50.0, 1.3), (0.8, 200.0)])
+def test_peak_hints_sit_at_the_density_mode(a, b):
+    # the hints the routes pass: the gain density h*pdf(h) peaks in
+    # ln h at (b-1)/b, the SNR density at 4*mean_snr times its square
+    fading = FFadingParams(a, b)
+    u = _grid_argmax(lambda h: pdf_ht(fading, h))
+    assert abs(u - math.log(secrecy._gain_mode(fading))) <= 0.5
+    for mean_snr in (1e-3, 48.3, 1e9):
+        chan = SnrChannel(fading, mean_snr)
+        u = _grid_argmax(lambda g: snr_pdf(chan, g), -80.0, 80.0)
+        assert abs(u - math.log(secrecy._snr_mode(chan))) <= 0.5
+
+
+def _drawn_scenarios(seed, count):
+    # a in [0.3, 300], b in [1.05, 300], Eve/Bob -60..+20 dB, shared and
+    # mismatched shapes, target rate 0 and above
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    out = []
+    for k in range(count):
+        shapes = [FFadingParams(log_uniform(0.3, 300.0),
+                                1.0 + log_uniform(0.05, 299.0))
+                  for _ in range(2)]
+        if k % 2 == 0:
+            shapes[1] = shapes[0]
+        snr_bob = float(10.0 ** rng.uniform(-3.0, 10.0))
+        ratio = float(10.0 ** (rng.uniform(-60.0, 20.0) / 10.0))
+        out.append(WiretapScenario(SnrChannel(shapes[0], snr_bob),
+                                   SnrChannel(shapes[1], snr_bob * ratio),
+                                   target_rate=(0.0, 0.5, 2.0, 8.0)[k % 4]))
+    return out
+
+
+def test_peak_hints_leave_every_route_unchanged(monkeypatch):
+    routes = (asc_quadrature, asc_closed_form, sop_exact,
+              lambda s: sop_lower_bound(s, method="quadrature"))
+    scenarios = _drawn_scenarios(20261018, 24)
+    hinted = [[(mv.value, mv.error) for mv in (r(s) for r in routes)]
+              for s in scenarios]
+
+    def full_scan(f, x_peak=None, **kwargs):
+        return quad_positive_axis(f, **kwargs)
+
+    monkeypatch.setattr(secrecy, "quad_positive_axis", full_scan)
+    reference = [[(mv.value, mv.error) for mv in (r(s) for r in routes)]
+                 for s in scenarios]
+    assert hinted == reference
+
+
+def test_shipped_configs_never_take_the_full_scan(monkeypatch):
+    # a hint that silently falls back leaves every value as it was, so
+    # only the evaluation count shows it: the full scan alone is 2761
+    counts = []
+
+    def counting(f, **kwargs):
+        n = [0]
+
+        def g(x):
+            n[0] += 1
+            return f(x)
+        out = quad_positive_axis(g, **kwargs)
+        counts.append(n[0])
+        return out
+
+    monkeypatch.setattr(secrecy, "quad_positive_axis", counting)
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        rc = parse_config(str(path))
+        points = rc.sweep.points()
+        for _, raw in (points[0], points[-1]):
+            scenario = build_scenario(rc.with_value(rc.sweep.variable, raw))
+            for method in ("quadrature", "closed_form"):
+                before = len(counts)
+                evaluate_scenario(scenario, method)
+                assert len(counts) > before
+    assert max(counts) < 1000
