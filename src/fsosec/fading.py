@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (MeijerGSpec, log_beta, meijer_g, reg_inc_beta,
-                      reg_inc_beta_many)
+from .specfun import MeijerGSpec, log_beta, meijer_g, reg_inc_beta
 
 
 @dataclass(frozen=True)
@@ -54,50 +53,54 @@ class FFadingParams:
         return (self.a + self.b - 1.0) / (self.a * (self.b - 2.0))
 
 
+def _scalar_or_array(x, out):
+    # Python float for a scalar argument, the array otherwise
+    return out if np.ndim(x) else float(out)
+
+
 def pdf_ht(params, h):
-    """Density of the power gain at h >= 0."""
+    """Density of the power gain, elementwise on an array of h.
+
+    Zero for h < 0 and h = inf.  At h = 0 it is inf for a < 1, the
+    finite limit for a = 1 and 0 for a > 1.  The no-fading sentinel
+    has no density: ValueError for any h in [0, inf).
+    """
     a, b = params.a, params.b
-    if h < 0.0 or math.isinf(h):
-        return 0.0
+    h = np.asarray(h, dtype=float)
+    outside = (h < 0.0) | (h == math.inf)
     if params.no_fading:
-        raise ValueError("no-fading sentinel has no density")
-    if h == 0.0:
-        if a < 1.0:
-            return math.inf
-        if a == 1.0:
-            return math.exp(b * math.log(b - 1.0) - log_beta(a, b)
-                            - (a + b) * math.log(b - 1.0))
-        return 0.0
-    log_p = (a * math.log(a) + b * math.log(b - 1.0) + (a - 1.0) * math.log(h)
-             - log_beta(a, b) - (a + b) * math.log(a * h + b - 1.0))
-    return math.exp(log_p)
+        if not outside.all():
+            raise ValueError("no-fading sentinel has no density")
+        return _scalar_or_array(h, np.zeros(h.shape))
+    lb = log_beta(a, b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_p = (a * math.log(a) + b * math.log(b - 1.0) + (a - 1.0) * np.log(h)
+                 - lb - (a + b) * np.log(a * h + b - 1.0))
+        out = np.where(outside, 0.0, np.exp(log_p))
+    if a <= 1.0 and (h == 0.0).any():
+        at_zero = (math.inf if a < 1.0 else
+                   math.exp(b * math.log(b - 1.0) - lb
+                            - (a + b) * math.log(b - 1.0)))
+        out = np.where(h == 0.0, at_zero, out)
+    return _scalar_or_array(h, out)
 
 
 def cdf_ht(params, h):
-    """Distribution function of the power gain at h."""
-    if h <= 0.0:
-        return 0.0
-    if params.no_fading:
-        return 1.0 if h >= 1.0 else 0.0
-    if math.isinf(h):
-        return 1.0
-    a, b = params.a, params.b
-    z = a * h / (a * h + b - 1.0)
-    return reg_inc_beta(z, a, b)
+    """Distribution function of the power gain, elementwise on an array.
 
-
-def cdf_ht_many(params, h):
-    """Vectorized cdf_ht over a numpy array of gains."""
+    0 for h <= 0 and 1 at h = inf; a step at h = 1 for the no-fading
+    sentinel.
+    """
     h = np.asarray(h, dtype=float)
     if params.no_fading:
-        return (h >= 1.0).astype(float)
+        return _scalar_or_array(h, (h >= 1.0).astype(float))
     a, b = params.a, params.b
-    finite = np.isfinite(h)
-    safe = np.where(finite & (h > 0.0), h, 1.0)
-    z = a * safe / (a * safe + b - 1.0)
-    z = np.where(h > 0.0, z, 0.0)
-    z = np.where(finite, z, 1.0)
-    return reg_inc_beta_many(z, a, b)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ah = a * h
+        z = ah / (ah + b - 1.0)
+    # the ends, and gains so large that a*h overflows
+    z = np.where(h <= 0.0, 0.0, np.where(ah == math.inf, 1.0, z))
+    return _scalar_or_array(h, reg_inc_beta(z, a, b))
 
 
 def pdf_ht_gform(params, h):
@@ -164,38 +167,47 @@ def mean_snr_from_budget(tx_power, noise_std, gain):
 
 
 def h_from_snr(channel, snr):
-    """Power gain at which the instantaneous SNR equals snr."""
-    if snr < 0.0:
+    """Power gain at which the instantaneous SNR equals snr, elementwise."""
+    snr = np.asarray(snr, dtype=float)
+    if (snr < 0.0).any():
         raise ValueError("SNR must be >= 0")
-    return math.sqrt(snr / (4.0 * channel.mean_snr))
+    return _scalar_or_array(snr, np.sqrt(snr / (4.0 * channel.mean_snr)))
 
 
 def snr_pdf(channel, snr):
-    """Density of the instantaneous electrical SNR."""
-    if snr <= 0.0:
-        return 0.0
-    scale = 4.0 * channel.mean_snr * snr
-    if scale == 0.0:
+    """Density of the instantaneous electrical SNR, elementwise.
+
+    Zero for snr <= 0.  Where 4 * mean_snr * snr underflows to zero the
+    density is taken from its left-tail power law in log space.
+    """
+    snr = np.asarray(snr, dtype=float)
+    out = np.zeros(snr.shape)
+    pos = snr > 0.0
+    g = snr[pos]
+    four = 4.0 * channel.mean_snr
+    scale = four * g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dens = (pdf_ht(channel.fading, h_from_snr(channel, g))
+                * (1.0 / (2.0 * np.sqrt(scale))))
+    under = scale == 0.0
+    if under.any():
         # the change-of-variable product underflowed; this deep in the
         # left tail the gain density is in its h^(a-1) regime, so the
         # SNR density follows snr^(a/2 - 1) with a computable log
         a, b = channel.fading.a, channel.fading.b
         log_f = (a * math.log(a) - log_beta(a, b) - a * math.log(b - 1.0)
-                 - math.log(2.0) + (0.5 * a - 1.0) * math.log(snr)
-                 - 0.5 * a * math.log(4.0 * channel.mean_snr))
-        if log_f > 709.0:
-            return math.inf
-        return math.exp(log_f)
-    h = h_from_snr(channel, snr)
-    dh = 1.0 / (2.0 * math.sqrt(scale))
-    return pdf_ht(channel.fading, h) * dh
+                 - math.log(2.0) + (0.5 * a - 1.0) * np.log(g[under])
+                 - 0.5 * a * math.log(four))
+        with np.errstate(over="ignore"):
+            dens[under] = np.where(log_f > 709.0, math.inf, np.exp(log_f))
+    out[pos] = dens
+    return _scalar_or_array(snr, out)
 
 
 def snr_cdf(channel, snr):
-    """Distribution of the instantaneous electrical SNR."""
-    if snr <= 0.0:
-        return 0.0
-    return cdf_ht(channel.fading, h_from_snr(channel, snr))
+    """Distribution of the instantaneous electrical SNR, elementwise."""
+    return cdf_ht(channel.fading,
+                  h_from_snr(channel, np.maximum(snr, 0.0)))
 
 
 def snr_pdf_gform(channel, snr):

@@ -92,10 +92,10 @@ def _asc_cross_terms(bob, eve, tol_rel):
     # the two fading cross terms both ASC routes integrate, summed;
     # (value, error) in nats
     v1, e1 = quad_positive_axis(
-        lambda g: math.log1p(g) * snr_pdf(bob, g) * snr_cdf(eve, g),
+        lambda g: np.log1p(g) * snr_pdf(bob, g) * snr_cdf(eve, g),
         tol_rel=tol_rel, x_peak=_snr_mode(bob))
     v2, e2 = quad_positive_axis(
-        lambda g: math.log1p(g) * snr_pdf(eve, g) * snr_cdf(bob, g),
+        lambda g: np.log1p(g) * snr_pdf(eve, g) * snr_cdf(bob, g),
         tol_rel=tol_rel, x_peak=_snr_mode(eve))
     return v1 + v2, e1 + e2
 
@@ -131,18 +131,18 @@ def asc_quadrature(scenario, tol_rel=1e-10):
     if eve.fading.no_fading:
         ge = _fixed_snr(eve)
         v1, e1 = quad_positive_axis(
-            lambda x: math.log1p(ge + x) * snr_pdf(bob, ge + x), tol_rel=tol_rel)
+            lambda x: np.log1p(ge + x) * snr_pdf(bob, ge + x), tol_rel=tol_rel)
         v2 = math.log1p(ge) * (snr_cdf(bob, ge) - 1.0)
         return _asc_value(v1 + v2, e1, "quadrature")
     if bob.fading.no_fading:
         gb = _fixed_snr(bob)
         v1, e1 = quad_positive_axis(
-            lambda g: (math.log1p(gb) - math.log1p(g)) * snr_pdf(eve, g)
-            if g < gb else 0.0, tol_rel=tol_rel)
+            lambda g: np.where(g < gb, (math.log1p(gb) - np.log1p(g))
+                               * snr_pdf(eve, g), 0.0), tol_rel=tol_rel)
         return _asc_value(v1, e1, "quadrature")
     cross, e_cross = _asc_cross_terms(bob, eve, tol_rel)
     v3, e3 = quad_positive_axis(
-        lambda g: math.log1p(g) * snr_pdf(eve, g), tol_rel=tol_rel,
+        lambda g: np.log1p(g) * snr_pdf(eve, g), tol_rel=tol_rel,
         x_peak=_snr_mode(eve))
     return _asc_value(cross - v3, e_cross + e3, "quadrature")
 
@@ -188,7 +188,7 @@ def _outage_gain_threshold(scenario, h_eve):
     offset = math.expm1(scenario.target_rate * _LN2)
     t2 = (offset + rate_factor * 4.0 * eve.mean_snr * h_eve * h_eve) \
         / (4.0 * bob.mean_snr)
-    return math.sqrt(t2)
+    return np.sqrt(t2)
 
 
 def sop_exact(scenario, tol_rel=1e-10):

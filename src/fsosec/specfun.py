@@ -1,7 +1,9 @@
 """Self-contained special-function kernel.
 
 Log-beta, the regularized incomplete beta function, complex log-gamma
-and a numerical Meijer G-function evaluator.  The G-function is
+and a numerical Meijer G-function evaluator.  The incomplete beta and
+the complex log-gamma act elementwise on arrays, so the quadrature can
+evaluate a whole level of nodes in one call.  The G-function is
 computed by direct quadrature of its Mellin-Barnes representation
 
     G(z) = 1/(2*pi*i) * integral of Phi(s) z^s ds
@@ -49,6 +51,19 @@ _LANCZOS_C = (
     1.5056327351493116e-7,
 )
 
+_LOG_HALF_I = cmath.log(0.5j)
+_LOG_2I = cmath.log(2j)
+
+# continued fraction of the incomplete beta: iteration budget, the
+# convergence threshold on |delta - 1| and the Lentz guard
+_CF_MAX_ITER = 400
+_CF_EPS = 1e-15
+_CF_TINY = 1e-300
+
+# contour points per block of the tail walk of meijer_g
+_TAIL_BLOCK = 16
+_EPS = float(np.finfo(float).eps)
+
 _SUPPORTED_ORDERS = frozenset({(1, 1, 1, 1), (1, 2, 2, 2), (4, 3, 4, 4), (2, 3, 3, 3)})
 
 
@@ -59,170 +74,161 @@ def log_beta(a, b):
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _betacf(x, a, b, max_iter=400, eps=1e-16):
-    # Continued fraction for the incomplete beta, modified Lentz scheme.
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
+def _clamp_tiny(v, scratch):
+    # the Lentz guard: a denominator that came out (near) zero is
+    # replaced by a tiny positive number
+    np.abs(v, out=scratch)
+    if scratch.min() < _CF_TINY:
+        v[scratch < _CF_TINY] = _CF_TINY
+
+
+def _betacf(x, k, a, b):
+    # Continued fraction for the incomplete beta, modified Lentz scheme,
+    # on a whole array at once: x[:k] with shapes (a, b) and x[k:] with
+    # the swapped pair (b, a).  All elements iterate together until each
+    # has converged (checked every 4th iteration).
+    sides = [(sl, p, q) for sl, p, q in ((slice(0, k), a, b),
+                                         (slice(k, None), b, a))
+             if x[sl].size]
+    num = np.empty_like(x)
+    scratch = np.empty_like(x)
+    d = np.empty_like(x)
+    for sl, p, q in sides:
+        d[sl] = 1.0 - (p + q) * x[sl] / (p + 1.0)
+    _clamp_tiny(d, scratch)
+    np.divide(1.0, d, out=d)
+    c = np.ones_like(x)
+    h = d.copy()
+    out = np.empty_like(x)
+    pending = np.ones(x.shape, dtype=bool)
+    for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
+        # the even and the odd numerator of step m, coef(p, q) * x
+        for coef in (lambda p, q: m * (q - m) / ((p - 1.0 + m2) * (p + m2)),
+                     lambda p, q: -(p + m) * (p + q + m)
+                     / ((p + m2) * (p + 1.0 + m2))):
+            for sl, p, q in sides:
+                np.multiply(x[sl], coef(p, q), out=num[sl])
+            np.multiply(num, d, out=d)
+            d += 1.0
+            _clamp_tiny(d, scratch)
+            np.divide(num, c, out=c)
+            c += 1.0
+            _clamp_tiny(c, scratch)
+            np.divide(1.0, d, out=d)
+            np.multiply(d, c, out=scratch)
+            h *= scratch
+        # scratch now holds the last delta = d * c.  Past convergence it
+        # wanders by a few ulps, so each element keeps the h of the first
+        # check it passes
+        if m % 4 == 0:
+            done = np.abs(scratch - 1.0) < _CF_EPS
+            done &= pending
+            out[done] = h[done]
+            pending &= ~done
+            if not pending.any():
+                return out
     raise NonConvergent(
-        f"incomplete beta continued fraction stalled at x={x!r} a={a!r} b={b!r}")
+        f"incomplete beta continued fraction stalled at a={a!r} b={b!r}")
 
 
 def reg_inc_beta(x, a, b):
-    """Regularized incomplete beta function I_x(a, b).
+    """Regularized incomplete beta function I_x(a, b), elementwise on x.
 
     Parameters
     ----------
-    x : float
-        Point in [0, 1].
+    x : float or array of float
+        Points in [0, 1]; nan propagates.
     a, b : float
-        Strictly positive shape parameters.
+        Strictly positive shape parameters, shared by all points.
 
     Returns
     -------
-    float
-        I_x(a, b), monotone from 0 at x=0 to 1 at x=1.
+    float or ndarray
+        I_x(a, b), monotone from 0 at x=0 to 1 at x=1; a float for a
+        scalar x, an array of the shape of x otherwise.
 
     Notes
     -----
-    Uses the continued fraction directly on the half x < a/(a+b) and
-    the complement identity I_x(a, b) = 1 - I_{1-x}(b, a) on the other
-    half, where the fraction converges fastest.
+    Uses the continued fraction directly where x < a/(a+b) and the
+    complement identity I_x(a, b) = 1 - I_{1-x}(b, a) elsewhere, where
+    the fraction converges fastest.  Both halves run in one array loop,
+    so a call costs about the same for one point as for a few hundred.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a!r} b={b!r}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
-    if x < a / (a + b):
-        return front * _betacf(x, a, b) / a
-    return 1.0 - front * _betacf(1.0 - x, b, a) / b
-
-
-def reg_inc_beta_many(x, a, b, max_iter=400, eps=1e-15):
-    """Vectorized I_x(a, b) over a numpy array of x for fixed shapes.
-
-    Same continued fraction as reg_inc_beta, iterated on whole arrays
-    with the symmetry split applied through masks.  Intended for bulk
-    evaluation (empirical-CDF comparisons over millions of samples).
-    """
     x = np.asarray(x, dtype=float)
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"reg_inc_beta_many requires a, b > 0, got a={a!r} b={b!r}")
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise ValueError("reg_inc_beta_many requires 0 <= x <= 1")
-    flip = x >= a / (a + b)
-    xx = np.where(flip, 1.0 - x, x)
-    aa_s = np.where(flip, b, a)
-    bb_s = np.where(flip, a, b)
-
-    tiny = 1e-300
-    qab = aa_s + bb_s
-    qap = aa_s + 1.0
-    qam = aa_s - 1.0
-    c = np.ones_like(xx)
-    d = 1.0 - qab * xx / qap
-    d = np.where(np.abs(d) < tiny, tiny, d)
-    d = 1.0 / d
-    h = d.copy()
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        num = m * (bb_s - m) * xx / ((qam + m2) * (aa_s + m2))
-        d = 1.0 + num * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + num / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        h *= d * c
-        num = -(aa_s + m) * (qab + m) * xx / ((aa_s + m2) * (qap + m2))
-        d = 1.0 + num * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + num / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if m % 16 == 0 and np.max(np.abs(delta - 1.0)) < eps:
-            break
-    else:
-        raise NonConvergent("vectorized incomplete beta stalled")
-
-    with np.errstate(divide="ignore"):
-        lx = np.where(xx > 0.0, np.log(xx), -np.inf)
-    front = np.exp(aa_s * lx + bb_s * np.log1p(-xx)
-                   - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)))
-    val = front * h / aa_s
-    val = np.where(xx == 0.0, 0.0, val)
-    return np.where(flip, 1.0 - val, val)
+    if ((x < 0.0) | (x > 1.0)).any():
+        raise ValueError("reg_inc_beta requires 0 <= x <= 1")
+    out = x.copy()
+    inner = (x > 0.0) & (x < 1.0)
+    if inner.any():
+        xi = x[inner]
+        flip = xi >= a / (a + b)
+        k = len(xi) - int(np.count_nonzero(flip))
+        order = np.argsort(flip, kind="stable")
+        xs = xi[order]
+        cf = _betacf(np.where(flip[order], 1.0 - xs, xs), k, a, b)
+        front = np.exp(a * np.log(xs) + b * np.log1p(-xs) - log_beta(a, b))
+        val = np.empty_like(xs)
+        val[:k] = front[:k] * cf[:k] / a
+        val[k:] = 1.0 - front[k:] * cf[k:] / b
+        res = np.empty_like(xs)
+        res[order] = val
+        out[inner] = res
+    return out if out.ndim else float(out)
 
 
 def _log_sin_pi(z):
-    # log(sin(pi z)) up to a multiple of 2*pi*i, overflow-safe for
-    # large |Im z|.  Branch offsets cancel once the result is
-    # exponentiated as part of a product.
-    w = math.pi * z
-    if abs(w.imag) < 20.0:
-        s = cmath.sin(w)
-        if s == 0:
-            raise ValueError(f"log sin pole at z={z!r}")
-        return cmath.log(s)
-    if w.imag > 0.0:
-        # sin w = (i/2) e^{-iw} (1 - e^{2iw})
-        return cmath.log(0.5j) - 1j * w + cmath.log(1.0 - cmath.exp(2j * w))
-    return -cmath.log(2j) + 1j * w + cmath.log(1.0 - cmath.exp(-2j * w))
+    # log(sin(pi z)) up to a multiple of 2*pi*i, elementwise and
+    # overflow-safe for large |Im z|.  Branch offsets cancel once the
+    # result is exponentiated as part of a product.
+    w = np.pi * z
+    out = np.empty_like(w)
+    near = np.abs(w.imag) < 20.0
+    up = ~near & (w.imag > 0.0)
+    down = ~near & ~up
+    if near.any():
+        s = np.sin(w[near])
+        if (s == 0).any():
+            raise ValueError("log sin pole")
+        out[near] = np.log(s)
+    # sin w = (i/2) e^{-iw} (1 - e^{2iw}) above the axis, and the mirror
+    # form below it
+    wu = w[up]
+    out[up] = _LOG_HALF_I - 1j * wu + np.log(1.0 - np.exp(2j * wu))
+    wd = w[down]
+    out[down] = -_LOG_2I + 1j * wd + np.log(1.0 - np.exp(-2j * wd))
+    return out
 
 
-def log_gamma_complex(z):
-    """ln(Gamma(z)) for complex z, correct up to a multiple of 2*pi*i.
-
-    Lanczos series on Re(z) >= 0.5, reflection elsewhere.  Raises
-    ValueError at the poles (non-positive integers).
-    """
-    z = complex(z)
-    if z.real < 0.5:
-        if z.imag == 0.0 and z.real == math.floor(z.real):
-            raise ValueError(f"log_gamma_complex pole at z={z!r}")
-        return _LN_PI - _log_sin_pi(z) - log_gamma_complex(1.0 - z)
+def _lanczos(z):
+    # ln Gamma(z) on Re(z) >= 0.5
     zz = z - 1.0
     x = _LANCZOS_C[0]
     for i in range(1, 9):
-        x += _LANCZOS_C[i] / (zz + i)
+        x = x + _LANCZOS_C[i] / (zz + i)
     t = zz + _LANCZOS_G + 0.5
-    return 0.5 * _LN_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(x)
+    return 0.5 * _LN_2PI + (zz + 0.5) * np.log(t) - t + np.log(x)
+
+
+def log_gamma_complex(z):
+    """ln(Gamma(z)) for complex z, elementwise, up to multiples of 2*pi*i.
+
+    Lanczos series on Re(z) >= 0.5, reflection through the
+    overflow-safe log-sin elsewhere.  Returns a complex for a scalar z
+    and an array otherwise.  Raises ValueError at the poles
+    (non-positive integers).
+    """
+    shape = np.shape(z)
+    z = np.ravel(np.asarray(z, dtype=complex))
+    refl = z.real < 0.5
+    if (refl & (z.imag == 0.0) & (z.real == np.floor(z.real))).any():
+        raise ValueError("log_gamma_complex pole at a non-positive integer")
+    out = _lanczos(np.where(refl, 1.0 - z, z))
+    if refl.any():
+        out[refl] = _LN_PI - _log_sin_pi(z[refl]) - out[refl]
+    return out.reshape(shape) if shape else complex(out[0])
 
 
 @dataclass(frozen=True)
@@ -255,33 +261,34 @@ class MeijerGSpec:
             raise ValueError(f"argument must be finite and positive, got {self.z!r}")
 
 
-def _log_phi_real(spec, c):
+def _gamma_factors(spec):
+    # Phi(s) is the product of Gamma(const + sign_s * s) ** power over
+    # these (const, sign_s, power) triples, numerator factors first
+    return ([(b, -1.0, 1.0) for b in spec.b_params[:spec.m]]
+            + [(1.0 - a, 1.0, 1.0) for a in spec.a_params[:spec.n]]
+            + [(1.0 - b, 1.0, -1.0) for b in spec.b_params[spec.m:]]
+            + [(a, -1.0, -1.0) for a in spec.a_params[spec.n:]])
+
+
+def _log_phi_real(factors, c):
     # log |Phi(c)| on the real axis; +inf marks a numerator pole.
     total = 0.0
     try:
-        for j in range(spec.m):
-            total += math.lgamma(spec.b_params[j] - c)
-        for j in range(spec.n):
-            total += math.lgamma(1.0 - spec.a_params[j] + c)
-        for j in range(spec.m, spec.q):
-            total -= math.lgamma(1.0 - spec.b_params[j] + c)
-        for j in range(spec.n, spec.p):
-            total -= math.lgamma(spec.a_params[j] - c)
+        for const, sign_s, power in factors:
+            total += power * math.lgamma(const + sign_s * c)
     except ValueError:
         return math.inf
     return total
 
 
-def _log_phi_complex(spec, s):
-    total = 0.0 + 0.0j
-    for j in range(spec.m):
-        total += log_gamma_complex(spec.b_params[j] - s)
-    for j in range(spec.n):
-        total += log_gamma_complex(1.0 - spec.a_params[j] + s)
-    for j in range(spec.m, spec.q):
-        total -= log_gamma_complex(1.0 - spec.b_params[j] + s)
-    for j in range(spec.n, spec.p):
-        total -= log_gamma_complex(spec.a_params[j] - s)
+def _log_phi_complex(factors, s):
+    # log Phi(s) elementwise on an array of s: all Gamma factors go
+    # through one log_gamma_complex call
+    logs = log_gamma_complex(np.stack([const + sign_s * s
+                                       for const, sign_s, _ in factors]))
+    total = logs[0]
+    for (_, _, power), term in zip(factors[1:], logs[1:]):
+        total = total + term if power > 0.0 else total - term
     return total
 
 
@@ -311,13 +318,14 @@ def _contour_abscissa(spec):
         hi = lo + 30.0
 
     # Saddle placement: minimize log |Phi(c) z^c| over the open strip.
+    factors = _gamma_factors(spec)
     lnz = math.log(spec.z)
     pad = 1e-3 * (hi - lo)
     grid_lo = lo + pad
     grid_hi = hi - pad
 
     def energy(c):
-        return _log_phi_real(spec, c) + c * lnz
+        return _log_phi_real(factors, c) + c * lnz
 
     npts = 64
     best_c = None
@@ -371,7 +379,9 @@ def meijer_g(spec, tol_rel=1e-12, log_scale=0.0):
     -------
     (value, error) : tuple of float
         The (scaled) function value and an absolute error estimate
-        combining the quadrature error and the truncated contour tails.
+        combining the quadrature error, the truncated contour tails and
+        the rounding of the log-space factor exp(log Phi(c) + c ln z +
+        log_scale) in front of the integral.
 
     Raises
     ------
@@ -387,30 +397,36 @@ def meijer_g(spec, tol_rel=1e-12, log_scale=0.0):
                          f"supported: {sorted(_SUPPORTED_ORDERS)}")
     c = _contour_abscissa(spec)
     lnz = math.log(spec.z)
-    log_peak = _log_phi_real(spec, c) + c * lnz
+    factors = _gamma_factors(spec)
+    terms = [power * math.lgamma(const + sign_s * c)
+             for const, sign_s, power in factors]
+    log_peak = _log_phi_real(factors, c) + c * lnz
 
-    def log_mag(t):
-        return (_log_phi_complex(spec, complex(c, t)) + complex(c, t) * lnz).real
+    def log_w(t):
+        # log of the contour integrand at c + i t over its value at c
+        s = c + 1j * t
+        return _log_phi_complex(factors, s) + s * lnz - log_peak
 
-    # Walk outward until the integrand modulus has dropped far below the
-    # peak, then bound the remaining tail by the observed geometric decay.
+    # Walk outward in blocks of t until the integrand modulus has
+    # dropped far below the peak, then bound the remaining tail by the
+    # observed geometric decay.
     drop_target = math.log(1e-18)
-    t = 1.0
-    prev = log_mag(t)
-    while prev - log_peak > drop_target:
-        t += 1.0
-        if t > 600.0:
-            raise NonConvergent("contour integrand failed to decay by t=600")
-        prev = log_mag(t)
-    t_end = t + 1.0
-    last = log_mag(t_end)
-    rate = max(prev - last, 0.05)
-    tail_bound = math.exp(last - log_peak) / rate
+    for start in range(1, 601, _TAIL_BLOCK):
+        # one extra point past the block, the decay rate needs it
+        ts = np.arange(start, start + _TAIL_BLOCK + 1, dtype=float)
+        mags = log_w(ts).real
+        hit = np.nonzero(mags[:-1] <= drop_target)[0]
+        if hit.size and ts[hit[0]] <= 600.0:
+            i = int(hit[0])
+            break
+    else:
+        raise NonConvergent("contour integrand failed to decay by t=600")
+    t_end = float(ts[i + 1])
+    rate = max(float(mags[i] - mags[i + 1]), 0.05)
+    tail_bound = math.exp(mags[i + 1]) / rate
 
     def integrand(t):
-        s = complex(c, t)
-        w = _log_phi_complex(spec, s) + s * lnz - log_peak
-        return cmath.exp(w).real
+        return np.exp(log_w(t)).real
 
     val, err = quad_adaptive(integrand, 0.0, t_end,
                              tol_abs=1e-16, tol_rel=tol_rel,
@@ -419,4 +435,9 @@ def meijer_g(spec, tol_rel=1e-12, log_scale=0.0):
     if scale > 700.0:
         raise NonConvergent(f"G value overflows double precision (log {scale:.1f})")
     factor = math.exp(scale) / math.pi
-    return val * factor, (err + tail_bound) * abs(factor)
+    value = val * factor
+    # rounding in exp(log_peak + log_scale): each log term carries an
+    # absolute error of about eps times its size
+    rounding = _EPS * (sum(abs(x) for x in terms) + abs(c * lnz)
+                       + abs(log_scale)) * abs(value)
+    return value, (err + tail_bound) * abs(factor) + rounding

@@ -10,6 +10,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .quadrature import quad_adaptive
 
 # integration segments above ground, metres; turbulence is dead far below
@@ -41,15 +43,17 @@ def cn2_profile(profile, altitude_m):
 
     Hufnagel-Valley form: a high-altitude wind-driven term peaking near
     10 km, a mid-altitude background, and the ground-layer exponential.
+    Elementwise on an array of altitudes; zero below ground level.
     """
-    h = altitude_m
-    if h < 0.0:
-        return 0.0
+    h = np.asarray(altitude_m, dtype=float)
     w = profile.wind_speed_m_s
-    term1 = 0.00594 * (w / 27.0) ** 2 * (1e-5 * h) ** 10 * math.exp(-h / 1000.0)
-    term2 = 2.7e-16 * math.exp(-h / 1500.0)
-    term3 = profile.cn2_ground * math.exp(-h / 100.0)
-    return term1 + term2 + term3
+    with np.errstate(over="ignore"):
+        term1 = (0.00594 * (w / 27.0) ** 2 * (1e-5 * h) ** 10
+                 * np.exp(-h / 1000.0))
+        term2 = 2.7e-16 * np.exp(-h / 1500.0)
+        term3 = profile.cn2_ground * np.exp(-h / 100.0)
+    out = np.where(h < 0.0, 0.0, term1 + term2 + term3)
+    return out if out.ndim else float(out)
 
 
 def rytov_variance(profile, geom, tol_rel=1e-5):

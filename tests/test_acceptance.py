@@ -16,7 +16,7 @@ import conftest
 
 from fsosec.cli import main
 from fsosec.config import build_scenario, link_state, parse_config
-from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht_many, pdf_ht,
+from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht, pdf_ht,
                            sample_ht, snr_pdf)
 from fsosec.mc import MC_METRICS, McConfig, mc_metrics
 from fsosec.quadrature import quad_positive_axis
@@ -57,7 +57,7 @@ def test_fading_distribution_agrees_with_sampler():
         worst_norm = max(worst_norm, abs(mass - 1.0))
         rng = np.random.default_rng(20260822 + i)
         draws = np.sort(sample_ht(params, rng, n))
-        cdf = cdf_ht_many(params, draws)
+        cdf = cdf_ht(params, draws)
         hi = np.arange(1, n + 1) / n
         ks = float(np.max(np.maximum(hi - cdf, cdf - hi + 1.0 / n)))
         worst_ks = max(worst_ks, ks)
@@ -97,7 +97,7 @@ def test_contour_engine_passes_identity_and_integral_suites():
         channel = SnrChannel(FFadingParams(a, b), snr)
         closed, _ = eve_ergodic_rate_closed_form(channel)
         direct, _ = quad_positive_axis(
-            lambda g, ch=channel: math.log1p(g) * snr_pdf(ch, g),
+            lambda g, ch=channel: np.log1p(g) * snr_pdf(ch, g),
             tol_rel=1e-10)
         worst_rate = max(worst_rate, abs(closed - direct) / direct)
     worst_out = 0.0

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht, cdf_ht_gform,
-                           cdf_ht_many, h_from_snr, mean_snr_from_budget,
+                           h_from_snr, mean_snr_from_budget,
                            pdf_ht, pdf_ht_gform, sample_ht, sample_snr,
                            snr_cdf, snr_cdf_gform, snr_pdf, snr_pdf_gform)
 from fsosec.quadrature import quad_adaptive, quad_positive_axis
@@ -85,12 +85,40 @@ def test_pdf_cdf_edges():
     assert cdf_ht(params, math.inf) == 1.0
 
 
-def test_cdf_many_matches_scalar():
+def test_cdf_array_matches_scalar():
     params = FFadingParams(9.1, 11.7)
     h = np.array([-1.0, 0.0, 0.3, 1.0, 2.7, 50.0, np.inf])
-    vec = cdf_ht_many(params, h)
+    vec = cdf_ht(params, h)
     for hi, vi in zip(h, vec):
         assert vi == pytest.approx(cdf_ht(params, float(hi)), rel=1e-13, abs=1e-300)
+
+
+def test_densities_act_elementwise_with_scalar_edges():
+    # array calls keep the scalar edge values: 0 below the support and
+    # at inf, inf at h = 0 for a < 1, and the 0/1 ends of the CDFs
+    for a, b in SHAPES:
+        params = FFadingParams(a, b)
+        h = np.array([[-1.0, 0.0, 0.3], [1.0, 2.7, np.inf]])
+        pdf = pdf_ht(params, h)
+        assert pdf.shape == h.shape
+        for hi, vi in zip(h.ravel(), pdf.ravel()):
+            assert vi == pytest.approx(pdf_ht(params, float(hi)), rel=1e-13)
+        chan = SnrChannel(params, 48.3)
+        g = np.array([-1.0, 0.0, 0.5, 10.0, 200.0, np.inf])
+        for fn in (snr_pdf, snr_cdf):
+            vec = fn(chan, g)
+            for gi, vi in zip(g, vec):
+                assert vi == pytest.approx(fn(chan, float(gi)), rel=1e-13,
+                                           abs=1e-300)
+    assert pdf_ht(FFadingParams(0.5, 2.6), 0.0) == math.inf
+    assert pdf_ht(FFadingParams(1.0, 4.0), 0.0) == pytest.approx(4.0 / 3.0, rel=1e-13)
+    assert pdf_ht(FFadingParams(2.5, 3.2), 0.0) == 0.0
+    assert snr_cdf(SnrChannel(FFadingParams(2.5, 3.2), 48.3), np.inf) == 1.0
+    calm = FFadingParams(math.inf, math.inf)
+    assert list(cdf_ht(calm, np.array([0.5, 1.0, 2.0]))) == [0.0, 1.0, 1.0]
+    assert list(pdf_ht(calm, np.array([-1.0, np.inf]))) == [0.0, 0.0]
+    with pytest.raises(ValueError):
+        pdf_ht(calm, np.array([-1.0, 1.0]))
 
 
 def test_gform_matches_direct():
@@ -123,7 +151,7 @@ def test_sampler_distribution():
     n = 200_000
     h = np.sort(sample_ht(params, rng, n))
     ecdf_hi = np.arange(1, n + 1) / n
-    model = cdf_ht_many(params, h)
+    model = cdf_ht(params, h)
     d = np.max(np.maximum(np.abs(ecdf_hi - model),
                           np.abs(ecdf_hi - 1.0 / n - model)))
     assert d <= 1.95 / math.sqrt(n)  # KS alpha ~ 0.001

@@ -3,12 +3,14 @@ references (mpmath, 50 digits), and degenerate branches."""
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from fsosec import secrecy
 from fsosec.config import build_scenario, parse_config
-from fsosec.fading import FFadingParams, SnrChannel, cdf_ht, pdf_ht, snr_pdf
+from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht, pdf_ht, snr_cdf,
+                           snr_pdf)
 from fsosec.quadrature import quad_positive_axis
 from fsosec.secrecy import (WiretapScenario, asc_closed_form, asc_quadrature,
                             eve_ergodic_rate_closed_form, evaluate_scenario,
@@ -42,11 +44,31 @@ def test_eve_ergodic_rate_frozen():
         assert abs(val - want) <= max(10.0 * err, 1e-10 * want)
 
 
+def test_eve_ergodic_rate_error_bar_covers_mpmath_oracle():
+    # small a, large b and a low SNR: the log-gamma terms in front of the
+    # contour integral are large, so their rounding must be in the bar
+    a, b, snr = 0.39, 210.5, 0.42
+    val, err = eve_ergodic_rate_closed_form(
+        SnrChannel(FFadingParams(a, b), snr))
+    with mp.workdps(30):
+        ma, mb, mg = mp.mpf(a), mp.mpf(b), mp.mpf(snr)
+        log_norm = (ma * mp.log(ma) + mb * mp.log(mb - 1)
+                    - mp.log(mp.beta(ma, mb)))
+
+        def weight(u):
+            # E[ln(1 + gamma)] over ln h, gamma = 4 snr h^2
+            h = mp.exp(u)
+            return (mp.log1p(4 * mg * h * h)
+                    * mp.exp(log_norm + ma * u - (ma + mb) * mp.log(ma * h + mb - 1)))
+        oracle = mp.quad(weight, [-mp.inf, -20, -5, -1, 0, 1, 3, mp.inf])
+    assert abs(val - float(oracle)) <= err
+
+
 def test_eve_ergodic_rate_matches_quadrature():
     for chan in (EVE, SnrChannel(FFadingParams(2.5, 3.2), 10.0)):
         closed, _ = eve_ergodic_rate_closed_form(chan)
         direct, derr = quad_positive_axis(
-            lambda g: math.log1p(g) * snr_pdf(chan, g))
+            lambda g: np.log1p(g) * snr_pdf(chan, g))
         assert closed == pytest.approx(direct, rel=1e-8)
 
 
@@ -66,7 +88,7 @@ def test_asc_routes_agree():
 def test_asc_weak_eavesdropper_limit():
     # as the tap vanishes the ASC tends to Bob's ergodic rate
     weak = WiretapScenario(BOB, SnrChannel(FFadingParams(9.1, 11.7), 1e-12))
-    rate, _ = quad_positive_axis(lambda g: math.log1p(g) * snr_pdf(BOB, g))
+    rate, _ = quad_positive_axis(lambda g: np.log1p(g) * snr_pdf(BOB, g))
     assert asc_quadrature(weak).value == pytest.approx(rate / math.log(2.0), rel=1e-6)
 
 
@@ -267,14 +289,15 @@ def test_peak_hints_leave_every_route_unchanged(monkeypatch):
 
 def test_shipped_configs_never_take_the_full_scan(monkeypatch):
     # a hint that silently falls back leaves every value as it was, so
-    # only the evaluation count shows it: the full scan alone is 2761
+    # only the count of integrand nodes shows it: the full scan alone
+    # is 2761
     counts = []
 
     def counting(f, **kwargs):
         n = [0]
 
         def g(x):
-            n[0] += 1
+            n[0] += np.size(x)
             return f(x)
         out = quad_positive_axis(g, **kwargs)
         counts.append(n[0])
@@ -291,3 +314,39 @@ def test_shipped_configs_never_take_the_full_scan(monkeypatch):
                 evaluate_scenario(scenario, method)
                 assert len(counts) > before
     assert max(counts) < 1000
+
+
+def test_zero_sample_at_the_hint_keeps_the_scan_local():
+    # the second ASC cross term of a mismatched pair: at Eve's mode,
+    # the hint, Bob's CDF has underflowed to 0, but the block around
+    # the hint still holds the mass 12 units further up
+    bob = SnrChannel(FFadingParams(262.7, 115.1), 4.09e9)
+    eve = SnrChannel(FFadingParams(78.9, 1.235), 1.71e5)
+    hint = secrecy._snr_mode(eve)
+
+    def term(g):
+        return np.log1p(g) * snr_pdf(eve, g) * snr_cdf(bob, g)
+
+    assert term(hint) == 0.0
+    scan_nodes = []
+
+    def counted(g):
+        # the scan samples 1-D arrays, the panels 2-D node arrays
+        if np.ndim(g) == 1:
+            scan_nodes.append(np.size(g))
+        return term(g)
+
+    val, err = quad_positive_axis(counted, x_peak=hint)
+    assert sum(scan_nodes) < 2761
+    full_val, full_err = quad_positive_axis(term)
+    assert abs(val - full_val) <= err
+
+
+def test_metric_values_are_python_floats():
+    # the array core must not leak numpy scalars into the rows
+    calm = SnrChannel(FFadingParams(math.inf, math.inf), 48.3)
+    for scen in (PAIR, WiretapScenario(BOB, calm, 0.5),
+                 WiretapScenario(calm, EVE, 0.5)):
+        for method in ("quadrature", "closed_form"):
+            for mv in evaluate_scenario(scen, method):
+                assert type(mv.value) is float and type(mv.error) is float

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fsosec.specfun import log_beta, log_gamma_complex, reg_inc_beta, reg_inc_beta_many
+from fsosec.specfun import log_beta, log_gamma_complex, reg_inc_beta
 
 
 def test_log_beta_reference():
@@ -37,6 +37,7 @@ def test_reg_inc_beta_reference():
     ]
     for (x, a, b), want in cases:
         got = reg_inc_beta(x, a, b)
+        assert isinstance(got, float)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
 
 
@@ -61,20 +62,26 @@ def test_reg_inc_beta_monotone_in_x(x, a, b):
     assert reg_inc_beta(x, a, b) <= reg_inc_beta(x + step, a, b) + 1e-14
 
 
-def test_reg_inc_beta_many_matches_scalar():
+def test_reg_inc_beta_array_matches_scalar():
+    # one array call on both sides of the flip point against one call
+    # per point
     rng = np.random.default_rng(7)
     x = rng.uniform(1e-4, 1.0 - 1e-4, size=200)
     for a, b in ((0.7, 1.3), (2.0, 3.0), (9.1, 11.7)):
-        vec = reg_inc_beta_many(x, a, b)
+        vec = reg_inc_beta(x, a, b)
+        assert vec.shape == x.shape
         for xi, vi in zip(x, vec):
             assert vi == pytest.approx(reg_inc_beta(float(xi), a, b), rel=1e-12, abs=1e-300)
 
 
-def test_reg_inc_beta_many_edge_values():
-    out = reg_inc_beta_many(np.array([0.0, 1.0, 0.5]), 2.0, 3.0)
-    assert out[0] == 0.0
-    assert out[1] == 1.0
-    assert out[2] == pytest.approx(0.6875, rel=1e-13)
+def test_reg_inc_beta_array_edge_values():
+    out = reg_inc_beta(np.array([[0.0, 1.0], [0.5, np.nan]]), 2.0, 3.0)
+    assert out[0, 0] == 0.0
+    assert out[0, 1] == 1.0
+    assert out[1, 0] == pytest.approx(0.6875, rel=1e-13)
+    assert np.isnan(out[1, 1])
+    with pytest.raises(ValueError):
+        reg_inc_beta(np.array([0.5, 1.5]), 2.0, 3.0)
 
 
 def test_log_gamma_complex_reference():
@@ -106,6 +113,19 @@ def test_log_gamma_complex_recurrence():
         rhs = log_gamma_complex(z) + cmath.log(z)
         assert abs(lhs.real - rhs.real) < 1e-11
         dim = (lhs.imag - rhs.imag) / (2.0 * math.pi)
+        assert abs(dim - round(dim)) < 1e-11
+
+
+def test_log_gamma_complex_array_matches_scalar():
+    # both sides of the reflection line and both far-imaginary branches
+    # of the log-sin in one call
+    z = np.array([[2.0 + 3.0j, 0.25 + 7.0j], [-3.5 + 25.0j, -3.5 - 25.0j]])
+    got = log_gamma_complex(z)
+    assert got.shape == z.shape
+    for zi, gi in zip(z.ravel(), got.ravel()):
+        want = log_gamma_complex(complex(zi))
+        assert gi.real == pytest.approx(want.real, rel=1e-14, abs=1e-14)
+        dim = (gi.imag - want.imag) / (2.0 * math.pi)
         assert abs(dim - round(dim)) < 1e-11
 
 
