@@ -228,10 +228,3 @@ def cloud_attenuation(geom, atm):
     if atm.cloud_path_km == 0.0:
         return 1.0
     return math.exp(-cloud_extinction_per_km(geom, atm) * atm.cloud_path_km)
-
-
-def composite_gain(geom, atm, radial_offset_m, separation_m=0.0):
-    """Product h_a * h_s * h_c of the deterministic channel gains."""
-    return (atmospheric_loss(geom, atm)
-            * collection_fraction(geom, radial_offset_m, separation_m)
-            * cloud_attenuation(geom, atm))

@@ -31,7 +31,7 @@ from . import __version__
 from .config import build_scenario, link_state, parse_config, parse_methods
 from .errors import ConfigError, NonConvergent, PoleCollision
 from .mc import MC_METRICS, McConfig, mc_metrics
-from .secrecy import evaluate_scenario
+from .secrecy import MetricValue, evaluate_scenario
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
@@ -65,6 +65,10 @@ def _sweep_points(rc):
     return out
 
 
+def _csv(header, rows):
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
 def _map_points(items, worker, jobs):
     if jobs > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -72,53 +76,70 @@ def _map_points(items, worker, jobs):
     return [worker(item) for item in items]
 
 
-def _metric_rows_for_point(coord, rc, methods, jobs_inside):
-    """All CSV rows of one sweep point; failures become status rows."""
-    rows = []
-    try:
-        scenario = build_scenario(rc)
-    except NonConvergent:
-        for method in methods:
-            rows.append((coord, "all", method, "", "", "non_convergent"))
-        return rows
-    for method in methods:
-        try:
-            if method == "monte_carlo":
-                cfg = McConfig(samples=rc.mc_samples, seed=rc.mc_seed,
-                               jobs=jobs_inside, batch_size=rc.mc_batch_size)
-                for name, est in zip(MC_METRICS, mc_metrics(scenario, cfg)):
-                    rows.append((coord, name, method, fmt_number(est.mean),
-                                 fmt_number(est.std_error), "ok"))
-            else:
-                for mv in evaluate_scenario(scenario, method):
-                    rows.append((coord, mv.metric, mv.method,
-                                 fmt_number(mv.value), fmt_number(mv.error),
-                                 "ok"))
-        except PoleCollision:
-            rows.append((coord, "all", method, "", "", "pole_collision"))
-        except NonConvergent:
-            rows.append((coord, "all", method, "", "", "non_convergent"))
-    return rows
-
-
-def cmd_metrics(rc, methods, jobs, gnuplot=False):
-    """Rows for every sweep point and method; (text, worst status)."""
+def _rows_over_points(rc, methods, jobs, point_rows):
+    """Rows of point_rows(coord, rc_point, methods, jobs_inside) over the
+    sweep.  The points share the jobs threads, or a single point gives
+    them all to its Monte Carlo."""
     points = _sweep_points(rc)
     jobs_inside = 1 if (jobs > 1 and len(points) > 1) else jobs
 
     def worker(item):
         coord, rc_point = item
-        return _metric_rows_for_point(coord, rc_point, methods, jobs_inside)
+        return point_rows(coord, rc_point, methods, jobs_inside)
 
-    per_point = _map_points(points, worker, jobs)
-    rows = [row for chunk in per_point for row in chunk]
+    return [row for chunk in _map_points(points, worker, jobs) for row in chunk]
+
+
+def _evaluate_point(rc, methods, jobs_inside):
+    """(method, outcome) pairs of one sweep point, in the order of methods.
+
+    The outcome is the method's MetricValues, or the status string
+    that replaces them when building the scenario or the method fails.
+    """
+    try:
+        scenario = build_scenario(rc)
+    except NonConvergent:
+        return [(method, "non_convergent") for method in methods]
+    out = []
+    for method in methods:
+        try:
+            if method == "monte_carlo":
+                cfg = McConfig(samples=rc.mc_samples, seed=rc.mc_seed,
+                               jobs=jobs_inside, batch_size=rc.mc_batch_size)
+                outcome = [MetricValue(name, method, est.mean, est.std_error)
+                           for name, est in zip(MC_METRICS,
+                                                mc_metrics(scenario, cfg))]
+            else:
+                outcome = evaluate_scenario(scenario, method)
+        except PoleCollision:
+            outcome = "pole_collision"
+        except NonConvergent:
+            outcome = "non_convergent"
+        out.append((method, outcome))
+    return out
+
+
+def _metric_rows_for_point(coord, rc, methods, jobs_inside):
+    """All CSV rows of one sweep point; failures become status rows."""
+    rows = []
+    for method, outcome in _evaluate_point(rc, methods, jobs_inside):
+        if isinstance(outcome, str):
+            rows.append((coord, "all", method, "", "", outcome))
+            continue
+        for mv in outcome:
+            rows.append((coord, mv.metric, mv.method, fmt_number(mv.value),
+                         fmt_number(mv.error), "ok"))
+    return rows
+
+
+def cmd_metrics(rc, methods, jobs, gnuplot=False):
+    """Rows for every sweep point and method; (text, worst status)."""
+    rows = _rows_over_points(rc, methods, jobs, _metric_rows_for_point)
     failed = any(row[5] != "ok" for row in rows)
     if gnuplot:
         text = _gnuplot_table(rows)
     else:
-        lines = ["sweep_value,metric,method,value,error,status"]
-        lines += [",".join(row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = _csv("sweep_value,metric,method,value,error,status", rows)
     return text, failed
 
 
@@ -154,67 +175,54 @@ def cmd_link_budget(rc, jobs):
             fmt_number(getattr(state, name)) for name in _BUDGET_COLUMNS)
 
     rows = _map_points(_sweep_points(rc), worker, jobs)
-    lines = ["sweep_value," + ",".join(_BUDGET_COLUMNS)]
-    lines += [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _csv("sweep_value," + ",".join(_BUDGET_COLUMNS), rows)
+
+
+def _validate_rows_for_point(coord, rc, methods, jobs_inside):
+    """z-score rows of one sweep point; failures become status rows."""
+    outcomes = _evaluate_point(rc, methods, jobs_inside)
+    mc = dict(outcomes)["monte_carlo"]
+    reference = {} if isinstance(mc, str) else {e.metric: e for e in mc}
+    rows = []
+    for method, outcome in outcomes:
+        if isinstance(outcome, str):
+            rows.append((coord, "all", method, "", "", "", "", outcome))
+            continue
+        for mv in outcome:
+            est = reference.get(mv.metric)
+            if method == "monte_carlo" or est is None:
+                continue
+            diff = mv.value - est.value
+            if est.error > 0.0:
+                z = diff / est.error
+            else:
+                # a degenerate sample (all batches identical, e.g. zero
+                # outage events) has no usable std error; score against
+                # the rule-of-three bound 3/n instead
+                z = diff * rc.mc_samples
+            verdict = "pass" if abs(z) <= 3.0 else "fail"
+            rows.append((coord, mv.metric, mv.method, fmt_number(mv.value),
+                         fmt_number(est.value), fmt_number(est.error),
+                         fmt_number(z), verdict))
+    return rows
 
 
 def cmd_validate(rc, methods, jobs):
-    """Analytic-vs-MC z-score table; (text, any_fail, any_nonconvergent).
+    """Analytic-vs-MC z-score table; (text, any_fail, any_status).
 
     Pairs each analytic estimate with the Monte Carlo estimate of the
     same metric.  The outage lower bound has no Monte Carlo
     counterpart (the sampler estimates the true outage), so it is
     skipped; at zero target rate the bound is exact and enters
-    through spsc anyway.
+    through spsc anyway.  A method that fails gives one status row
+    per point, with the status string of ``metrics``.
     """
-    analytic = [m for m in methods if m != "monte_carlo"]
-    points = _sweep_points(rc)
-    jobs_inside = 1 if (jobs > 1 and len(points) > 1) else jobs
-
-    def worker(item):
-        coord, rc_point = item
-        out = []
-        try:
-            scenario = build_scenario(rc_point)
-        except NonConvergent:
-            return [(coord, "all", "all", "", "", "", "", "non_convergent")]
-        cfg = McConfig(samples=rc_point.mc_samples, seed=rc_point.mc_seed,
-                       jobs=jobs_inside, batch_size=rc_point.mc_batch_size)
-        reference = dict(zip(MC_METRICS, mc_metrics(scenario, cfg)))
-        for method in analytic:
-            try:
-                for mv in evaluate_scenario(scenario, method):
-                    if mv.metric not in reference:
-                        continue
-                    est = reference[mv.metric]
-                    diff = mv.value - est.mean
-                    if est.std_error > 0.0:
-                        z = diff / est.std_error
-                    else:
-                        # a degenerate sample (all batches identical, e.g.
-                        # zero outage events) has no usable std error; score
-                        # against the rule-of-three bound 3/n instead
-                        z = diff * est.n
-                    verdict = "pass" if abs(z) <= 3.0 else "fail"
-                    out.append((coord, mv.metric, mv.method,
-                                fmt_number(mv.value), fmt_number(est.mean),
-                                fmt_number(est.std_error), fmt_number(z),
-                                verdict))
-            except (NonConvergent, PoleCollision):
-                out.append((coord, "all", method, "", "", "", "",
-                            "non_convergent"))
-        return out
-
-    per_point = _map_points(points, worker, jobs)
-    rows = [row for chunk in per_point for row in chunk]
-    lines = ["sweep_value,metric,method,analytic,mc_mean,mc_std_error,"
-             "z_score,status"]
-    lines += [",".join(row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    rows = _rows_over_points(rc, methods, jobs, _validate_rows_for_point)
+    text = _csv("sweep_value,metric,method,analytic,mc_mean,mc_std_error,"
+                "z_score,status", rows)
     any_fail = any(row[7] == "fail" for row in rows)
-    any_nonconv = any(row[7] == "non_convergent" for row in rows)
-    return text, any_fail, any_nonconv
+    any_status = any(row[7] not in ("pass", "fail") for row in rows)
+    return text, any_fail, any_status
 
 
 def _manifest(rc, args, command, out_path):
@@ -301,9 +309,9 @@ def main(argv=None):
         if "monte_carlo" not in methods or len(methods) < 2:
             raise ConfigError("validate needs monte_carlo plus at least "
                               "one analytic method")
-        text, any_fail, any_nonconv = cmd_validate(rc, methods, args.jobs)
+        text, any_fail, any_status = cmd_validate(rc, methods, args.jobs)
         _write(text, out_path, _manifest(rc, args, args.command, out_path))
-        if any_nonconv:
+        if any_status:
             return _EXIT_NUMERICS
         if any_fail:
             return _EXIT_VALIDATION

@@ -43,15 +43,6 @@ class FFadingParams:
     def no_fading(self):
         return math.isinf(self.a) or math.isinf(self.b)
 
-    @property
-    def power_variance(self):
-        """Variance of h_t; infinite for b <= 2."""
-        if self.no_fading:
-            return 0.0
-        if self.b <= 2.0:
-            return math.inf
-        return (self.a + self.b - 1.0) / (self.a * (self.b - 2.0))
-
 
 def _scalar_or_array(x, out):
     # Python float for a scalar argument, the array otherwise
@@ -231,9 +222,3 @@ def snr_cdf_gform(channel, snr):
     spec = MeijerGSpec(1, 2, 2, 2, (1.0 - b, 1.0), (a, 0.0), x)
     log_pref = -log_beta(a, b) - math.lgamma(a + b)
     return meijer_g(spec, log_scale=log_pref)
-
-
-def sample_snr(channel, rng, n):
-    """Draw n instantaneous SNR values."""
-    h = sample_ht(channel.fading, rng, n)
-    return 4.0 * channel.mean_snr * h * h

@@ -53,6 +53,14 @@ _WG15 = np.array(_WG_HALF + _WG_HALF[-2::-1])
 
 # uniform panels of the first level of quad_adaptive
 _START_PANELS = 16
+# quad_positive_axis: tolerances of the adaptive stage, the relative
+# level below which a tail is cut, and the scan grid in u = ln x
+_TOL_ABS = 0.0
+_TOL_REL = 1e-10
+_TAIL_EPS = 1e-14
+_U_LO = -690.0
+_U_HI = 690.0
+_SCAN_STEP = 0.5
 # grid points on each side of the hint in the first scan block of
 # quad_positive_axis; the block grows by whole blocks
 _SCAN_HALF_BLOCK = 24
@@ -172,18 +180,18 @@ def _expand(vals, i, step, n, lo, hi, floor):
     return i, vals[i] * 10.0
 
 
-def quad_positive_axis(f, tol_abs=0.0, tol_rel=1e-10, tail_eps=1e-14,
-                       u_lo=-690.0, u_hi=690.0, scan_step=0.5, x_peak=None):
+def quad_positive_axis(f, x_peak=None):
     """Integrate f over (0, inf) after the log-axis substitution x = e^u.
 
     f is called on arrays of abscissae and must act elementwise (see
     kronrod_panel).  The transformed integrand g(u) = f(e^u) e^u is
-    sampled on a grid of step scan_step in u, in as few array calls as
-    possible.  From the largest sample the range is walked out each
-    way until g has dropped to 1e-3 * tail_eps of that maximum and is
-    not rising; the integration window is then widened in steps of two
-    grid points until g falls below tail_eps relative to the coarse
-    integral over that range, and the window is integrated adaptively.
+    sampled on the grid _U_LO, _U_LO + _SCAN_STEP, ..., _U_HI, in as
+    few array calls as possible.  From the largest sample the range is
+    walked out each way until g has dropped to 1e-3 * _TAIL_EPS of that
+    maximum and is not rising; the integration window is then widened
+    in steps of two grid points until g falls below _TAIL_EPS relative
+    to the coarse integral over that range, and the window is
+    integrated adaptively to _TOL_ABS and _TOL_REL.
     A bound on the truncated tails, from the locally observed geometric
     decay, is folded into the returned error.  A sample that is nan,
     inf or overflows counts as empty.
@@ -205,18 +213,18 @@ def quad_positive_axis(f, tol_abs=0.0, tol_rel=1e-10, tail_eps=1e-14,
         x = np.exp(u)
         return f(x) * x
 
-    n = int((u_hi - u_lo) / scan_step)
+    n = int((_U_HI - _U_LO) / _SCAN_STEP)
     vals = np.zeros(n + 1)
 
     def sample(idx):
         # |g| on the grid indices idx in one call, non-finite as empty
         with np.errstate(all="ignore"):
-            v = np.abs(g(u_lo + idx * scan_step))
+            v = np.abs(g(_U_LO + idx * _SCAN_STEP))
         vals[idx] = np.where(np.isfinite(v), v, 0.0)
 
     lo, hi = 0, n
     if x_peak is not None and math.isfinite(x_peak) and x_peak > 0.0:
-        i = min(max(round((math.log(x_peak) - u_lo) / scan_step), 0), n)
+        i = min(max(round((math.log(x_peak) - _U_LO) / _SCAN_STEP), 0), n)
         lo, hi = max(i - _SCAN_HALF_BLOCK, 0), min(i + _SCAN_HALF_BLOCK, n)
     sample(np.arange(lo, hi + 1))
     if not vals.any() and hi - lo < n:
@@ -224,14 +232,14 @@ def quad_positive_axis(f, tol_abs=0.0, tol_rel=1e-10, tail_eps=1e-14,
         sample(np.arange(lo, hi + 1))
 
     while True:
-        top, left, right = _peak_range(vals, lo, hi, n, 1e-3 * tail_eps)
+        top, left, right = _peak_range(vals, lo, hi, n, 1e-3 * _TAIL_EPS)
         best = vals[top]
         if best == 0.0:
             return 0.0, 0.0
         ends = (None, None)
         if left is not None and right is not None:
-            coarse = float(np.sum(vals[left:right + 1])) * scan_step
-            floor = tail_eps * max(coarse, best)
+            coarse = float(np.sum(vals[left:right + 1])) * _SCAN_STEP
+            floor = _TAIL_EPS * max(coarse, best)
             ends = (_expand(vals, top, -2, n, lo, hi, floor),
                     _expand(vals, top, +2, n, lo, hi, floor))
             if None not in ends:
@@ -246,7 +254,7 @@ def quad_positive_axis(f, tol_abs=0.0, tol_rel=1e-10, tail_eps=1e-14,
         lo, hi = new_lo, new_hi
 
     (left, lbound), (right, rbound) = ends
-    val, err = quad_adaptive(g, u_lo + left * scan_step,
-                             u_lo + right * scan_step,
-                             tol_abs=tol_abs, tol_rel=tol_rel)
+    val, err = quad_adaptive(g, _U_LO + left * _SCAN_STEP,
+                             _U_LO + right * _SCAN_STEP,
+                             tol_abs=_TOL_ABS, tol_rel=_TOL_REL)
     return val, float(err + lbound + rbound)

@@ -56,16 +56,6 @@ class MetricValue:
     error: float
 
 
-def secrecy_capacity(snr_bob, snr_eve):
-    """Instantaneous secrecy capacity, elementwise on arrays."""
-    gb = np.asarray(snr_bob, dtype=float)
-    ge = np.asarray(snr_eve, dtype=float)
-    out = np.maximum(0.0, np.log2(1.0 + gb) - np.log2(1.0 + ge))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _fixed_snr(channel):
     # degenerate (no-fading) branch pins h_t at its unit mean
     return 4.0 * channel.mean_snr
@@ -88,15 +78,15 @@ def _check_method(method):
         raise ValueError(f"unknown analytic method {method!r}")
 
 
-def _asc_cross_terms(bob, eve, tol_rel):
+def _asc_cross_terms(bob, eve):
     # the two fading cross terms both ASC routes integrate, summed;
     # (value, error) in nats
     v1, e1 = quad_positive_axis(
         lambda g: np.log1p(g) * snr_pdf(bob, g) * snr_cdf(eve, g),
-        tol_rel=tol_rel, x_peak=_snr_mode(bob))
+        x_peak=_snr_mode(bob))
     v2, e2 = quad_positive_axis(
         lambda g: np.log1p(g) * snr_pdf(eve, g) * snr_cdf(bob, g),
-        tol_rel=tol_rel, x_peak=_snr_mode(eve))
+        x_peak=_snr_mode(eve))
     return v1 + v2, e1 + e2
 
 
@@ -113,7 +103,7 @@ def _asc_value(total, err, method):
     return MetricValue("asc", method, value, err)
 
 
-def asc_quadrature(scenario, tol_rel=1e-10):
+def asc_quadrature(scenario):
     """Average secrecy capacity by adaptive quadrature.
 
     Decomposes the positive-part expectation into three single
@@ -131,19 +121,18 @@ def asc_quadrature(scenario, tol_rel=1e-10):
     if eve.fading.no_fading:
         ge = _fixed_snr(eve)
         v1, e1 = quad_positive_axis(
-            lambda x: np.log1p(ge + x) * snr_pdf(bob, ge + x), tol_rel=tol_rel)
+            lambda x: np.log1p(ge + x) * snr_pdf(bob, ge + x))
         v2 = math.log1p(ge) * (snr_cdf(bob, ge) - 1.0)
         return _asc_value(v1 + v2, e1, "quadrature")
     if bob.fading.no_fading:
         gb = _fixed_snr(bob)
         v1, e1 = quad_positive_axis(
             lambda g: np.where(g < gb, (math.log1p(gb) - np.log1p(g))
-                               * snr_pdf(eve, g), 0.0), tol_rel=tol_rel)
+                               * snr_pdf(eve, g), 0.0))
         return _asc_value(v1, e1, "quadrature")
-    cross, e_cross = _asc_cross_terms(bob, eve, tol_rel)
+    cross, e_cross = _asc_cross_terms(bob, eve)
     v3, e3 = quad_positive_axis(
-        lambda g: np.log1p(g) * snr_pdf(eve, g), tol_rel=tol_rel,
-        x_peak=_snr_mode(eve))
+        lambda g: np.log1p(g) * snr_pdf(eve, g), x_peak=_snr_mode(eve))
     return _asc_value(cross - v3, e_cross + e3, "quadrature")
 
 
@@ -164,7 +153,7 @@ def eve_ergodic_rate_closed_form(channel):
     return meijer_g(spec, log_scale=log_pref)
 
 
-def asc_closed_form(scenario, tol_rel=1e-10):
+def asc_closed_form(scenario):
     """ASC with the eavesdropper ergodic term in closed form.
 
     The two cross terms keep their quadrature route; the method is
@@ -173,8 +162,8 @@ def asc_closed_form(scenario, tol_rel=1e-10):
     """
     bob, eve = scenario.bob, scenario.eve
     if bob.fading.no_fading or eve.fading.no_fading:
-        return replace(asc_quadrature(scenario, tol_rel), method="closed_form")
-    cross, e_cross = _asc_cross_terms(bob, eve, tol_rel)
+        return replace(asc_quadrature(scenario), method="closed_form")
+    cross, e_cross = _asc_cross_terms(bob, eve)
     v3, e3 = eve_ergodic_rate_closed_form(eve)
     return _asc_value(cross - v3, e_cross + e3, "closed_form")
 
@@ -191,7 +180,7 @@ def _outage_gain_threshold(scenario, h_eve):
     return np.sqrt(t2)
 
 
-def sop_exact(scenario, tol_rel=1e-10):
+def sop_exact(scenario):
     """Secrecy outage probability by quadrature over the Eve gain."""
     bob, eve = scenario.bob, scenario.eve
     if eve.fading.no_fading and bob.fading.no_fading:
@@ -210,8 +199,7 @@ def sop_exact(scenario, tol_rel=1e-10):
         return MetricValue("sop", "quadrature", value, 0.0)
     value, err = quad_positive_axis(
         lambda h: cdf_ht(bob.fading, _outage_gain_threshold(scenario, h))
-        * pdf_ht(eve.fading, h), tol_rel=tol_rel,
-        x_peak=_gain_mode(eve.fading))
+        * pdf_ht(eve.fading, h), x_peak=_gain_mode(eve.fading))
     value = min(max(value, 0.0), 1.0)
     return MetricValue("sop", "quadrature", value, err)
 
@@ -222,7 +210,7 @@ def _lb_scale(scenario):
             * math.sqrt(scenario.eve.mean_snr / scenario.bob.mean_snr))
 
 
-def sop_lower_bound(scenario, method="closed_form", tol_rel=1e-10):
+def sop_lower_bound(scenario, method="closed_form"):
     """Scale-invariant lower bound on the outage probability.
 
     Drops the +1 SNR offsets, so only the gain ratio and the target
@@ -253,12 +241,12 @@ def sop_lower_bound(scenario, method="closed_form", tol_rel=1e-10):
         return MetricValue("sop_lb", "quadrature", value, 0.0)
     value, err = quad_positive_axis(
         lambda h: cdf_ht(bob.fading, w * h) * pdf_ht(eve.fading, h),
-        tol_rel=tol_rel, x_peak=_gain_mode(eve.fading))
+        x_peak=_gain_mode(eve.fading))
     value = min(max(value, 0.0), 1.0)
     return MetricValue("sop_lb", "quadrature", value, err)
 
 
-def spsc(scenario, method="quadrature", tol_rel=1e-10):
+def spsc(scenario, method="quadrature"):
     """Probability of strictly positive secrecy capacity.
 
     One minus the outage probability at target rate zero; the closed
@@ -267,9 +255,9 @@ def spsc(scenario, method="quadrature", tol_rel=1e-10):
     _check_method(method)
     zero_rate = replace(scenario, target_rate=0.0)
     if method == "closed_form":
-        base = sop_lower_bound(zero_rate, method="closed_form", tol_rel=tol_rel)
+        base = sop_lower_bound(zero_rate, method="closed_form")
     else:
-        base = sop_exact(zero_rate, tol_rel=tol_rel)
+        base = sop_exact(zero_rate)
     return MetricValue("spsc", method, 1.0 - base.value, base.error)
 
 

@@ -60,8 +60,10 @@ _CF_MAX_ITER = 400
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 
-# contour points per block of the tail walk of meijer_g
+# contour points per block of the tail walk of meijer_g, and the
+# relative tolerance of its contour quadrature
 _TAIL_BLOCK = 16
+_CONTOUR_TOL_REL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 _SUPPORTED_ORDERS = frozenset({(1, 1, 1, 1), (1, 2, 2, 2), (4, 3, 4, 4), (2, 3, 3, 3)})
@@ -359,7 +361,7 @@ def _contour_abscissa(spec):
     return 0.5 * (a0 + b0)
 
 
-def meijer_g(spec, tol_rel=1e-12, log_scale=0.0):
+def meijer_g(spec, log_scale=0.0):
     """Evaluate a Meijer G-function by Mellin-Barnes contour quadrature.
 
     Parameters
@@ -368,8 +370,6 @@ def meijer_g(spec, tol_rel=1e-12, log_scale=0.0):
         Order, parameters and argument.  Only the four orders used in
         this package are accepted: (1,1,1,1), (1,2,2,2), (4,3,4,4) and
         (2,3,3,3).
-    tol_rel : float
-        Relative tolerance target for the contour quadrature.
     log_scale : float
         Optional log-space prefactor folded into the integrand, so
         expressions of the form exp(log_scale) * G(z) stay finite when
@@ -429,7 +429,7 @@ def meijer_g(spec, tol_rel=1e-12, log_scale=0.0):
         return np.exp(log_w(t)).real
 
     val, err = quad_adaptive(integrand, 0.0, t_end,
-                             tol_abs=1e-16, tol_rel=tol_rel,
+                             tol_abs=1e-16, tol_rel=_CONTOUR_TOL_REL,
                              max_panels=4000)
     scale = log_peak + log_scale
     if scale > 700.0:

@@ -6,7 +6,6 @@ variances of the extended Rytov theory, so the fading shapes depend on
 the path only through the Rytov variance.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -18,6 +17,8 @@ from .quadrature import quad_adaptive
 # the top of any of our paths, the split just keeps the adaptive rule from
 # wasting panels on the empty upper range
 _SEGMENT_TOPS = (1e3, 3e3, 1e4, 3e4, 1e5)
+# relative tolerance of the path integral on each segment
+_RYTOV_TOL_REL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def cn2_profile(profile, altitude_m):
     return out if out.ndim else float(out)
 
 
-def rytov_variance(profile, geom, tol_rel=1e-5):
+def rytov_variance(profile, geom):
     """Plane-wave Rytov variance over the slant path.
 
     sigma_R^2 = 2.25 k^(7/6) sec^(11/6)(zenith) *
@@ -79,11 +80,9 @@ def rytov_variance(profile, geom, tol_rel=1e-5):
             edges.append(top)
     edges.append(hs)
     total = 0.0
-    err = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = quad_adaptive(integrand, lo, hi, tol_abs=0.0, tol_rel=tol_rel)
-        total += v
-        err += e
+        total += quad_adaptive(integrand, lo, hi, tol_abs=0.0,
+                               tol_rel=_RYTOV_TOL_REL)[0]
     return 2.25 * k ** (7.0 / 6.0) * sec_z ** (11.0 / 6.0) * total
 
 
@@ -116,27 +115,3 @@ def fading_shapes_from_rytov(rytov_var):
     a = 1.0 / math.expm1(small)
     b = 1.0 / math.expm1(large) + 2.0
     return a, b
-
-
-class TurbulenceRegime(enum.Enum):
-    WEAK = "weak"
-    MODERATE = "moderate"
-    STRONG = "strong"
-
-
-# the "around one" band read as within a factor of two of unity
-_MODERATE_LO = 0.5
-_MODERATE_HI = 2.0
-
-
-def classify_regime(rytov_var):
-    """Label the fluctuation regime from the Rytov variance.
-
-    Below one is weak and above one strong; the band within a factor
-    of two of unity is labelled moderate.
-    """
-    if rytov_var < _MODERATE_LO:
-        return TurbulenceRegime.WEAK
-    if rytov_var <= _MODERATE_HI:
-        return TurbulenceRegime.MODERATE
-    return TurbulenceRegime.STRONG

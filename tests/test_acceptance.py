@@ -9,6 +9,7 @@ under a minute combined on one core.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -97,8 +98,7 @@ def test_contour_engine_passes_identity_and_integral_suites():
         channel = SnrChannel(FFadingParams(a, b), snr)
         closed, _ = eve_ergodic_rate_closed_form(channel)
         direct, _ = quad_positive_axis(
-            lambda g, ch=channel: np.log1p(g) * snr_pdf(ch, g),
-            tol_rel=1e-10)
+            lambda g, ch=channel: np.log1p(g) * snr_pdf(ch, g))
         worst_rate = max(worst_rate, abs(closed - direct) / direct)
     worst_out = 0.0
     for a, b, w in itertools.product((1.5, 4.5, 9.1), (2.6, 6.0, 11.7),
@@ -320,6 +320,54 @@ def test_cloud_water_doubling_band():
         f"{worst_oracle:.1e} (cap 1e-8); ratio thick/thin {shown} at "
         f"Cn2 1e-15/1e-14/1e-13, below 1 as a shared scale requires "
         f"(abstract: ~1.12)")
+
+
+def test_altitude_outage_against_the_abstract():
+    # The abstract reports a secrecy outage of roughly 50% at 600 km
+    # over the whole turbulence regime.  With the shipped calibration
+    # the outage at 600 km depends on how far Eve sits from Bob, so
+    # the 600 km values from weak to strong turbulence are printed
+    # next to the ~50%, not required.  Asserted is what the model
+    # fixes: an outage of exactly one half at zero rate and zero
+    # offset (identical receivers), the outage rising with altitude at
+    # a fixed offset, and quadrature agreeing with the sampler there.
+    rc = parse_config("configs/eve-offset-sweep.cfg")
+    rate = rc.value("link.target_rate_bits")
+    shown = {}
+    worst_half = 0.0
+    for offset in (0.0, 3.0):
+        at_offset = rc.with_value("geometry.eve_separation_m", offset)
+        values = []
+        for cn2 in (1e-16, 1e-15, 1e-14, 1e-13, 4e-13):
+            scen = build_scenario(
+                at_offset.with_value("turbulence.cn2_ground", cn2))
+            values.append(sop_exact(scen).value)
+            if offset == 0.0:
+                half = sop_exact(replace(scen, target_rate=0.0))
+                worst_half = max(worst_half,
+                                 abs(half.value - 0.5) / half.error)
+        shown[offset] = "/".join(f"{v:.3f}" for v in values)
+
+    at_3m = rc.with_value("geometry.eve_separation_m", 3.0)
+    heights = (400.0, 600.0, 800.0, 1000.0, 1200.0)
+    sop = []
+    worst_pull = 0.0
+    for i, km in enumerate(heights):
+        scen = build_scenario(
+            at_3m.with_value("geometry.satellite_altitude_km", km))
+        sop.append(sop_exact(scen).value)
+        _, est, _ = mc_metrics(scen, McConfig(samples=1_000_000,
+                                              seed=600 + i))
+        worst_pull = max(worst_pull, abs(est.mean - sop[-1]) / est.std_error)
+    rising = all(x < y for x, y in zip(sop, sop[1:]))
+    ok = worst_half <= 1.0 and rising and worst_pull <= 3.0
+    assert _verdict(
+        "altitude outage", ok,
+        f"600 km SOP at {rate} bit, Cn2 1e-16..4e-13: {shown[0.0]} with "
+        f"Eve co-located, {shown[3.0]} at 3 m (abstract: ~50%); zero-rate "
+        f"co-located SOP off 1/2 by {worst_half:.2f} of its error (cap 1); "
+        f"at 3 m SOP {sop[0]:.3f} -> {sop[-1]:.3f} from 400 to 1200 km, "
+        f"rising {rising}; worst sampler pull {worst_pull:.2f} (limit 3)")
 
 
 def test_fixed_seed_runs_are_byte_reproducible(tmp_path, capsys):

@@ -9,7 +9,7 @@ from fsosec.atmosphere import (AtmosphereConfig, LinkGeometry, aperture_ratio,
                                atmospheric_loss, beam_radius, beam_waist,
                                cloud_attenuation, cloud_extinction_per_km,
                                cloud_visibility_km, collection_fraction,
-                               composite_gain, db_per_km_to_natural,
+                               db_per_km_to_natural,
                                equivalent_beam_width_sq, kim_exponent,
                                path_length, peak_collection)
 
@@ -127,13 +127,6 @@ def test_collection_fraction_matches_brute_integral():
             approx = collection_fraction(geom, r)
             brute = brute_collected_fraction(wl, ap, r)
             assert abs(approx - brute) <= 0.01 * brute, (geom, r)
-
-
-def test_composite_gain_is_product():
-    got = composite_gain(GEO, ATM, 0.0, 2.0)
-    want = (atmospheric_loss(GEO, ATM) * collection_fraction(GEO, 0.0, 2.0)
-            * cloud_attenuation(GEO, ATM))
-    assert got == pytest.approx(want, rel=1e-15)
 
 
 def test_beam_quality_broadens_beam():

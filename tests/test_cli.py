@@ -214,7 +214,7 @@ def test_validate_needs_monte_carlo(cfg, capsys):
 
 
 def test_metrics_nonconvergence_exit(cfg, monkeypatch, capsys):
-    def blows_up(scenario, tol_rel=1e-10):
+    def blows_up(scenario):
         raise NonConvergent("synthetic")
     monkeypatch.setattr("fsosec.secrecy.asc_quadrature", blows_up)
     code = main(["metrics", "--config", cfg])
@@ -227,7 +227,7 @@ def test_metrics_nonconvergence_exit(cfg, monkeypatch, capsys):
 
 
 def test_metrics_pole_collision_row(cfg, monkeypatch, capsys):
-    def collides(scenario, tol_rel=1e-10):
+    def collides(scenario):
         raise PoleCollision("synthetic")
     monkeypatch.setattr("fsosec.secrecy.asc_closed_form", collides)
     code = main(["metrics", "--config", cfg])
@@ -235,6 +235,38 @@ def test_metrics_pole_collision_row(cfg, monkeypatch, capsys):
     assert code == 3
     assert ",all,closed_form,,,pole_collision" in out
     assert ",asc,quadrature," in out  # quadrature rows unaffected
+
+
+@pytest.mark.parametrize("error, status", [(NonConvergent, "non_convergent"),
+                                           (PoleCollision, "pole_collision")])
+def test_validate_failed_route_gives_status_row(cfg, monkeypatch, capsys,
+                                                error, status):
+    def fails(scenario):
+        raise error("synthetic")
+    monkeypatch.setattr("fsosec.secrecy.asc_closed_form", fails)
+    code = main(["validate", "--config", cfg,
+                 "--methods", "quadrature,closed_form,monte_carlo"])
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert code == 3
+    # the status string is the one metrics writes for the same failure
+    assert ",all,closed_form,,,,," + status in lines
+    assert sum(",closed_form," in line for line in lines) == 1
+    # the untouched method is still scored
+    assert any(line.startswith(",asc,quadrature,") for line in lines)
+
+
+def test_failed_scenario_gives_one_status_row_per_method(cfg, monkeypatch,
+                                                         capsys):
+    def fails(rc):
+        raise NonConvergent("synthetic")
+    monkeypatch.setattr(cli, "build_scenario", fails)
+    methods = "quadrature,closed_form,monte_carlo"
+    assert main(["metrics", "--config", cfg, "--methods", methods]) == 3
+    assert main(["validate", "--config", cfg, "--methods", methods]) == 3
+    lines = capsys.readouterr().out.strip().split("\n")
+    for method in methods.split(","):
+        assert f",all,{method},,,non_convergent" in lines
+        assert f",all,{method},,,,,non_convergent" in lines
 
 
 def test_manifest_closes_the_config_file(cfg, tmp_path):

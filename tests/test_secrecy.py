@@ -14,20 +14,12 @@ from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht, pdf_ht, snr_cdf,
 from fsosec.quadrature import quad_positive_axis
 from fsosec.secrecy import (WiretapScenario, asc_closed_form, asc_quadrature,
                             eve_ergodic_rate_closed_form, evaluate_scenario,
-                            secrecy_capacity, sop_exact, sop_lower_bound, spsc)
+                            sop_exact, sop_lower_bound, spsc)
 
 BOB = SnrChannel(FFadingParams(9.1, 11.7), 472.7)
 EVE = SnrChannel(FFadingParams(9.1, 11.7), 48.3)
 PAIR = WiretapScenario(BOB, EVE, target_rate=0.5)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
-def test_secrecy_capacity_positive_part():
-    assert secrecy_capacity(3.0, 1.0) == pytest.approx(1.0, rel=1e-15)
-    assert secrecy_capacity(1.0, 3.0) == 0.0
-    out = secrecy_capacity([1.0, 7.0], [3.0, 3.0])
-    assert out[0] == 0.0
-    assert out[1] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_eve_ergodic_rate_frozen():

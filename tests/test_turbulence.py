@@ -4,8 +4,7 @@ import pytest
 from scipy import integrate
 
 from fsosec.atmosphere import LinkGeometry
-from fsosec.turbulence import (TurbulenceProfile, TurbulenceRegime,
-                               classify_regime, cn2_profile,
+from fsosec.turbulence import (TurbulenceProfile, cn2_profile,
                                fading_shapes_from_rytov, rytov_variance,
                                scintillation_log_variances)
 
@@ -99,15 +98,6 @@ def test_fading_shapes_weak_fluctuations_drive_shapes_up():
 
 def test_fading_shapes_no_turbulence_sentinel():
     assert fading_shapes_from_rytov(0.0) == (math.inf, math.inf)
-
-
-def test_regime_classification():
-    assert classify_regime(0.1) is TurbulenceRegime.WEAK
-    assert classify_regime(0.49) is TurbulenceRegime.WEAK
-    assert classify_regime(0.5) is TurbulenceRegime.MODERATE
-    assert classify_regime(1.0) is TurbulenceRegime.MODERATE
-    assert classify_regime(2.0) is TurbulenceRegime.MODERATE
-    assert classify_regime(2.1) is TurbulenceRegime.STRONG
 
 
 def test_profile_validation():
