@@ -90,33 +90,30 @@ def _rows_over_points(rc, methods, jobs, point_rows):
     return [row for chunk in _map_points(points, worker, jobs) for row in chunk]
 
 
-def _evaluate_point(rc, methods, jobs_inside):
+_STATUS = {PoleCollision: "pole_collision", NonConvergent: "non_convergent"}
+
+
+def _evaluate_point(rc, methods, jobs_inside, metrics=None):
     """(method, outcome) pairs of one sweep point, in the order of methods.
 
-    The outcome is the method's MetricValues, or the status string
-    that replaces them when building the scenario or the method fails.
+    The outcome is the method's MetricValues (analytic ones among
+    metrics, if given), or the status string that replaces them when
+    building the scenario or the method fails.
     """
     try:
         scenario = build_scenario(rc)
     except NonConvergent:
         return [(method, "non_convergent") for method in methods]
-    out = []
-    for method in methods:
-        try:
-            if method == "monte_carlo":
-                cfg = McConfig(samples=rc.mc_samples, seed=rc.mc_seed,
-                               jobs=jobs_inside, batch_size=rc.mc_batch_size)
-                outcome = [MetricValue(name, method, est.mean, est.std_error)
-                           for name, est in zip(MC_METRICS,
-                                                mc_metrics(scenario, cfg))]
-            else:
-                outcome = evaluate_scenario(scenario, method)
-        except PoleCollision:
-            outcome = "pole_collision"
-        except NonConvergent:
-            outcome = "non_convergent"
-        out.append((method, outcome))
-    return out
+    outcomes = evaluate_scenario(
+        scenario, [m for m in methods if m != "monte_carlo"], metrics)
+    if "monte_carlo" in methods:
+        cfg = McConfig(samples=rc.mc_samples, seed=rc.mc_seed,
+                       jobs=jobs_inside, batch_size=rc.mc_batch_size)
+        outcomes["monte_carlo"] = [
+            MetricValue(name, "monte_carlo", est.mean, est.std_error)
+            for name, est in zip(MC_METRICS, mc_metrics(scenario, cfg))]
+    return [(method, _STATUS.get(type(outcomes[method]), outcomes[method]))
+            for method in methods]
 
 
 def _metric_rows_for_point(coord, rc, methods, jobs_inside):
@@ -180,7 +177,7 @@ def cmd_link_budget(rc, jobs):
 
 def _validate_rows_for_point(coord, rc, methods, jobs_inside):
     """z-score rows of one sweep point; failures become status rows."""
-    outcomes = _evaluate_point(rc, methods, jobs_inside)
+    outcomes = _evaluate_point(rc, methods, jobs_inside, MC_METRICS)
     mc = dict(outcomes)["monte_carlo"]
     reference = {} if isinstance(mc, str) else {e.metric: e for e in mc}
     rows = []

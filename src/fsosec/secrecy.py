@@ -19,17 +19,20 @@ outage lower bound.
 """
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonConvergent
+from .errors import NonConvergent, PoleCollision
 from .fading import cdf_ht, pdf_ht, snr_cdf, snr_pdf
 from .quadrature import quad_positive_axis
 from .specfun import MeijerGSpec, log_beta, meijer_g
 
 _LN2 = math.log(2.0)
 _METHODS = ("quadrature", "closed_form")
+# the terms the running evaluate_scenario call has computed so far
+_SHARED = ContextVar("fsosec_secrecy_shared", default=None)
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,15 @@ def _snr_mode(channel):
 def _check_method(method):
     if method not in _METHODS:
         raise ValueError(f"unknown analytic method {method!r}")
+
+
+def _once(key, compute):
+    # compute() once per key and evaluate_scenario call; a failure is
+    # not kept, so each route that needs the term raises it on its own
+    memo = _SHARED.get()
+    if memo is None:
+        return compute()
+    return memo[key] if key in memo else memo.setdefault(key, compute())
 
 
 def _asc_cross_terms(bob, eve):
@@ -130,7 +142,8 @@ def asc_quadrature(scenario):
             lambda g: np.where(g < gb, (math.log1p(gb) - np.log1p(g))
                                * snr_pdf(eve, g), 0.0))
         return _asc_value(v1, e1, "quadrature")
-    cross, e_cross = _asc_cross_terms(bob, eve)
+    cross, e_cross = _once(("asc_cross", bob, eve),
+                           lambda: _asc_cross_terms(bob, eve))
     v3, e3 = quad_positive_axis(
         lambda g: np.log1p(g) * snr_pdf(eve, g), x_peak=_snr_mode(eve))
     return _asc_value(cross - v3, e_cross + e3, "quadrature")
@@ -163,7 +176,8 @@ def asc_closed_form(scenario):
     bob, eve = scenario.bob, scenario.eve
     if bob.fading.no_fading or eve.fading.no_fading:
         return replace(asc_quadrature(scenario), method="closed_form")
-    cross, e_cross = _asc_cross_terms(bob, eve)
+    cross, e_cross = _once(("asc_cross", bob, eve),
+                           lambda: _asc_cross_terms(bob, eve))
     v3, e3 = eve_ergodic_rate_closed_form(eve)
     return _asc_value(cross - v3, e_cross + e3, "closed_form")
 
@@ -197,9 +211,9 @@ def sop_exact(scenario):
             return MetricValue("sop", "quadrature", 1.0, 0.0)
         value = 1.0 - cdf_ht(eve.fading, math.sqrt(t2))
         return MetricValue("sop", "quadrature", value, 0.0)
-    value, err = quad_positive_axis(
+    value, err = _once(("sop", scenario), lambda: quad_positive_axis(
         lambda h: cdf_ht(bob.fading, _outage_gain_threshold(scenario, h))
-        * pdf_ht(eve.fading, h), x_peak=_gain_mode(eve.fading))
+        * pdf_ht(eve.fading, h), x_peak=_gain_mode(eve.fading)))
     value = min(max(value, 0.0), 1.0)
     return MetricValue("sop", "quadrature", value, err)
 
@@ -228,7 +242,7 @@ def sop_lower_bound(scenario, method="closed_form"):
         spec = MeijerGSpec(2, 3, 3, 3,
                            (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0), w)
         log_pref = -2.0 * (log_beta(a, b) + math.lgamma(a + b))
-        value, err = meijer_g(spec, log_scale=log_pref)
+        value, err = _once(spec, lambda: meijer_g(spec, log_scale=log_pref))
         value = min(max(value, 0.0), 1.0)
         return MetricValue("sop_lb", "closed_form", value, err)
     if degenerate:
@@ -251,6 +265,7 @@ def spsc(scenario, method="quadrature"):
 
     One minus the outage probability at target rate zero; the closed
     form goes through the outage lower bound, which is exact there.
+    The error adds half an ulp of the value for the subtraction.
     """
     _check_method(method)
     zero_rate = replace(scenario, target_rate=0.0)
@@ -258,16 +273,35 @@ def spsc(scenario, method="quadrature"):
         base = sop_lower_bound(zero_rate, method="closed_form")
     else:
         base = sop_exact(zero_rate)
-    return MetricValue("spsc", method, 1.0 - base.value, base.error)
+    return MetricValue("spsc", method, 1.0 - base.value,
+                       base.error + 0.5 * math.ulp(1.0 - base.value))
 
 
-def evaluate_scenario(scenario, method):
-    """MetricValues of one analytic method, in the CLI's row order."""
-    _check_method(method)
-    if method == "quadrature":
-        return (asc_quadrature(scenario), sop_exact(scenario),
-                sop_lower_bound(scenario, method="quadrature"),
-                spsc(scenario, method="quadrature"))
-    return (asc_closed_form(scenario),
-            sop_lower_bound(scenario, method="closed_form"),
-            spsc(scenario, method="closed_form"))
+def evaluate_scenario(scenario, methods=_METHODS, metrics=None):
+    """Every requested analytic method of one scenario, as {method:
+    its MetricValues (those among metrics, if given) in the CLI's row
+    order, or the PoleCollision or NonConvergent it raised}.  A term
+    two routes share is computed once per call, so each value equals
+    that of the standalone route.
+    """
+    for method in methods:
+        _check_method(method)
+    out = {}
+    token = _SHARED.set({})
+    try:
+        for method in methods:
+            # routes by module attribute, so a patched one takes effect
+            quad = method == "quadrature"
+            routes = (("asc", asc_quadrature if quad else asc_closed_form, ()),
+                      ("sop", sop_exact if quad else None, ()),
+                      ("sop_lb", sop_lower_bound, (method,)),
+                      ("spsc", spsc, (method,)))
+            try:
+                out[method] = tuple(
+                    route(scenario, *args) for metric, route, args in routes
+                    if route and (metrics is None or metric in metrics))
+            except (PoleCollision, NonConvergent) as exc:
+                out[method] = exc
+    finally:
+        _SHARED.reset(token)
+    return out

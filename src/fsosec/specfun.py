@@ -76,47 +76,46 @@ def log_beta(a, b):
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _clamp_tiny(v, scratch):
-    # the Lentz guard: a denominator that came out (near) zero is
-    # replaced by a tiny positive number
-    np.abs(v, out=scratch)
-    if scratch.min() < _CF_TINY:
-        v[scratch < _CF_TINY] = _CF_TINY
-
-
 def _betacf(x, k, a, b):
     # Continued fraction for the incomplete beta, modified Lentz scheme,
     # on a whole array at once: x[:k] with shapes (a, b) and x[k:] with
     # the swapped pair (b, a).  All elements iterate together until each
     # has converged (checked every 4th iteration).
-    sides = [(sl, p, q) for sl, p, q in ((slice(0, k), a, b),
-                                         (slice(k, None), b, a))
-             if x[sl].size]
     num = np.empty_like(x)
-    scratch = np.empty_like(x)
-    d = np.empty_like(x)
-    for sl, p, q in sides:
-        d[sl] = 1.0 - (p + q) * x[sl] / (p + 1.0)
-    _clamp_tiny(d, scratch)
+    sides = [(x[sl], num[sl], p, q) for sl, p, q in ((slice(0, k), a, b),
+                                                     (slice(k, None), b, a))
+             if x[sl].size]
+    # d and c as the two rows of one buffer, so one Lentz guard covers
+    # both: a denominator that came out (near) zero is replaced by a
+    # tiny positive number
+    dc = np.ones((2,) + x.shape)
+    absdc = np.empty_like(dc)
+    d, c = dc
+    for xs, num_side, p, q in sides:
+        np.divide((p + q) * xs, p + 1.0, out=num_side)
+    np.subtract(1.0, num, out=d)
+    np.abs(dc, out=absdc)
+    if absdc.min() < _CF_TINY:
+        dc[absdc < _CF_TINY] = _CF_TINY
     np.divide(1.0, d, out=d)
-    c = np.ones_like(x)
     h = d.copy()
+    scratch = np.empty_like(x)
     out = np.empty_like(x)
     pending = np.ones(x.shape, dtype=bool)
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        # the even and the odd numerator of step m, coef(p, q) * x
-        for coef in (lambda p, q: m * (q - m) / ((p - 1.0 + m2) * (p + m2)),
-                     lambda p, q: -(p + m) * (p + q + m)
-                     / ((p + m2) * (p + 1.0 + m2))):
-            for sl, p, q in sides:
-                np.multiply(x[sl], coef(p, q), out=num[sl])
+        for odd in (False, True):
+            # the even or the odd numerator of step m, coefficient * x
+            for xs, num_side, p, q in sides:
+                coef = (-(p + m) * (p + q + m) / ((p + m2) * (p + 1.0 + m2))
+                        if odd else m * (q - m) / ((p - 1.0 + m2) * (p + m2)))
+                np.multiply(xs, coef, out=num_side)
             np.multiply(num, d, out=d)
-            d += 1.0
-            _clamp_tiny(d, scratch)
             np.divide(num, c, out=c)
-            c += 1.0
-            _clamp_tiny(c, scratch)
+            dc += 1.0
+            np.abs(dc, out=absdc)
+            if absdc.min() < _CF_TINY:
+                dc[absdc < _CF_TINY] = _CF_TINY
             np.divide(1.0, d, out=d)
             np.multiply(d, c, out=scratch)
             h *= scratch

@@ -147,6 +147,23 @@ def test_metrics_sweep_rows(sweep_cfg, capsys):
     assert set(coords) == {"40.0", "50.0", "60.0"}
 
 
+def test_metrics_both_methods_match_single_method_runs(sweep_cfg, capsys):
+    # the planner shares terms between the methods: each method's rows
+    # must still be those it gives alone
+    def rows(methods):
+        assert main(["metrics", "--config", sweep_cfg,
+                     "--methods", methods]) == 0
+        return capsys.readouterr().out.strip().split("\n")[1:]
+
+    both = rows("quadrature,closed_form")
+    quad, closed = rows("quadrature"), rows("closed_form")
+    merged = []
+    for point in range(3):
+        merged += quad[4 * point:4 * point + 4]
+        merged += closed[3 * point:3 * point + 3]
+    assert both == merged
+
+
 def test_metrics_gnuplot_layout(sweep_cfg, capsys):
     assert main(["metrics", "--config", sweep_cfg, "--gnuplot"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

@@ -1,6 +1,7 @@
 """Secrecy metrics: route agreement, analytic identities, frozen
 references (mpmath, 50 digits), and degenerate branches."""
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -9,6 +10,7 @@ import pytest
 
 from fsosec import secrecy
 from fsosec.config import build_scenario, parse_config
+from fsosec.errors import NonConvergent, PoleCollision
 from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht, pdf_ht, snr_cdf,
                            snr_pdf)
 from fsosec.quadrature import quad_positive_axis
@@ -186,8 +188,8 @@ def test_both_degenerate():
 
 
 def test_evaluate_scenario_report():
-    quad = evaluate_scenario(PAIR, "quadrature")
-    closed = evaluate_scenario(PAIR, "closed_form")
+    report = evaluate_scenario(PAIR, ("quadrature", "closed_form"))
+    quad, closed = report["quadrature"], report["closed_form"]
     # one method's rows, in CSV row order
     assert [(mv.metric, mv.method) for mv in quad] == [
         ("asc", "quadrature"), ("sop", "quadrature"),
@@ -198,8 +200,28 @@ def test_evaluate_scenario_report():
     assert quad[0] == asc_quadrature(PAIR)
     assert closed[0] == asc_closed_form(PAIR)
     assert closed[2].value == pytest.approx(quad[3].value, abs=1e-8)
+    assert evaluate_scenario(PAIR) == report
+    # a metric set keeps the row order of what it names
+    assert evaluate_scenario(PAIR, ("closed_form",), ("spsc", "asc")) == {
+        "closed_form": (closed[0], closed[2])}
     with pytest.raises(ValueError):
-        evaluate_scenario(PAIR, "fancy")
+        evaluate_scenario(PAIR, ("fancy",))
+
+
+def test_spsc_error_covers_the_subtraction():
+    # 1 - SOP rounds by up to half an ulp of the value, which the
+    # closed branches, with an exact SOP and a zero error, show alone
+    calm = SnrChannel(FFadingParams(math.inf, math.inf), 48.3)
+    for scen in (PAIR, WiretapScenario(EVE, BOB), WiretapScenario(BOB, calm),
+                 WiretapScenario(SnrChannel(calm.fading, 472.7), EVE)):
+        zero = replace(scen, target_rate=0.0)
+        for method, base in (("quadrature", sop_exact(zero)),
+                             ("closed_form", sop_lower_bound(zero))):
+            got = spsc(scen, method=method)
+            assert got.value == 1.0 - base.value
+            half_ulp = 0.5 * math.ulp(got.value)
+            assert half_ulp > 0.0
+            assert got.error == base.error + half_ulp
 
 
 @pytest.mark.parametrize("method", ["closed-form", "quad", "monte_carlo", ""])
@@ -301,11 +323,106 @@ def test_shipped_configs_never_take_the_full_scan(monkeypatch):
         points = rc.sweep.points()
         for _, raw in (points[0], points[-1]):
             scenario = build_scenario(rc.with_value(rc.sweep.variable, raw))
-            for method in ("quadrature", "closed_form"):
+            for methods in (("quadrature",), ("closed_form",),
+                            ("quadrature", "closed_form")):
                 before = len(counts)
-                evaluate_scenario(scenario, method)
+                evaluate_scenario(scenario, methods)
                 assert len(counts) > before
     assert max(counts) < 1000
+
+
+def _shipped_scenario(rate):
+    rc = parse_config(str(CONFIGS / "turbulence-sweep.cfg"))
+    _, raw = rc.sweep.points()[0]
+    scenario = build_scenario(rc.with_value(rc.sweep.variable, raw))
+    return replace(scenario, target_rate=rate)
+
+
+@pytest.mark.parametrize("rate, integrals, g_calls", [(0.5, 6, 3),
+                                                      (0.0, 5, 2)])
+def test_planner_computes_each_distinct_integral_once(monkeypatch, rate,
+                                                      integrals, g_calls):
+    # both methods make 8 integrals and 3 G-functions when every route
+    # computes its own: the ASC cross terms are shared, and at rate 0
+    # SPSC reuses the outage integral and the lower-bound G-function
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(secrecy, "quad_positive_axis",
+                        counted("integral", quad_positive_axis))
+    monkeypatch.setattr(secrecy, "meijer_g",
+                        counted("g", secrecy.meijer_g))
+    scenario = _shipped_scenario(rate)
+    for runs in (1, 2):
+        # nothing is kept from one call to the next
+        report = evaluate_scenario(scenario)
+        assert all(isinstance(rows, tuple) for rows in report.values())
+        assert calls.count("integral") == runs * integrals
+        assert calls.count("g") == runs * g_calls
+    assert secrecy._SHARED.get() is None
+
+
+def test_shared_term_failure_fails_both_routes(monkeypatch):
+    # a failed shared term is not kept: each ASC route meets it itself
+    attempts = []
+
+    def fails(bob, eve):
+        attempts.append(1)
+        raise NonConvergent("synthetic")
+
+    monkeypatch.setattr(secrecy, "_asc_cross_terms", fails)
+    report = evaluate_scenario(_shipped_scenario(0.5))
+    assert isinstance(report["quadrature"], NonConvergent)
+    assert isinstance(report["closed_form"], NonConvergent)
+    assert len(attempts) == 2
+
+
+def test_pole_collision_leaves_the_other_method(monkeypatch):
+    def collides(scenario):
+        raise PoleCollision("synthetic")
+
+    scenario = _shipped_scenario(0.5)
+    alone = evaluate_scenario(scenario, ("quadrature",))["quadrature"]
+    monkeypatch.setattr(secrecy, "asc_closed_form", collides)
+    report = evaluate_scenario(scenario)
+    assert isinstance(report["closed_form"], PoleCollision)
+    assert report["quadrature"] == alone
+
+
+_STANDALONE = {
+    "quadrature": (asc_quadrature, sop_exact,
+                   lambda s: sop_lower_bound(s, method="quadrature"),
+                   lambda s: spsc(s, method="quadrature")),
+    "closed_form": (asc_closed_form,
+                    lambda s: sop_lower_bound(s, method="closed_form"),
+                    lambda s: spsc(s, method="closed_form")),
+}
+
+
+def test_planner_values_equal_the_standalone_routes():
+    # library callers reach the routes directly, the cli through the
+    # planner: both must see the same floats
+    calm = FFadingParams(math.inf, math.inf)
+    bases = _drawn_scenarios(20261019, 8) + [
+        WiretapScenario(BOB, SnrChannel(calm, 48.3)),
+        WiretapScenario(SnrChannel(calm, 472.7), EVE),
+        WiretapScenario(SnrChannel(calm, 472.7), SnrChannel(calm, 48.3))]
+    for base in bases:
+        for rate in (0.0, 0.5):
+            scenario = replace(base, target_rate=rate)
+            report = evaluate_scenario(scenario)
+            for method, routes in _STANDALONE.items():
+                try:
+                    want = tuple(route(scenario) for route in routes)
+                except (NonConvergent, PoleCollision) as exc:
+                    assert type(report[method]) is type(exc)
+                    continue
+                assert report[method] == want
 
 
 def test_zero_sample_at_the_hint_keeps_the_scan_local():
@@ -339,6 +456,6 @@ def test_metric_values_are_python_floats():
     calm = SnrChannel(FFadingParams(math.inf, math.inf), 48.3)
     for scen in (PAIR, WiretapScenario(BOB, calm, 0.5),
                  WiretapScenario(calm, EVE, 0.5)):
-        for method in ("quadrature", "closed_form"):
-            for mv in evaluate_scenario(scen, method):
+        for rows in evaluate_scenario(scen).values():
+            for mv in rows:
                 assert type(mv.value) is float and type(mv.error) is float
