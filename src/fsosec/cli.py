@@ -96,9 +96,8 @@ _STATUS = {PoleCollision: "pole_collision", NonConvergent: "non_convergent"}
 def _evaluate_point(rc, methods, jobs_inside, metrics=None):
     """(method, outcome) pairs of one sweep point, in the order of methods.
 
-    The outcome is the method's MetricValues (analytic ones among
-    metrics, if given), or the status string that replaces them when
-    building the scenario or the method fails.
+    The outcome is the method's MetricValues, or the status string that
+    replaces them on failure; metrics limits the analytic ones.
     """
     try:
         scenario = build_scenario(rc)

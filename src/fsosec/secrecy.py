@@ -278,12 +278,13 @@ def spsc(scenario, method="quadrature"):
 
 
 def evaluate_scenario(scenario, methods=_METHODS, metrics=None):
-    """Every requested analytic method of one scenario, as {method:
-    its MetricValues (those among metrics, if given) in the CLI's row
-    order, or the PoleCollision or NonConvergent it raised}.  A term
-    two routes share is computed once per call, so each value equals
-    that of the standalone route.
+    """{method: its MetricValues in the CLI's row order (those among
+    metrics, if given), or the PoleCollision or NonConvergent it raised}
+    of one scenario; a term two routes share is computed once per call,
+    and each value equals that of the standalone route.
     """
+    if isinstance(methods, str):
+        raise TypeError(f"methods is a tuple of names: ({methods!r},)")
     for method in methods:
         _check_method(method)
     out = {}

@@ -206,6 +206,9 @@ def test_evaluate_scenario_report():
         "closed_form": (closed[0], closed[2])}
     with pytest.raises(ValueError):
         evaluate_scenario(PAIR, ("fancy",))
+    # the one-method call form of earlier releases is refused by name
+    with pytest.raises(TypeError, match=r"\('closed_form',\)"):
+        evaluate_scenario(PAIR, "closed_form")
 
 
 def test_spsc_error_covers_the_subtraction():
@@ -326,7 +329,10 @@ def test_shipped_configs_never_take_the_full_scan(monkeypatch):
             for methods in (("quadrature",), ("closed_form",),
                             ("quadrature", "closed_form")):
                 before = len(counts)
-                evaluate_scenario(scenario, methods)
+                report = evaluate_scenario(scenario, methods)
+                # a route that raised would hide behind a status value
+                assert all(isinstance(rows, tuple)
+                           for rows in report.values())
                 assert len(counts) > before
     assert max(counts) < 1000
 
