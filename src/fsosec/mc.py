@@ -45,16 +45,23 @@ class McEstimate:
     n: int
 
 
+def _log2_capacity(h, mean_snr):
+    # log2(1 + 4 * mean_snr * h^2) in the array h, rounded as
+    # (h * 4 mean_snr) * h, then + 1, then log2
+    np.multiply(h * (4.0 * mean_snr), h, out=h)
+    h += 1.0
+    return np.log2(h, out=h)
+
+
 def _capacity_delta_batch(scenario, cfg, index, size):
     # log2 SNR-capacity difference for one batch; the sign carries the
     # outage information so every metric reads off the same stream
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence([cfg.seed, index])))
-    hb = sample_ht(scenario.bob.fading, rng, size)
-    he = sample_ht(scenario.eve.fading, rng, size)
-    gb = 4.0 * scenario.bob.mean_snr * hb * hb
-    ge = 4.0 * scenario.eve.mean_snr * he * he
-    return np.log2(1.0 + gb) - np.log2(1.0 + ge)
+    bob, eve = scenario.bob, scenario.eve
+    d = _log2_capacity(sample_ht(bob.fading, rng, size), bob.mean_snr)
+    d -= _log2_capacity(sample_ht(eve.fading, rng, size), eve.mean_snr)
+    return d
 
 
 def _batches(cfg):
@@ -78,11 +85,12 @@ def mc_metrics(scenario, cfg):
     def one(item):
         index, size = item
         d = _capacity_delta_batch(scenario, cfg, index, size)
-        outage = d <= 0.0 if ct == 0.0 else d < ct
-        stats = (np.maximum(d, 0.0), outage.astype(float),
-                 (d > 0.0).astype(float))
-        return index, [(float(np.sum(x)), float(np.sum(x * x)))
-                       for x in stats], size
+        # both events counted, so a nan difference falls in neither
+        outage = float(np.count_nonzero(d <= 0.0 if ct == 0.0 else d < ct))
+        positive = float(np.count_nonzero(d > 0.0))
+        np.maximum(d, 0.0, out=d)
+        return index, [(float(np.sum(d)), float(np.sum(d * d))),
+                       (outage, outage), (positive, positive)], size
 
     items = _batches(cfg)
     if cfg.jobs > 1:

@@ -64,6 +64,29 @@ _SCAN_STEP = 0.5
 # grid points on each side of the hint in the first scan block of
 # quad_positive_axis; the block grows by whole blocks
 _SCAN_HALF_BLOCK = 24
+# panel budget of quad_adaptive
+_MAX_PANELS = 2000
+
+
+def _panel_nodes(a, b):
+    # nodes of the panels [a, b], one row of 15 per panel, and the
+    # panels' half-widths
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    h = 0.5 * (b - a)
+    c = 0.5 * (a + b)
+    return c[..., None] + h[..., None] * _X15, h
+
+
+def _panel_sums(x, fx, h):
+    # (gauss7, kronrod15) per panel from the values fx at the nodes x
+    fx = np.broadcast_to(fx, x.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        g, k = (fx @ _WG15) * h, (fx @ _WK15) * h
+    # every node has a positive Kronrod weight
+    if not np.isfinite(k).all():
+        raise NonConvergent("integrand is not finite at a quadrature node")
+    return g, k
 
 
 def kronrod_panel(f, a, b):
@@ -75,39 +98,40 @@ def kronrod_panel(f, a, b):
     when f gives a nan or inf at a node: that would make the sum
     meaningless, and it is reported instead of returned.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    x = c[..., None] + h[..., None] * _X15
-    fx = np.broadcast_to(f(x), x.shape)
-    with np.errstate(invalid="ignore", over="ignore"):
-        g, k = (fx @ _WG15) * h, (fx @ _WK15) * h
-    # every node has a positive Kronrod weight
-    if not np.isfinite(k).all():
-        raise NonConvergent("integrand is not finite at a quadrature node")
-    return g, k
+    x, h = _panel_nodes(a, b)
+    return _panel_sums(x, f(x), h)
 
 
-def quad_adaptive(f, a, b, tol_abs=1e-12, tol_rel=1e-10, max_panels=2000):
-    """Integrate f over the finite interval [a, b], level by level.
+def _lockstep(steps, answer):
+    # run step generators to their return values together: each round,
+    # answer(ids, requests) replies to the pending scan requests (u
+    # arrays) or, when none is left, to the pending panel requests
+    # ((lo, hi) pairs), so a round holds one kind only
+    out = [None] * len(steps)
+    pending = {}
+    replies = dict.fromkeys(range(len(steps)))
+    while True:
+        for i, reply in replies.items():
+            try:
+                pending[i] = steps[i].send(reply)
+            except StopIteration as stop:
+                out[i] = stop.value
+        ids = ([i for i, r in pending.items() if not isinstance(r, tuple)]
+               or list(pending))
+        if not ids:
+            return out
+        replies = dict(zip(ids, answer(ids, [pending.pop(i) for i in ids])))
 
-    f is called on arrays of nodes (see kronrod_panel).  The first
-    level is 16 uniform panels.  While the summed |K15 - G7| exceeds
-    max(tol_abs, tol_rel * |value|), every panel whose error is above
-    that tolerance divided by the panel count is bisected, and all the
-    new halves are evaluated in one call.  A panel at floating-point
-    resolution is accepted as it is.
 
-    Returns (value, error_estimate) as Python scalars.  Raises
-    NonConvergent when bisecting would exceed max_panels, or when f
-    gives a nan or inf at a node.
-    """
+def _adaptive_steps(a, b, tol_abs, tol_rel, max_panels):
+    # quad_adaptive as a step generator: yields (lo, hi) arrays of
+    # panel ends, receives their (gauss7, kronrod15) and returns
+    # (value, error)
     if a == b:
         return 0.0, 0.0
     edges = np.linspace(a, b, _START_PANELS + 1)
     lo, hi = edges[:-1], edges[1:]
-    g, k = kronrod_panel(f, lo, hi)
+    g, k = yield lo, hi
     err = np.abs(k - g)
     while True:
         total = k.sum()
@@ -130,12 +154,31 @@ def quad_adaptive(f, a, b, tol_abs=1e-12, tol_rel=1e-10, max_panels=2000):
                 f"after {len(k)} panels on [{a:g}, {b:g}]")
         new_lo = np.concatenate((lo[split], mid[split]))
         new_hi = np.concatenate((mid[split], hi[split]))
-        g2, k2 = kronrod_panel(f, new_lo, new_hi)
+        g2, k2 = yield new_lo, new_hi
         keep = ~split
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
         k = np.concatenate((k[keep], k2))
         err = np.concatenate((err[keep], np.abs(k2 - g2)))
+
+
+def quad_adaptive(f, a, b, tol_abs=1e-12, tol_rel=1e-10,
+                  max_panels=_MAX_PANELS):
+    """Integrate f over the finite interval [a, b], level by level.
+
+    f is called on arrays of nodes (see kronrod_panel).  The first
+    level is 16 uniform panels.  While the summed |K15 - G7| exceeds
+    max(tol_abs, tol_rel * |value|), every panel whose error is above
+    that tolerance divided by the panel count is bisected, and all the
+    new halves are evaluated in one call.  A panel at floating-point
+    resolution is accepted as it is.
+
+    Returns (value, error_estimate) as Python scalars.  Raises
+    NonConvergent when bisecting would exceed max_panels, or when f
+    gives a nan or inf at a node.
+    """
+    steps = _adaptive_steps(a, b, tol_abs, tol_rel, max_panels)
+    return _lockstep([steps], lambda _, r: [kronrod_panel(f, *r[0])])[0]
 
 
 def _peak_range(vals, lo, hi, n, stop_rel):
@@ -180,6 +223,56 @@ def _expand(vals, i, step, n, lo, hi, floor):
     return i, vals[i] * 10.0
 
 
+def _positive_axis_steps(x_peak):
+    # quad_positive_axis as a step generator: scan requests are arrays
+    # of grid abscissae u, answered with |g(u)|; panel requests are
+    # (lo, hi) pairs in u, answered as by _adaptive_steps
+    n = int((_U_HI - _U_LO) / _SCAN_STEP)
+    vals = np.zeros(n + 1)
+
+    def sample(idx):
+        # |g| on the grid indices idx in one request, non-finite as empty
+        v = yield _U_LO + idx * _SCAN_STEP
+        vals[idx] = np.where(np.isfinite(v), v, 0.0)
+
+    lo, hi = 0, n
+    if x_peak is not None and math.isfinite(x_peak) and x_peak > 0.0:
+        i = min(max(round((math.log(x_peak) - _U_LO) / _SCAN_STEP), 0), n)
+        lo, hi = max(i - _SCAN_HALF_BLOCK, 0), min(i + _SCAN_HALF_BLOCK, n)
+    yield from sample(np.arange(lo, hi + 1))
+    if not vals.any() and hi - lo < n:
+        lo, hi = 0, n
+        yield from sample(np.arange(lo, hi + 1))
+
+    while True:
+        top, left, right = _peak_range(vals, lo, hi, n, 1e-3 * _TAIL_EPS)
+        best = vals[top]
+        if best == 0.0:
+            return 0.0, 0.0
+        ends = (None, None)
+        if left is not None and right is not None:
+            coarse = float(np.sum(vals[left:right + 1])) * _SCAN_STEP
+            floor = _TAIL_EPS * max(coarse, best)
+            ends = (_expand(vals, top, -2, n, lo, hi, floor),
+                    _expand(vals, top, +2, n, lo, hi, floor))
+            if None not in ends:
+                break
+        # grow each side that ran out of samples by as many whole blocks
+        # as are known already, both sides in one request
+        width = hi - lo + 1
+        new_lo = max(lo - width, 0) if left is None or ends[0] is None else lo
+        new_hi = min(hi + width, n) if right is None or ends[1] is None else hi
+        yield from sample(np.concatenate((np.arange(new_lo, lo),
+                                          np.arange(hi + 1, new_hi + 1))))
+        lo, hi = new_lo, new_hi
+
+    (left, lbound), (right, rbound) = ends
+    val, err = yield from _adaptive_steps(
+        _U_LO + left * _SCAN_STEP, _U_LO + right * _SCAN_STEP,
+        _TOL_ABS, _TOL_REL, _MAX_PANELS)
+    return val, float(err + lbound + rbound)
+
+
 def quad_positive_axis(f, x_peak=None):
     """Integrate f over (0, inf) after the log-axis substitution x = e^u.
 
@@ -208,53 +301,30 @@ def quad_positive_axis(f, x_peak=None):
 
     Returns (value, error_estimate).
     """
+    return quad_positive_axis_many(lambda _, xs: [f(xs[0])], [x_peak])[0]
 
-    def g(u):
-        x = np.exp(u)
-        return f(x) * x
 
-    n = int((_U_HI - _U_LO) / _SCAN_STEP)
-    vals = np.zeros(n + 1)
+def quad_positive_axis_many(f_many, x_peaks):
+    """[(value, error)] of quad_positive_axis(f_i, x_peak) for each hint
+    in x_peaks, bit for bit, with the integrals advanced in lockstep.
 
-    def sample(idx):
-        # |g| on the grid indices idx in one call, non-finite as empty
-        with np.errstate(all="ignore"):
-            v = np.abs(g(_U_LO + idx * _SCAN_STEP))
-        vals[idx] = np.where(np.isfinite(v), v, 0.0)
+    f_many(ids, xs) returns [f_i(x) for i, x in zip(ids, xs)], the
+    integrands of the integrals numbered ids on their abscissae xs.  It
+    is called once per round, with the integrals that are not finished:
+    while any of them is scanning, a round serves only the scans, under
+    np.errstate(all="ignore"), and the others wait; then a round serves
+    every pending panel level.  A NonConvergent of any integral is
+    raised for the group.
+    """
+    def answer(ids, requests):
+        if not isinstance(requests[0], tuple):
+            with np.errstate(all="ignore"):
+                xs = [np.exp(u) for u in requests]
+                return [np.abs(v * x) for v, x in zip(f_many(ids, xs), xs)]
+        nodes = [_panel_nodes(lo, hi) for lo, hi in requests]
+        xs = [np.exp(u) for u, _ in nodes]
+        return [_panel_sums(u, v * x, h)
+                for (u, h), v, x in zip(nodes, f_many(ids, xs), xs)]
 
-    lo, hi = 0, n
-    if x_peak is not None and math.isfinite(x_peak) and x_peak > 0.0:
-        i = min(max(round((math.log(x_peak) - _U_LO) / _SCAN_STEP), 0), n)
-        lo, hi = max(i - _SCAN_HALF_BLOCK, 0), min(i + _SCAN_HALF_BLOCK, n)
-    sample(np.arange(lo, hi + 1))
-    if not vals.any() and hi - lo < n:
-        lo, hi = 0, n
-        sample(np.arange(lo, hi + 1))
-
-    while True:
-        top, left, right = _peak_range(vals, lo, hi, n, 1e-3 * _TAIL_EPS)
-        best = vals[top]
-        if best == 0.0:
-            return 0.0, 0.0
-        ends = (None, None)
-        if left is not None and right is not None:
-            coarse = float(np.sum(vals[left:right + 1])) * _SCAN_STEP
-            floor = _TAIL_EPS * max(coarse, best)
-            ends = (_expand(vals, top, -2, n, lo, hi, floor),
-                    _expand(vals, top, +2, n, lo, hi, floor))
-            if None not in ends:
-                break
-        # grow each side that ran out of samples by as many whole blocks
-        # as are known already, both sides in one call
-        width = hi - lo + 1
-        new_lo = max(lo - width, 0) if left is None or ends[0] is None else lo
-        new_hi = min(hi + width, n) if right is None or ends[1] is None else hi
-        sample(np.concatenate((np.arange(new_lo, lo),
-                               np.arange(hi + 1, new_hi + 1))))
-        lo, hi = new_lo, new_hi
-
-    (left, lbound), (right, rbound) = ends
-    val, err = quad_adaptive(g, _U_LO + left * _SCAN_STEP,
-                             _U_LO + right * _SCAN_STEP,
-                             tol_abs=_TOL_ABS, tol_rel=_TOL_REL)
-    return val, float(err + lbound + rbound)
+    return _lockstep([_positive_axis_steps(x_peak) for x_peak in x_peaks],
+                     answer)

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonConvergent, PoleCollision
-from .fading import cdf_ht, pdf_ht, snr_cdf, snr_pdf
-from .quadrature import quad_positive_axis
+from .fading import cdf_ht, h_from_snr, pdf_ht, snr_cdf, snr_pdf
+from .quadrature import quad_positive_axis, quad_positive_axis_many
 from .specfun import MeijerGSpec, log_beta, meijer_g
 
 _LN2 = math.log(2.0)
@@ -90,15 +90,47 @@ def _once(key, compute):
     return memo[key] if key in memo else memo.setdefault(key, compute())
 
 
+def _cdf_integrals(terms):
+    """[(value, error)] of the integrals over (0, inf) of
+    weight(x) * cdf_ht(fading, arg(x)), one per term (weight, fading,
+    arg, x_peak), run in lockstep: each round evaluates weight and arg
+    per integral and cdf_ht once per distinct fading.  cdf_ht acts
+    element by element, so each value is that of the integral alone.
+    """
+    def f_many(ids, xs):
+        args = [terms[i][2](x) for i, x in zip(ids, xs)]
+        cdfs = [None] * len(ids)
+        for fading in dict.fromkeys(terms[i][1] for i in ids):
+            sel = [k for k, i in enumerate(ids) if terms[i][1] == fading]
+            flat = cdf_ht(fading, np.concatenate([args[k].ravel()
+                                                  for k in sel]))
+            cuts = np.cumsum([args[k].size for k in sel])[:-1]
+            for k, part in zip(sel, np.split(flat, cuts)):
+                cdfs[k] = part.reshape(args[k].shape)
+        return [terms[i][0](x) * cdf for i, x, cdf in zip(ids, xs, cdfs)]
+
+    return quad_positive_axis_many(f_many, [term[3] for term in terms])
+
+
+def _integrals(key, terms):
+    # _cdf_integrals(terms), once per key and evaluate_scenario call
+    return _once(key, lambda: _cdf_integrals(terms))
+
+
+def _cross_terms(bob, eve):
+    # memo key and terms of the two fading cross terms both ASC routes
+    # integrate over SNR: one receiver's rate density times the other's
+    # CDF
+    def term(own, other):
+        return (lambda g: np.log1p(g) * snr_pdf(own, g), other.fading,
+                lambda g: h_from_snr(other, np.maximum(g, 0.0)),
+                _snr_mode(own))
+    return ("asc_cross", bob, eve), (term(bob, eve), term(eve, bob))
+
+
 def _asc_cross_terms(bob, eve):
-    # the two fading cross terms both ASC routes integrate, summed;
-    # (value, error) in nats
-    v1, e1 = quad_positive_axis(
-        lambda g: np.log1p(g) * snr_pdf(bob, g) * snr_cdf(eve, g),
-        x_peak=_snr_mode(bob))
-    v2, e2 = quad_positive_axis(
-        lambda g: np.log1p(g) * snr_pdf(eve, g) * snr_cdf(bob, g),
-        x_peak=_snr_mode(eve))
+    # the two cross terms summed, (value, error) in nats
+    (v1, e1), (v2, e2) = _integrals(*_cross_terms(bob, eve))
     return v1 + v2, e1 + e2
 
 
@@ -142,8 +174,7 @@ def asc_quadrature(scenario):
             lambda g: np.where(g < gb, (math.log1p(gb) - np.log1p(g))
                                * snr_pdf(eve, g), 0.0))
         return _asc_value(v1, e1, "quadrature")
-    cross, e_cross = _once(("asc_cross", bob, eve),
-                           lambda: _asc_cross_terms(bob, eve))
+    cross, e_cross = _asc_cross_terms(bob, eve)
     v3, e3 = quad_positive_axis(
         lambda g: np.log1p(g) * snr_pdf(eve, g), x_peak=_snr_mode(eve))
     return _asc_value(cross - v3, e_cross + e3, "quadrature")
@@ -176,8 +207,7 @@ def asc_closed_form(scenario):
     bob, eve = scenario.bob, scenario.eve
     if bob.fading.no_fading or eve.fading.no_fading:
         return replace(asc_quadrature(scenario), method="closed_form")
-    cross, e_cross = _once(("asc_cross", bob, eve),
-                           lambda: _asc_cross_terms(bob, eve))
+    cross, e_cross = _asc_cross_terms(bob, eve)
     v3, e3 = eve_ergodic_rate_closed_form(eve)
     return _asc_value(cross - v3, e_cross + e3, "closed_form")
 
@@ -192,6 +222,19 @@ def _outage_gain_threshold(scenario, h_eve):
     t2 = (offset + rate_factor * 4.0 * eve.mean_snr * h_eve * h_eve) \
         / (4.0 * bob.mean_snr)
     return np.sqrt(t2)
+
+
+def _outage_terms(scenario, lower_bound=False):
+    # memo key and term of the outage integral over Eve's gain: her
+    # density times Bob's CDF at the threshold gain, or at the lower
+    # bound's scaled gain
+    bob, eve = scenario.bob, scenario.eve
+    w = _lb_scale(scenario)
+    arg = ((lambda h: w * h) if lower_bound
+           else lambda h: _outage_gain_threshold(scenario, h))
+    return (("sop_lb" if lower_bound else "sop", scenario),
+            ((lambda h: pdf_ht(eve.fading, h), bob.fading, arg,
+              _gain_mode(eve.fading)),))
 
 
 def sop_exact(scenario):
@@ -211,9 +254,7 @@ def sop_exact(scenario):
             return MetricValue("sop", "quadrature", 1.0, 0.0)
         value = 1.0 - cdf_ht(eve.fading, math.sqrt(t2))
         return MetricValue("sop", "quadrature", value, 0.0)
-    value, err = _once(("sop", scenario), lambda: quad_positive_axis(
-        lambda h: cdf_ht(bob.fading, _outage_gain_threshold(scenario, h))
-        * pdf_ht(eve.fading, h), x_peak=_gain_mode(eve.fading)))
+    (value, err), = _integrals(*_outage_terms(scenario))
     value = min(max(value, 0.0), 1.0)
     return MetricValue("sop", "quadrature", value, err)
 
@@ -222,6 +263,16 @@ def _lb_scale(scenario):
     # argument of the outage lower bound: the rate-scaled rms gain ratio
     return (2.0 ** (0.5 * scenario.target_rate)
             * math.sqrt(scenario.eve.mean_snr / scenario.bob.mean_snr))
+
+
+def _lb_by_quadrature(scenario, method):
+    # whether sop_lower_bound(scenario, method) integrates: a branch
+    # without fading has an exact value, and the closed form needs both
+    # branches to share the fading shapes
+    bob, eve = scenario.bob.fading, scenario.eve.fading
+    if bob.no_fading or eve.no_fading:
+        return False
+    return method == "quadrature" or bob.a != eve.a or bob.b != eve.b
 
 
 def sop_lower_bound(scenario, method="closed_form"):
@@ -235,17 +286,11 @@ def sop_lower_bound(scenario, method="closed_form"):
     _check_method(method)
     bob, eve = scenario.bob, scenario.eve
     w = _lb_scale(scenario)
-    shared = (bob.fading.a == eve.fading.a and bob.fading.b == eve.fading.b)
-    degenerate = bob.fading.no_fading or eve.fading.no_fading
-    if method == "closed_form" and shared and not degenerate:
-        a, b = bob.fading.a, bob.fading.b
-        spec = MeijerGSpec(2, 3, 3, 3,
-                           (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0), w)
-        log_pref = -2.0 * (log_beta(a, b) + math.lgamma(a + b))
-        value, err = _once(spec, lambda: meijer_g(spec, log_scale=log_pref))
+    if _lb_by_quadrature(scenario, method):
+        (value, err), = _integrals(*_outage_terms(scenario, lower_bound=True))
         value = min(max(value, 0.0), 1.0)
-        return MetricValue("sop_lb", "closed_form", value, err)
-    if degenerate:
+        return MetricValue("sop_lb", "quadrature", value, err)
+    if eve.fading.no_fading or bob.fading.no_fading:
         if eve.fading.no_fading and not bob.fading.no_fading:
             value = cdf_ht(bob.fading, w)
         elif bob.fading.no_fading and not eve.fading.no_fading:
@@ -253,11 +298,12 @@ def sop_lower_bound(scenario, method="closed_form"):
         else:
             value = 1.0 if w > 1.0 else 0.0
         return MetricValue("sop_lb", "quadrature", value, 0.0)
-    value, err = quad_positive_axis(
-        lambda h: cdf_ht(bob.fading, w * h) * pdf_ht(eve.fading, h),
-        x_peak=_gain_mode(eve.fading))
+    a, b = bob.fading.a, bob.fading.b
+    spec = MeijerGSpec(2, 3, 3, 3, (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0), w)
+    log_pref = -2.0 * (log_beta(a, b) + math.lgamma(a + b))
+    value, err = _once(spec, lambda: meijer_g(spec, log_scale=log_pref))
     value = min(max(value, 0.0), 1.0)
-    return MetricValue("sop_lb", "quadrature", value, err)
+    return MetricValue("sop_lb", "closed_form", value, err)
 
 
 def spsc(scenario, method="quadrature"):
@@ -277,11 +323,40 @@ def spsc(scenario, method="quadrature"):
                        base.error + 0.5 * math.ulp(1.0 - base.value))
 
 
+def _plan_integrals(scenario, methods, metrics):
+    # run the CDF integrals the requested routes need as one lockstep
+    # group and keep them under the keys the routes read; a failed
+    # group keeps nothing, so each route meets its own failure
+    bob, eve = scenario.bob, scenario.eve
+    if bob.fading.no_fading or eve.fading.no_fading:
+        return
+    zero = replace(scenario, target_rate=0.0)
+    lb_routes = {m for m in _METHODS if _lb_by_quadrature(scenario, m)}
+    plan = {}
+    for metric, routes, (key, terms) in (
+            ("asc", set(_METHODS), _cross_terms(bob, eve)),
+            ("sop", {"quadrature"}, _outage_terms(scenario)),
+            ("sop_lb", lb_routes, _outage_terms(scenario, True)),
+            ("spsc", {"quadrature"}, _outage_terms(zero)),
+            ("spsc", lb_routes - {"quadrature"}, _outage_terms(zero, True))):
+        if ((metrics is None or metric in metrics)
+                and not routes.isdisjoint(methods)):
+            plan.setdefault(key, terms)
+    try:
+        results = _cdf_integrals([t for terms in plan.values() for t in terms])
+    except NonConvergent:
+        return
+    memo = _SHARED.get()
+    for key, terms in plan.items():
+        memo[key], results = results[:len(terms)], results[len(terms):]
+
+
 def evaluate_scenario(scenario, methods=_METHODS, metrics=None):
     """{method: its MetricValues in the CLI's row order (those among
     metrics, if given), or the PoleCollision or NonConvergent it raised}
     of one scenario; a term two routes share is computed once per call,
-    and each value equals that of the standalone route.
+    the CDF-weighted integrals all together, and each value equals that
+    of the standalone route.
     """
     if isinstance(methods, str):
         raise TypeError(f"methods is a tuple of names: ({methods!r},)")
@@ -290,6 +365,7 @@ def evaluate_scenario(scenario, methods=_METHODS, metrics=None):
     out = {}
     token = _SHARED.set({})
     try:
+        _plan_integrals(scenario, methods, metrics)
         for method in methods:
             # routes by module attribute, so a patched one takes effect
             quad = method == "quadrature"

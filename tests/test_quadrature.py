@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fsosec.errors import NonConvergent
-from fsosec.quadrature import kronrod_panel, quad_adaptive, quad_positive_axis
+from fsosec.quadrature import (kronrod_panel, quad_adaptive,
+                               quad_positive_axis, quad_positive_axis_many)
 
 
 def test_panel_exact_for_low_degree_polynomials():
@@ -128,6 +129,53 @@ def _gauss(x):
 def test_positive_axis_hint_cannot_change_the_result(x_peak):
     assert (quad_positive_axis(_gauss, x_peak=x_peak)
             == quad_positive_axis(_gauss))
+
+
+def _lognormal(x_mode, sigma):
+    mu = math.log(x_mode)
+    return lambda x: np.exp(-0.5 * ((np.log(x) - mu) / sigma) ** 2) / x
+
+
+def _lockstep(fs):
+    # f_many of the integrands fs, recording the 1-D (scan) requests
+    scans = [0] * len(fs)
+
+    def f_many(ids, xs):
+        for i, x in zip(ids, xs):
+            scans[i] += np.ndim(x) == 1
+        return [fs[i](x) for i, x in zip(ids, xs)]
+    return f_many, scans
+
+
+def test_lockstep_group_equals_separate_integrals():
+    members = (
+        (_gauss, 0.7),  # hinted
+        (lambda x: 1.0 / (1.0 + x) ** 3, None),  # full scan
+        (_lognormal(1e8, 3.0), 1e8),  # too wide for the first block
+        (lambda x: 0.0 * x, 0.5),  # zero everywhere
+    )
+    fs, x_peaks = zip(*members)
+    f_many, scans = _lockstep(fs)
+    got = quad_positive_axis_many(f_many, x_peaks)
+    want = [quad_positive_axis(f, x_peak=p) for f, p in members]
+    assert [tuple(map(float.hex, r)) for r in got] == \
+        [tuple(map(float.hex, r)) for r in want]
+    assert scans[2] > 1
+    assert want[3] == (0.0, 0.0)
+
+
+def test_lockstep_group_raises_a_member_failure():
+    # a nan at an integration node of one member fails the group with
+    # the member's own error
+    def bad(x):
+        return np.where((x > 0.5) & (x < 1.0), np.nan, np.exp(-x * x))
+
+    with pytest.raises(NonConvergent) as alone:
+        quad_positive_axis(bad, x_peak=0.7)
+    f_many, _ = _lockstep((_gauss, bad))
+    with pytest.raises(NonConvergent) as group:
+        quad_positive_axis_many(f_many, (0.7, 0.7))
+    assert str(group.value) == str(alone.value)
 
 
 @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0))

@@ -13,10 +13,11 @@ from fsosec.config import build_scenario, parse_config
 from fsosec.errors import NonConvergent, PoleCollision
 from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht, pdf_ht, snr_cdf,
                            snr_pdf)
-from fsosec.quadrature import quad_positive_axis
+from fsosec.quadrature import quad_positive_axis, quad_positive_axis_many
 from fsosec.secrecy import (WiretapScenario, asc_closed_form, asc_quadrature,
                             eve_ergodic_rate_closed_form, evaluate_scenario,
                             sop_exact, sop_lower_bound, spsc)
+from fsosec.specfun import reg_inc_beta
 
 BOB = SnrChannel(FFadingParams(9.1, 11.7), 472.7)
 EVE = SnrChannel(FFadingParams(9.1, 11.7), 48.3)
@@ -298,7 +299,11 @@ def test_peak_hints_leave_every_route_unchanged(monkeypatch):
     def full_scan(f, x_peak=None, **kwargs):
         return quad_positive_axis(f, **kwargs)
 
+    def full_scans(f_many, x_peaks):
+        return quad_positive_axis_many(f_many, [None] * len(x_peaks))
+
     monkeypatch.setattr(secrecy, "quad_positive_axis", full_scan)
+    monkeypatch.setattr(secrecy, "quad_positive_axis_many", full_scans)
     reference = [[(mv.value, mv.error) for mv in (r(s) for r in routes)]
                  for s in scenarios]
     assert hinted == reference
@@ -320,7 +325,20 @@ def test_shipped_configs_never_take_the_full_scan(monkeypatch):
         counts.append(n[0])
         return out
 
+    def counting_many(f_many, x_peaks):
+        # the same count for each integral of a lockstep group
+        n = [0] * len(x_peaks)
+
+        def g(ids, xs):
+            for i, x in zip(ids, xs):
+                n[i] += np.size(x)
+            return f_many(ids, xs)
+        out = quad_positive_axis_many(g, x_peaks)
+        counts.extend(n)
+        return out
+
     monkeypatch.setattr(secrecy, "quad_positive_axis", counting)
+    monkeypatch.setattr(secrecy, "quad_positive_axis_many", counting_many)
     for path in sorted(CONFIGS.glob("*.cfg")):
         rc = parse_config(str(path))
         points = rc.sweep.points()
@@ -359,8 +377,14 @@ def test_planner_computes_each_distinct_integral_once(monkeypatch, rate,
             return fn(*args, **kwargs)
         return wrapper
 
+    def counted_many(f_many, x_peaks):
+        # a lockstep group counts one integral per member
+        calls.extend(["integral"] * len(x_peaks))
+        return quad_positive_axis_many(f_many, x_peaks)
+
     monkeypatch.setattr(secrecy, "quad_positive_axis",
                         counted("integral", quad_positive_axis))
+    monkeypatch.setattr(secrecy, "quad_positive_axis_many", counted_many)
     monkeypatch.setattr(secrecy, "meijer_g",
                         counted("g", secrecy.meijer_g))
     scenario = _shipped_scenario(rate)
@@ -373,19 +397,42 @@ def test_planner_computes_each_distinct_integral_once(monkeypatch, rate,
     assert secrecy._SHARED.get() is None
 
 
-def test_shared_term_failure_fails_both_routes(monkeypatch):
-    # a failed shared term is not kept: each ASC route meets it itself
-    attempts = []
+def test_cdf_integrals_share_each_incomplete_beta_call(monkeypatch):
+    # the CDF-weighted integrals of a point run in lockstep, one
+    # incomplete-beta call per round: 2 at this point, 10 when each
+    # integral makes its own
+    calls = []
 
-    def fails(bob, eve):
+    def counted(*args):
+        calls.append(1)
+        return reg_inc_beta(*args)
+
+    monkeypatch.setattr("fsosec.fading.reg_inc_beta", counted)
+    report = evaluate_scenario(_shipped_scenario(0.5),
+                               ("quadrature", "closed_form"))
+    assert all(isinstance(rows, tuple) for rows in report.values())
+    assert 0 < len(calls) <= 3
+
+
+def test_shared_term_failure_fails_both_routes(monkeypatch):
+    # a failed shared term is not kept: the planner's group meets it
+    # once, then each ASC route meets it itself
+    attempts = []
+    real = secrecy._cross_terms
+
+    def fails(g):
         attempts.append(1)
         raise NonConvergent("synthetic")
 
-    monkeypatch.setattr(secrecy, "_asc_cross_terms", fails)
+    def failing_cross_terms(bob, eve):
+        key, ((_, fading, arg, x_peak), other) = real(bob, eve)
+        return key, ((fails, fading, arg, x_peak), other)
+
+    monkeypatch.setattr(secrecy, "_cross_terms", failing_cross_terms)
     report = evaluate_scenario(_shipped_scenario(0.5))
     assert isinstance(report["quadrature"], NonConvergent)
     assert isinstance(report["closed_form"], NonConvergent)
-    assert len(attempts) == 2
+    assert len(attempts) == 3
 
 
 def test_pole_collision_leaves_the_other_method(monkeypatch):
