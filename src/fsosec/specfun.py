@@ -9,10 +9,13 @@ computed by direct quadrature of its Mellin-Barnes representation
     G(z) = 1/(2*pi*i) * integral of Phi(s) z^s ds
 
 along a vertical contour Re(s) = c chosen inside the strip that
-separates the two Gamma pole families.  The abscissa is placed at the
-minimum of |Phi(c) z^c| on the strip (the real-axis saddle), which
-keeps the oscillatory cancellation of the contour integral mild for
-arguments far from 1.  No residue summation is performed, so parameter
+separates the two Gamma pole families.  Phi is first reduced: equal
+Gamma factors merge into one power, and Gamma(x + 1) = x Gamma(x) folds
+a factor into the one a unit below it, so each contour node takes
+fewer complex log-gammas.  The abscissa is placed at the minimum of
+|Phi(c) z^c| on the strip (the real-axis saddle), which keeps the
+oscillatory cancellation of the contour integral mild for arguments
+far from 1.  No residue summation is performed, so parameter
 sets with repeated or integer-spaced bottom parameters need no special
 casing.
 
@@ -151,9 +154,9 @@ def reg_inc_beta(x, a, b):
 
     Notes
     -----
-    Uses the continued fraction directly where x < a/(a+b) and the
-    complement identity I_x(a, b) = 1 - I_{1-x}(b, a) elsewhere, where
-    the fraction converges fastest.  Both halves run in one array loop,
+    Uses the continued fraction directly where x < (a+1)/(a+b+2) and
+    the complement identity I_x(a, b) = 1 - I_{1-x}(b, a) elsewhere,
+    where the fraction converges fastest.  Both halves run in one array loop,
     so a call costs about the same for one point as for a few hundred.
     """
     if not (a > 0.0 and b > 0.0):
@@ -165,7 +168,7 @@ def reg_inc_beta(x, a, b):
     inner = (x > 0.0) & (x < 1.0)
     if inner.any():
         xi = x[inner]
-        flip = xi >= a / (a + b)
+        flip = xi >= (a + 1.0) / (a + b + 2.0)
         k = len(xi) - int(np.count_nonzero(flip))
         order = np.argsort(flip, kind="stable")
         xs = xi[order]
@@ -271,12 +274,38 @@ def _gamma_factors(spec):
             + [(a, -1.0, -1.0) for a in spec.a_params[spec.n:]])
 
 
+def _reduce_factors(factors):
+    # Phi(s) as (gammas, linears): the product of Gamma(const + sign_s *
+    # s) ** power over gammas times (const + sign_s * s) ** power over
+    # linears.  Equal Gamma factors merge into one power, and
+    # Gamma(x + 1) = x Gamma(x) folds a factor into the one a unit below
+    # it whenever both are present (an exact float match of const), so
+    # fewer complex log-gammas are taken per contour node.  Folding from
+    # the top const down carries a whole unit-spaced chain to its base.
+    powers = {}
+    for const, sign_s, power in factors:
+        powers[const, sign_s] = powers.get((const, sign_s), 0.0) + power
+    linears = []
+    for const, sign_s in sorted(powers, reverse=True):
+        power = powers[const, sign_s]
+        if power and (const - 1.0, sign_s) in powers:
+            powers[const - 1.0, sign_s] += power
+            powers[const, sign_s] = 0.0
+            linears.append((const - 1.0, sign_s, power))
+    gammas = [(const, sign_s, power)
+              for (const, sign_s), power in powers.items() if power]
+    return gammas, linears
+
+
 def _log_phi_real(factors, c):
-    # log |Phi(c)| on the real axis; +inf marks a numerator pole.
+    # log |Phi(c)| on the real axis; +inf marks a pole of a factor
+    gammas, linears = factors
     total = 0.0
     try:
-        for const, sign_s, power in factors:
+        for const, sign_s, power in gammas:
             total += power * math.lgamma(const + sign_s * c)
+        for const, sign_s, power in linears:
+            total += power * math.log(abs(const + sign_s * c))
     except ValueError:
         return math.inf
     return total
@@ -285,15 +314,27 @@ def _log_phi_real(factors, c):
 def _log_phi_complex(factors, s):
     # log Phi(s) elementwise on an array of s: all Gamma factors go
     # through one log_gamma_complex call
+    gammas, linears = factors
     logs = log_gamma_complex(np.stack([const + sign_s * s
-                                       for const, sign_s, _ in factors]))
-    total = logs[0]
-    for (_, _, power), term in zip(factors[1:], logs[1:]):
-        total = total + term if power > 0.0 else total - term
+                                       for const, sign_s, _ in gammas]))
+    total = sum(power * term for (_, _, power), term in zip(gammas, logs))
+    for const, sign_s, power in linears:
+        total = total + power * np.log(const + sign_s * s)
     return total
 
 
-def _contour_abscissa(spec):
+def _log_convex(factors):
+    # whether log |Phi| is convex on the strip: Gamma is log-convex on
+    # the positive axis, where the strip keeps the argument of every
+    # surviving numerator factor, and -log|x| is convex on either side
+    # of 0, where a pole of Phi (outside the strip) keeps each
+    # negative-power linear factor
+    gammas, linears = factors
+    return (all(power > 0.0 for _, _, power in gammas)
+            and all(power < 0.0 for _, _, power in linears))
+
+
+def _contour_abscissa(spec, factors):
     # Strip separating the pole families: poles of Gamma(b_j - s) sit at
     # b_j, b_j+1, ...; poles of Gamma(1 - a_j + s) at a_j - 1, a_j - 2, ...
     lo = -math.inf
@@ -319,28 +360,29 @@ def _contour_abscissa(spec):
         hi = lo + 30.0
 
     # Saddle placement: minimize log |Phi(c) z^c| over the open strip.
-    factors = _gamma_factors(spec)
     lnz = math.log(spec.z)
     pad = 1e-3 * (hi - lo)
-    grid_lo = lo + pad
-    grid_hi = hi - pad
+    a0 = lo + pad
+    b0 = hi - pad
 
     def energy(c):
         return _log_phi_real(factors, c) + c * lnz
 
-    npts = 64
-    best_c = None
-    best_e = math.inf
-    for i in range(npts + 1):
-        c = grid_lo + (grid_hi - grid_lo) * i / npts
-        e = energy(c)
-        if e < best_e:
-            best_e = e
-            best_c = c
-    step = (grid_hi - grid_lo) / npts
-    a0 = max(grid_lo, best_c - step)
-    b0 = min(grid_hi, best_c + step)
-    # golden-section refinement of the bracket
+    if not _log_convex(factors):
+        # a grid locates the bracket of the lowest minimum
+        npts = 64
+        step = (b0 - a0) / npts
+        best_c = None
+        best_e = math.inf
+        for i in range(npts + 1):
+            c = a0 + (b0 - a0) * i / npts
+            e = energy(c)
+            if e < best_e:
+                best_e = e
+                best_c = c
+        a0, b0 = max(a0, best_c - step), min(b0, best_c + step)
+    # golden-section refinement of the bracket; a convex energy has one
+    # minimum on the strip, so its bracket is the whole strip
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b0 - invphi * (b0 - a0)
     x2 = a0 + invphi * (b0 - a0)
@@ -394,12 +436,15 @@ def meijer_g(spec, log_scale=0.0):
     if order not in _SUPPORTED_ORDERS:
         raise ValueError(f"unsupported G order {order}; "
                          f"supported: {sorted(_SUPPORTED_ORDERS)}")
-    c = _contour_abscissa(spec)
+    factors = _reduce_factors(_gamma_factors(spec))
+    c = _contour_abscissa(spec, factors)
     lnz = math.log(spec.z)
-    factors = _gamma_factors(spec)
-    terms = [power * math.lgamma(const + sign_s * c)
-             for const, sign_s, power in factors]
-    log_peak = _log_phi_real(factors, c) + c * lnz
+    gammas, linears = factors
+    terms = ([power * math.lgamma(const + sign_s * c)
+              for const, sign_s, power in gammas]
+             + [power * math.log(abs(const + sign_s * c))
+                for const, sign_s, power in linears])
+    log_peak = sum(terms) + c * lnz
 
     def log_w(t):
         # log of the contour integrand at c + i t over its value at c

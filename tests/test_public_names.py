@@ -16,6 +16,8 @@ KEPT = {
     "snr_pdf_gform": "documented Meijer-G cross-check route of snr_pdf",
     "snr_cdf_gform": "documented Meijer-G cross-check route of snr_cdf",
     "mc_asc": "imported by the benchmark smoke tests",
+    "cn2_profile": "patched by name by the benchmark tracer and integrated by "
+                   "the Rytov oracle test",
 }
 
 

@@ -75,13 +75,21 @@ def test_reg_inc_beta_array_matches_scalar():
             assert vi == pytest.approx(reg_inc_beta(float(xi), a, b), rel=1e-12, abs=1e-300)
 
 
+def _rounding_bound(x, a, b, value):
+    # the rounding of the log of the front factor, a ln x + b ln(1-x)
+    # - ln B(a, b), plus a few ulps of the fraction, relative to the
+    # value; a value below the normal range also rounds to the
+    # subnormal grid
+    eps = float(np.finfo(float).eps)
+    scale = (abs(a * math.log(x)) + abs(b * math.log1p(-x))
+             + abs(math.lgamma(a)) + abs(math.lgamma(b))
+             + abs(math.lgamma(a + b)) + 8.0)
+    return 2.0 * eps * scale * value + math.ulp(0.0)
+
+
 def test_reg_inc_beta_within_its_rounding_bound_of_mpmath():
     # seeded draws over the shapes the fading laws reach, against a
-    # 30-digit oracle.  The bound is the rounding of the log of the
-    # front factor, a ln x + b ln(1-x) - ln B(a, b), plus a few ulps
-    # of the fraction, relative to the value; a value below the normal
-    # range also rounds to the subnormal grid
-    eps = float(np.finfo(float).eps)
+    # 30-digit oracle
     rng = np.random.default_rng(20261018)
     n = 3000
     a = np.exp(rng.uniform(math.log(0.3), math.log(300.0), n))
@@ -91,11 +99,18 @@ def test_reg_inc_beta_within_its_rounding_bound_of_mpmath():
         for ai, bi, xi in zip(a.tolist(), b.tolist(), x.tolist()):
             got = reg_inc_beta(xi, ai, bi)
             want = mp.betainc(ai, bi, 0, xi, regularized=True)
-            scale = (abs(ai * math.log(xi)) + abs(bi * math.log1p(-xi))
-                     + abs(math.lgamma(ai)) + abs(math.lgamma(bi))
-                     + abs(math.lgamma(ai + bi)) + 8.0)
-            bound = 2.0 * eps * scale * want + math.ulp(0.0)
-            assert abs(got - want) <= bound, (ai, bi, xi)
+            assert abs(got - want) <= _rounding_bound(xi, ai, bi, want), (ai, bi, xi)
+
+
+def test_reg_inc_beta_small_a_large_b_below_the_switch_point():
+    # small a, large b: the complement fraction stalls just above
+    # a/(a+b) = 1.8e-4, the direct one converges up to the switch at
+    # (a+1)/(a+b+2) = 3.5e-3
+    a, b = 0.0533, 299.2
+    with mp.workdps(30):
+        for x in (1e-4, 2e-4, 5e-4, 3.4e-3):
+            want = mp.betainc(a, b, 0, x, regularized=True)
+            assert abs(reg_inc_beta(x, a, b) - want) <= _rounding_bound(x, a, b, want), x
 
 
 def test_reg_inc_beta_array_edge_values():

@@ -1,5 +1,7 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -59,6 +61,29 @@ def test_rytov_variance_against_scipy_quad():
         points=[1e3, 3e3, 1e4, 3e4, 1e5])
     want = 2.25 * k ** (7.0 / 6.0) * sec_z ** (11.0 / 6.0) * val
     assert rytov_variance(PROFILE, GEO) == pytest.approx(want, rel=1e-4)
+
+
+def test_rytov_variance_closed_form_against_mpmath():
+    # seeded draws of ground height, path length, zenith, wind and
+    # ground Cn2, against a 30-digit quadrature of the profile.  Paths
+    # from 1 km to 2000 km put L/H on both sides of s + 1, so both the
+    # series and the continued fraction of the incomplete gamma run
+    rng = np.random.default_rng(20261018)
+    with mp.workdps(30):
+        for _ in range(40):
+            hg = rng.uniform(0.0, 3e3)
+            hs = hg + math.exp(rng.uniform(math.log(1e3), math.log(2e6 - hg)))
+            geo = LinkGeometry(1.55e-6, hs, hg, math.radians(rng.uniform(0.0, 70.0)),
+                               1e-5, 0.05)
+            prof = TurbulenceProfile(rng.uniform(0.0, 40.0), rng.uniform(0.0, 1e-12))
+            breaks = [hg + d for d in (1e2, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5) if hg + d < hs]
+            path = mp.quad(lambda h: cn2_profile(prof, float(h)) * (h - hg) ** (mp.mpf(5) / 6),
+                           [hg, *breaks, hs])
+            k = 2 * mp.pi / mp.mpf(geo.wavelength_m)
+            sec_z = 1 / mp.cos(mp.mpf(geo.zenith_angle_rad))
+            want = mp.mpf(2.25) * k ** (mp.mpf(7) / 6) * sec_z ** (mp.mpf(11) / 6) * path
+            got = rytov_variance(prof, geo)
+            assert abs(got - want) <= 1e-13 * want, (hg, hs, prof)
 
 
 def test_rytov_scaling_with_zenith():
