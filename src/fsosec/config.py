@@ -208,36 +208,32 @@ def parse_config(path):
             raise ConfigError(
                 f"exactly one of {first} or {second} is required")
 
-    mc_samples, mc_seed, mc_batch = 1_000_000, 0, 1 << 16
+    # only the run controls the file sets: RunConfig holds the defaults
+    run = {}
     if cp.has_section("mc"):
         for key, text in cp.items("mc"):
             if key == "samples":
-                mc_samples = _int_field("mc", key, text, 1)
+                run["mc_samples"] = _int_field("mc", key, text, 1)
             elif key == "seed":
-                mc_seed = _int_field("mc", key, text, 0)
+                run["mc_seed"] = _int_field("mc", key, text, 0)
             elif key == "batch_size":
-                mc_batch = _int_field("mc", key, text, 1)
+                run["mc_batch_size"] = _int_field("mc", key, text, 1)
             else:
                 raise ConfigError(f"unknown key mc.{key}")
 
-    methods = ("quadrature", "closed_form")
-    output = None
     if cp.has_section("run"):
         for key, text in cp.items("run"):
             if key == "methods":
-                methods = parse_methods(text, "run.methods")
+                run["methods"] = parse_methods(text, "run.methods")
             elif key == "output":
-                output = text.strip()
+                run["output"] = text.strip()
             else:
                 raise ConfigError(f"unknown key run.{key}")
 
-    sweep = None
     if cp.has_section("sweep"):
-        sweep = _parse_sweep(cp, values)
+        run["sweep"] = _parse_sweep(cp, values)
 
-    return RunConfig(values=values, methods=methods, output=output,
-                     mc_samples=mc_samples, mc_seed=mc_seed,
-                     mc_batch_size=mc_batch, sweep=sweep)
+    return RunConfig(values=values, **run)
 
 
 def parse_methods(text, where="methods"):

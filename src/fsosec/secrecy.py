@@ -19,6 +19,7 @@ outage lower bound.
 """
 
 import math
+from contextlib import suppress
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
@@ -31,6 +32,7 @@ from .specfun import MeijerGSpec, log_beta, meijer_g
 
 _LN2 = math.log(2.0)
 _METHODS = ("quadrature", "closed_form")
+_METRICS = ("asc", "sop", "sop_lb", "spsc")
 # the terms the running evaluate_scenario call has computed so far
 _SHARED = ContextVar("fsosec_secrecy_shared", default=None)
 
@@ -112,25 +114,58 @@ def _cdf_integrals(terms):
     return quad_positive_axis_many(f_many, [term[3] for term in terms])
 
 
-def _integrals(key, terms):
-    # _cdf_integrals(terms), once per key and evaluate_scenario call
-    return _once(key, lambda: _cdf_integrals(terms))
+def _integrals(terms):
+    # _cdf_integrals of the terms {key: term}, from the running call's
+    # memo when it holds every key, else run as one group and kept there
+    memo = _SHARED.get()
+    if memo is not None and all(key in memo for key in terms):
+        return [memo[key] for key in terms]
+    results = _cdf_integrals(list(terms.values()))
+    if memo is not None:
+        memo.update(zip(terms, results))
+    return results
 
 
-def _cross_terms(bob, eve):
-    # memo key and terms of the two fading cross terms both ASC routes
-    # integrate over SNR: one receiver's rate density times the other's
-    # CDF
-    def term(own, other):
-        return (lambda g: np.log1p(g) * snr_pdf(own, g), other.fading,
-                lambda g: h_from_snr(other, np.maximum(g, 0.0)),
-                _snr_mode(own))
-    return ("asc_cross", bob, eve), (term(bob, eve), term(eve, bob))
+def _cdf_terms(scenario, metric, method):
+    """{memo key: (weight, fading, arg, x_peak)} of the CDF-weighted
+    integrals the route of metric by method takes, the one statement of
+    them; empty when it takes none: a branch without fading has an exact
+    value, and the lower bound's closed form a G-function.
+    """
+    bob, eve = scenario.bob, scenario.eve
+    if bob.fading.no_fading or eve.fading.no_fading:
+        return {}
+    if metric == "asc":
+        # both methods: one receiver's rate density over SNR times the
+        # other's CDF, each way round
+        def term(own, other):
+            return (lambda g: np.log1p(g) * snr_pdf(own, g), other.fading,
+                    lambda g: h_from_snr(other, np.maximum(g, 0.0)),
+                    _snr_mode(own))
+        return {("asc_bob", bob, eve): term(bob, eve),
+                ("asc_eve", bob, eve): term(eve, bob)}
+    if metric == "spsc":
+        # those of the zero-rate outage route spsc subtracts from one
+        return _cdf_terms(replace(scenario, target_rate=0.0),
+                          "sop" if method == "quadrature" else "sop_lb",
+                          method)
+    # outage: Eve's gain density times Bob's CDF at the threshold gain,
+    # or at the lower bound's scaled gain; the lower bound's closed form
+    # needs both branches to share the fading shapes
+    if metric == "sop":
+        arg = lambda h: _outage_gain_threshold(scenario, h)
+    elif method == "closed_form" and bob.fading == eve.fading:
+        return {}
+    else:
+        w = _lb_scale(scenario)
+        arg = lambda h: w * h
+    return {(metric, scenario): (lambda h: pdf_ht(eve.fading, h), bob.fading,
+                                 arg, _gain_mode(eve.fading))}
 
 
-def _asc_cross_terms(bob, eve):
+def _asc_cross_terms(scenario):
     # the two cross terms summed, (value, error) in nats
-    (v1, e1), (v2, e2) = _integrals(*_cross_terms(bob, eve))
+    (v1, e1), (v2, e2) = _integrals(_cdf_terms(scenario, "asc", None))
     return v1 + v2, e1 + e2
 
 
@@ -174,7 +209,7 @@ def asc_quadrature(scenario):
             lambda g: np.where(g < gb, (math.log1p(gb) - np.log1p(g))
                                * snr_pdf(eve, g), 0.0))
         return _asc_value(v1, e1, "quadrature")
-    cross, e_cross = _asc_cross_terms(bob, eve)
+    cross, e_cross = _asc_cross_terms(scenario)
     v3, e3 = quad_positive_axis(
         lambda g: np.log1p(g) * snr_pdf(eve, g), x_peak=_snr_mode(eve))
     return _asc_value(cross - v3, e_cross + e3, "quadrature")
@@ -207,7 +242,7 @@ def asc_closed_form(scenario):
     bob, eve = scenario.bob, scenario.eve
     if bob.fading.no_fading or eve.fading.no_fading:
         return replace(asc_quadrature(scenario), method="closed_form")
-    cross, e_cross = _asc_cross_terms(bob, eve)
+    cross, e_cross = _asc_cross_terms(scenario)
     v3, e3 = eve_ergodic_rate_closed_form(eve)
     return _asc_value(cross - v3, e_cross + e3, "closed_form")
 
@@ -224,55 +259,37 @@ def _outage_gain_threshold(scenario, h_eve):
     return np.sqrt(t2)
 
 
-def _outage_terms(scenario, lower_bound=False):
-    # memo key and term of the outage integral over Eve's gain: her
-    # density times Bob's CDF at the threshold gain, or at the lower
-    # bound's scaled gain
-    bob, eve = scenario.bob, scenario.eve
-    w = _lb_scale(scenario)
-    arg = ((lambda h: w * h) if lower_bound
-           else lambda h: _outage_gain_threshold(scenario, h))
-    return (("sop_lb" if lower_bound else "sop", scenario),
-            ((lambda h: pdf_ht(eve.fading, h), bob.fading, arg,
-              _gain_mode(eve.fading)),))
-
-
-def sop_exact(scenario):
-    """Secrecy outage probability by quadrature over the Eve gain."""
-    bob, eve = scenario.bob, scenario.eve
-    if eve.fading.no_fading and bob.fading.no_fading:
-        value = 1.0 if _outage_gain_threshold(scenario, 1.0) > 1.0 else 0.0
-        return MetricValue("sop", "quadrature", value, 0.0)
-    if eve.fading.no_fading:
-        value = cdf_ht(bob.fading, _outage_gain_threshold(scenario, 1.0))
-        return MetricValue("sop", "quadrature", value, 0.0)
-    if bob.fading.no_fading:
-        # outage iff Eve's gain exceeds the level that pins Bob at 1
-        t2 = (2.0 ** -scenario.target_rate * (4.0 * bob.mean_snr + 1.0)
-              - 1.0) / (4.0 * eve.mean_snr)
-        if t2 <= 0.0:
-            return MetricValue("sop", "quadrature", 1.0, 0.0)
-        value = 1.0 - cdf_ht(eve.fading, math.sqrt(t2))
-        return MetricValue("sop", "quadrature", value, 0.0)
-    (value, err), = _integrals(*_outage_terms(scenario))
-    value = min(max(value, 0.0), 1.0)
-    return MetricValue("sop", "quadrature", value, err)
-
-
 def _lb_scale(scenario):
     # argument of the outage lower bound: the rate-scaled rms gain ratio
     return (2.0 ** (0.5 * scenario.target_rate)
             * math.sqrt(scenario.eve.mean_snr / scenario.bob.mean_snr))
 
 
-def _lb_by_quadrature(scenario, method):
-    # whether sop_lower_bound(scenario, method) integrates: a branch
-    # without fading has an exact value, and the closed form needs both
-    # branches to share the fading shapes
+def _pinned_outage(scenario, bob_level, eve_level):
+    # outage probability when a branch has no fading, so its gain is
+    # pinned at 1: Bob's gain below bob_level when Eve's is pinned, or
+    # Eve's above eve_level when Bob's is
     bob, eve = scenario.bob.fading, scenario.eve.fading
-    if bob.no_fading or eve.no_fading:
-        return False
-    return method == "quadrature" or bob.a != eve.a or bob.b != eve.b
+    if bob.no_fading and eve.no_fading:
+        return 1.0 if bob_level > 1.0 else 0.0
+    if eve.no_fading:
+        return cdf_ht(bob, bob_level)
+    return 1.0 - cdf_ht(eve, eve_level)
+
+
+def sop_exact(scenario):
+    """Secrecy outage probability by quadrature over the Eve gain."""
+    terms = _cdf_terms(scenario, "sop", "quadrature")
+    if terms:
+        (value, err), = _integrals(terms)
+        return MetricValue("sop", "quadrature", min(max(value, 0.0), 1.0), err)
+    # Eve's gain above which Bob's pinned gain is in outage; 0 if t2 <= 0
+    bob, eve = scenario.bob, scenario.eve
+    t2 = (2.0 ** -scenario.target_rate * (4.0 * bob.mean_snr + 1.0)
+          - 1.0) / (4.0 * eve.mean_snr)
+    value = _pinned_outage(scenario, _outage_gain_threshold(scenario, 1.0),
+                           math.sqrt(max(t2, 0.0)))
+    return MetricValue("sop", "quadrature", value, 0.0)
 
 
 def sop_lower_bound(scenario, method="closed_form"):
@@ -286,18 +303,14 @@ def sop_lower_bound(scenario, method="closed_form"):
     _check_method(method)
     bob, eve = scenario.bob, scenario.eve
     w = _lb_scale(scenario)
-    if _lb_by_quadrature(scenario, method):
-        (value, err), = _integrals(*_outage_terms(scenario, lower_bound=True))
+    terms = _cdf_terms(scenario, "sop_lb", method)
+    if terms:
+        (value, err), = _integrals(terms)
         value = min(max(value, 0.0), 1.0)
         return MetricValue("sop_lb", "quadrature", value, err)
-    if eve.fading.no_fading or bob.fading.no_fading:
-        if eve.fading.no_fading and not bob.fading.no_fading:
-            value = cdf_ht(bob.fading, w)
-        elif bob.fading.no_fading and not eve.fading.no_fading:
-            value = 1.0 - cdf_ht(eve.fading, 1.0 / w)
-        else:
-            value = 1.0 if w > 1.0 else 0.0
-        return MetricValue("sop_lb", "quadrature", value, 0.0)
+    if bob.fading.no_fading or eve.fading.no_fading:
+        return MetricValue("sop_lb", "quadrature",
+                           _pinned_outage(scenario, w, 1.0 / w), 0.0)
     a, b = bob.fading.a, bob.fading.b
     spec = MeijerGSpec(2, 3, 3, 3, (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0), w)
     log_pref = -2.0 * (log_beta(a, b) + math.lgamma(a + b))
@@ -323,32 +336,15 @@ def spsc(scenario, method="quadrature"):
                        base.error + 0.5 * math.ulp(1.0 - base.value))
 
 
-def _plan_integrals(scenario, methods, metrics):
-    # run the CDF integrals the requested routes need as one lockstep
-    # group and keep them under the keys the routes read; a failed
-    # group keeps nothing, so each route meets its own failure
-    bob, eve = scenario.bob, scenario.eve
-    if bob.fading.no_fading or eve.fading.no_fading:
-        return
-    zero = replace(scenario, target_rate=0.0)
-    lb_routes = {m for m in _METHODS if _lb_by_quadrature(scenario, m)}
-    plan = {}
-    for metric, routes, (key, terms) in (
-            ("asc", set(_METHODS), _cross_terms(bob, eve)),
-            ("sop", {"quadrature"}, _outage_terms(scenario)),
-            ("sop_lb", lb_routes, _outage_terms(scenario, True)),
-            ("spsc", {"quadrature"}, _outage_terms(zero)),
-            ("spsc", lb_routes - {"quadrature"}, _outage_terms(zero, True))):
-        if ((metrics is None or metric in metrics)
-                and not routes.isdisjoint(methods)):
-            plan.setdefault(key, terms)
-    try:
-        results = _cdf_integrals([t for terms in plan.values() for t in terms])
-    except NonConvergent:
-        return
-    memo = _SHARED.get()
-    for key, terms in plan.items():
-        memo[key], results = results[:len(terms)], results[len(terms):]
+def _routes(method, metrics):
+    # the (metric, route, args) calls of one method in the CLI's row
+    # order, those among metrics if given; routes by module attribute,
+    # so a patched one takes effect
+    table = ((("asc", asc_quadrature, ()), ("sop", sop_exact, ()))
+             if method == "quadrature" else (("asc", asc_closed_form, ()),))
+    table += (("sop_lb", sop_lower_bound, (method,)),
+              ("spsc", spsc, (method,)))
+    return [row for row in table if metrics is None or row[0] in metrics]
 
 
 def evaluate_scenario(scenario, methods=_METHODS, metrics=None):
@@ -362,21 +358,25 @@ def evaluate_scenario(scenario, methods=_METHODS, metrics=None):
         raise TypeError(f"methods is a tuple of names: ({methods!r},)")
     for method in methods:
         _check_method(method)
+    if not set(metrics or ()) <= set(_METRICS):
+        raise ValueError(f"unknown metric name in {metrics!r}")
+    routes = {method: _routes(method, metrics) for method in methods}
     out = {}
     token = _SHARED.set({})
     try:
-        _plan_integrals(scenario, methods, metrics)
-        for method in methods:
-            # routes by module attribute, so a patched one takes effect
-            quad = method == "quadrature"
-            routes = (("asc", asc_quadrature if quad else asc_closed_form, ()),
-                      ("sop", sop_exact if quad else None, ()),
-                      ("sop_lb", sop_lower_bound, (method,)),
-                      ("spsc", spsc, (method,)))
+        # every route's CDF-weighted integrals as one group; a failed
+        # group keeps nothing, so each route meets its own failure
+        group = {}
+        for method, rows in routes.items():
+            for metric, _, _ in rows:
+                group.update(_cdf_terms(scenario, metric, method))
+        if group:
+            with suppress(NonConvergent):
+                _integrals(group)
+        for method, rows in routes.items():
             try:
-                out[method] = tuple(
-                    route(scenario, *args) for metric, route, args in routes
-                    if route and (metrics is None or metric in metrics))
+                out[method] = tuple(route(scenario, *args)
+                                    for _, route, args in rows)
             except (PoleCollision, NonConvergent) as exc:
                 out[method] = exc
     finally:

@@ -297,18 +297,16 @@ def _reduce_factors(factors):
     return gammas, linears
 
 
-def _log_phi_real(factors, c):
-    # log |Phi(c)| on the real axis; +inf marks a pole of a factor
+def _log_phi_terms(factors, c):
+    # the terms of log |Phi(c)| on the real axis, one per factor in the
+    # order they are summed; ValueError at a pole of a factor
     gammas, linears = factors
-    total = 0.0
-    try:
-        for const, sign_s, power in gammas:
-            total += power * math.lgamma(const + sign_s * c)
-        for const, sign_s, power in linears:
-            total += power * math.log(abs(const + sign_s * c))
-    except ValueError:
-        return math.inf
-    return total
+    terms = []
+    for const, sign_s, power in gammas:
+        terms.append(power * math.lgamma(const + sign_s * c))
+    for const, sign_s, power in linears:
+        terms.append(power * math.log(abs(const + sign_s * c)))
+    return terms
 
 
 def _log_phi_complex(factors, s):
@@ -366,7 +364,11 @@ def _contour_abscissa(spec, factors):
     b0 = hi - pad
 
     def energy(c):
-        return _log_phi_real(factors, c) + c * lnz
+        # log |Phi(c) z^c|; +inf marks a pole of a factor
+        try:
+            return sum(_log_phi_terms(factors, c)) + c * lnz
+        except ValueError:
+            return math.inf
 
     if not _log_convex(factors):
         # a grid locates the bracket of the lowest minimum
@@ -439,11 +441,7 @@ def meijer_g(spec, log_scale=0.0):
     factors = _reduce_factors(_gamma_factors(spec))
     c = _contour_abscissa(spec, factors)
     lnz = math.log(spec.z)
-    gammas, linears = factors
-    terms = ([power * math.lgamma(const + sign_s * c)
-              for const, sign_s, power in gammas]
-             + [power * math.log(abs(const + sign_s * c))
-                for const, sign_s, power in linears])
+    terms = _log_phi_terms(factors, c)
     log_peak = sum(terms) + c * lnz
 
     def log_w(t):

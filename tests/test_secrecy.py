@@ -13,6 +13,7 @@ from fsosec.config import build_scenario, parse_config
 from fsosec.errors import NonConvergent, PoleCollision
 from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht, pdf_ht, snr_cdf,
                            snr_pdf)
+from fsosec.mc import MC_METRICS
 from fsosec.quadrature import quad_positive_axis, quad_positive_axis_many
 from fsosec.secrecy import (WiretapScenario, asc_closed_form, asc_quadrature,
                             eve_ergodic_rate_closed_form, evaluate_scenario,
@@ -207,6 +208,9 @@ def test_evaluate_scenario_report():
         "closed_form": (closed[0], closed[2])}
     with pytest.raises(ValueError):
         evaluate_scenario(PAIR, ("fancy",))
+    # so is a metric name outside the four, rather than giving no rows
+    with pytest.raises(ValueError, match="unknown metric"):
+        evaluate_scenario(PAIR, metrics=("SOP",))
     # the one-method call form of earlier releases is refused by name
     with pytest.raises(TypeError, match=r"\('closed_form',\)"):
         evaluate_scenario(PAIR, "closed_form")
@@ -415,20 +419,23 @@ def test_cdf_integrals_share_each_incomplete_beta_call(monkeypatch):
 
 
 def test_shared_term_failure_fails_both_routes(monkeypatch):
-    # a failed shared term is not kept: the planner's group meets it
+    # a failed shared term is not kept: the scenario's group meets it
     # once, then each ASC route meets it itself
     attempts = []
-    real = secrecy._cross_terms
+    real = secrecy._cdf_terms
 
     def fails(g):
         attempts.append(1)
         raise NonConvergent("synthetic")
 
-    def failing_cross_terms(bob, eve):
-        key, ((_, fading, arg, x_peak), other) = real(bob, eve)
-        return key, ((fails, fading, arg, x_peak), other)
+    def failing_terms(scenario, metric, method):
+        terms = real(scenario, metric, method)
+        if metric == "asc":
+            key, (_, fading, arg, x_peak) = next(iter(terms.items()))
+            terms[key] = (fails, fading, arg, x_peak)
+        return terms
 
-    monkeypatch.setattr(secrecy, "_cross_terms", failing_cross_terms)
+    monkeypatch.setattr(secrecy, "_cdf_terms", failing_terms)
     report = evaluate_scenario(_shipped_scenario(0.5))
     assert isinstance(report["quadrature"], NonConvergent)
     assert isinstance(report["closed_form"], NonConvergent)
@@ -448,18 +455,27 @@ def test_pole_collision_leaves_the_other_method(monkeypatch):
 
 
 _STANDALONE = {
-    "quadrature": (asc_quadrature, sop_exact,
-                   lambda s: sop_lower_bound(s, method="quadrature"),
-                   lambda s: spsc(s, method="quadrature")),
-    "closed_form": (asc_closed_form,
-                    lambda s: sop_lower_bound(s, method="closed_form"),
-                    lambda s: spsc(s, method="closed_form")),
+    "quadrature": (("asc", asc_quadrature), ("sop", sop_exact),
+                   ("sop_lb", lambda s: sop_lower_bound(s, "quadrature")),
+                   ("spsc", lambda s: spsc(s, method="quadrature"))),
+    "closed_form": (("asc", asc_closed_form),
+                    ("sop_lb", lambda s: sop_lower_bound(s, "closed_form")),
+                    ("spsc", lambda s: spsc(s, method="closed_form"))),
 }
 
 
-def test_planner_values_equal_the_standalone_routes():
-    # library callers reach the routes directly, the cli through the
-    # planner: both must see the same floats
+def test_planner_values_equal_the_standalone_routes(monkeypatch):
+    # library callers reach the routes directly, the cli through
+    # evaluate_scenario: both must see the same floats, whatever the
+    # methods and metrics asked for, and no route of a scenario may
+    # integrate a CDF term outside its one lockstep group
+    groups = []
+
+    def recorded_many(f_many, x_peaks):
+        groups.append(len(x_peaks))
+        return quad_positive_axis_many(f_many, x_peaks)
+
+    monkeypatch.setattr(secrecy, "quad_positive_axis_many", recorded_many)
     calm = FFadingParams(math.inf, math.inf)
     bases = _drawn_scenarios(20261019, 8) + [
         WiretapScenario(BOB, SnrChannel(calm, 48.3)),
@@ -468,14 +484,30 @@ def test_planner_values_equal_the_standalone_routes():
     for base in bases:
         for rate in (0.0, 0.5):
             scenario = replace(base, target_rate=rate)
-            report = evaluate_scenario(scenario)
+            alone = {}
             for method, routes in _STANDALONE.items():
-                try:
-                    want = tuple(route(scenario) for route in routes)
-                except (NonConvergent, PoleCollision) as exc:
-                    assert type(report[method]) is type(exc)
-                    continue
-                assert report[method] == want
+                for metric, route in routes:
+                    try:
+                        alone[method, metric] = route(scenario)
+                    except (NonConvergent, PoleCollision) as exc:
+                        alone[method, metric] = type(exc)
+            for methods in (("quadrature",), ("closed_form",),
+                            ("quadrature", "closed_form")):
+                for metrics in (None, MC_METRICS):
+                    groups.clear()
+                    report = evaluate_scenario(scenario, methods, metrics)
+                    for method in methods:
+                        want = [alone[method, metric]
+                                for metric, _ in _STANDALONE[method]
+                                if metrics is None or metric in metrics]
+                        failed = [w for w in want if isinstance(w, type)]
+                        if failed:
+                            assert type(report[method]) is failed[0]
+                        else:
+                            assert report[method] == tuple(want)
+                    if all(isinstance(rows, tuple)
+                           for rows in report.values()):
+                        assert not any(groups[1:])
 
 
 def test_zero_sample_at_the_hint_keeps_the_scan_local():
