@@ -22,7 +22,6 @@ import json
 import math
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -69,31 +68,27 @@ def _csv(header, rows):
     return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
 
 
-def _map_points(items, worker, jobs):
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, items))
+def _map_points(items, worker):
+    # the per-point loop, named so bench/tracer.py can span it
     return [worker(item) for item in items]
 
 
 def _rows_over_points(rc, methods, jobs, point_rows):
-    """Rows of point_rows(coord, rc_point, methods, jobs_inside) over the
-    sweep.  The points share the jobs threads, or a single point gives
-    them all to its Monte Carlo."""
-    points = _sweep_points(rc)
-    jobs_inside = 1 if (jobs > 1 and len(points) > 1) else jobs
+    """Rows of point_rows(coord, rc_point, methods, jobs) over the sweep,
+    point by point in sweep order; jobs goes to each point's Monte Carlo."""
 
     def worker(item):
         coord, rc_point = item
-        return point_rows(coord, rc_point, methods, jobs_inside)
+        return point_rows(coord, rc_point, methods, jobs)
 
-    return [row for chunk in _map_points(points, worker, jobs) for row in chunk]
+    return [row for chunk in _map_points(_sweep_points(rc), worker)
+            for row in chunk]
 
 
 _STATUS = {PoleCollision: "pole_collision", NonConvergent: "non_convergent"}
 
 
-def _evaluate_point(rc, methods, jobs_inside, metrics=None):
+def _evaluate_point(rc, methods, jobs, metrics=None):
     """(method, outcome) pairs of one sweep point, in the order of methods.
 
     The outcome is the method's MetricValues, or the status string that
@@ -107,7 +102,7 @@ def _evaluate_point(rc, methods, jobs_inside, metrics=None):
         scenario, [m for m in methods if m != "monte_carlo"], metrics)
     if "monte_carlo" in methods:
         cfg = McConfig(samples=rc.mc_samples, seed=rc.mc_seed,
-                       jobs=jobs_inside, batch_size=rc.mc_batch_size)
+                       jobs=jobs, batch_size=rc.mc_batch_size)
         outcomes["monte_carlo"] = [
             MetricValue(name, "monte_carlo", est.mean, est.std_error)
             for name, est in zip(MC_METRICS, mc_metrics(scenario, cfg))]
@@ -115,10 +110,10 @@ def _evaluate_point(rc, methods, jobs_inside, metrics=None):
             for method in methods]
 
 
-def _metric_rows_for_point(coord, rc, methods, jobs_inside):
+def _metric_rows_for_point(coord, rc, methods, jobs):
     """All CSV rows of one sweep point; failures become status rows."""
     rows = []
-    for method, outcome in _evaluate_point(rc, methods, jobs_inside):
+    for method, outcome in _evaluate_point(rc, methods, jobs):
         if isinstance(outcome, str):
             rows.append((coord, "all", method, "", "", outcome))
             continue
@@ -161,7 +156,7 @@ def _gnuplot_table(rows):
     return "\n".join(lines) + "\n"
 
 
-def cmd_link_budget(rc, jobs):
+def cmd_link_budget(rc):
     """Deterministic budget table text over the sweep."""
 
     def worker(item):
@@ -170,13 +165,13 @@ def cmd_link_budget(rc, jobs):
         return (coord,) + tuple(
             fmt_number(getattr(state, name)) for name in _BUDGET_COLUMNS)
 
-    rows = _map_points(_sweep_points(rc), worker, jobs)
+    rows = _map_points(_sweep_points(rc), worker)
     return _csv("sweep_value," + ",".join(_BUDGET_COLUMNS), rows)
 
 
-def _validate_rows_for_point(coord, rc, methods, jobs_inside):
+def _validate_rows_for_point(coord, rc, methods, jobs):
     """z-score rows of one sweep point; failures become status rows."""
-    outcomes = _evaluate_point(rc, methods, jobs_inside, MC_METRICS)
+    outcomes = _evaluate_point(rc, methods, jobs, MC_METRICS)
     mc = dict(outcomes)["monte_carlo"]
     reference = {} if isinstance(mc, str) else {e.metric: e for e in mc}
     rows = []
@@ -221,15 +216,15 @@ def cmd_validate(rc, methods, jobs):
     return text, any_fail, any_status
 
 
-def _manifest(rc, args, command, out_path):
+def _manifest(rc, args, methods, out_path):
     with open(args.config, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     return json.dumps({
-        "command": command,
+        "command": args.command,
         "config": args.config,
         "config_sha256": digest,
         "jobs": args.jobs,
-        "methods": list(_resolved_methods(rc, args)),
+        "methods": list(methods),
         "mc_samples": rc.mc_samples,
         "numpy_version": np.__version__,
         "output": out_path,
@@ -237,12 +232,6 @@ def _manifest(rc, args, command, out_path):
         "seed": rc.mc_seed,
         "version": __version__,
     }, sort_keys=True, indent=2) + "\n"
-
-
-def _resolved_methods(rc, args):
-    if getattr(args, "methods", None):
-        return parse_methods(args.methods, "--methods")
-    return rc.methods
 
 
 def _write(text, out_path, manifest_text=None):
@@ -273,7 +262,9 @@ def _build_parser():
                        help="comma-separated subset of quadrature, "
                             "closed_form, monte_carlo")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads (default 1)")
+                       help="Monte Carlo worker threads (default 1); sweep "
+                            "points run in order and the output is the same "
+                            "at any value")
         if name == "metrics":
             p.add_argument("--gnuplot", action="store_true",
                            help="wide whitespace table instead of CSV")
@@ -290,23 +281,24 @@ def main(argv=None):
             rc = replace(rc, mc_seed=args.seed)
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-        methods = _resolved_methods(rc, args)
+        methods = (parse_methods(args.methods, "--methods")
+                   if args.methods else rc.methods)
         out_path = args.out if args.out is not None else rc.output
 
         if args.command == "link-budget":
-            text = cmd_link_budget(rc, args.jobs)
-            _write(text, out_path, _manifest(rc, args, args.command, out_path))
+            text = cmd_link_budget(rc)
+            _write(text, out_path, _manifest(rc, args, methods, out_path))
             return _EXIT_OK
         if args.command == "metrics":
             text, failed = cmd_metrics(rc, methods, args.jobs,
                                        gnuplot=args.gnuplot)
-            _write(text, out_path, _manifest(rc, args, args.command, out_path))
+            _write(text, out_path, _manifest(rc, args, methods, out_path))
             return _EXIT_NUMERICS if failed else _EXIT_OK
         if "monte_carlo" not in methods or len(methods) < 2:
             raise ConfigError("validate needs monte_carlo plus at least "
                               "one analytic method")
         text, any_fail, any_status = cmd_validate(rc, methods, args.jobs)
-        _write(text, out_path, _manifest(rc, args, args.command, out_path))
+        _write(text, out_path, _manifest(rc, args, methods, out_path))
         if any_status:
             return _EXIT_NUMERICS
         if any_fail:

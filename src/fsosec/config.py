@@ -156,9 +156,12 @@ class RunConfig:
 
 def _parse_number(path, text, cast=float):
     try:
-        return cast(text)
+        value = cast(text)
     except ValueError:
         raise ConfigError(f"{path}: cannot parse {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
+    return value
 
 
 def _int_field(section, key, text, minimum):

@@ -3,8 +3,9 @@
 Sampling is counter-based: the logical sample stream is fixed by
 (seed, batch index) through a Philox generator, so the decomposition
 into worker threads never changes the drawn samples or the reduction
-order.  Worker results are merged sorted by batch index; the estimate
-for a given seed and sample count is identical for any worker count.
+order.  Batch results are reduced in batch-index order whether they
+come from the serial loop or the thread pool, so the estimate for a
+given seed and sample count is identical for any worker count.
 """
 
 import math
@@ -83,14 +84,13 @@ def mc_metrics(scenario, cfg):
     ct = scenario.target_rate
 
     def one(item):
-        index, size = item
-        d = _capacity_delta_batch(scenario, cfg, index, size)
+        d = _capacity_delta_batch(scenario, cfg, *item)
         # both events counted, so a nan difference falls in neither
         outage = float(np.count_nonzero(d <= 0.0 if ct == 0.0 else d < ct))
         positive = float(np.count_nonzero(d > 0.0))
         np.maximum(d, 0.0, out=d)
-        return index, [(float(np.sum(d)), float(np.sum(d * d))),
-                       (outage, outage), (positive, positive)], size
+        return [(float(np.sum(d)), float(np.sum(d * d))),
+                (outage, outage), (positive, positive)]
 
     items = _batches(cfg)
     if cfg.jobs > 1:
@@ -98,9 +98,7 @@ def mc_metrics(scenario, cfg):
             parts = list(pool.map(one, items))
     else:
         parts = [one(it) for it in items]
-    parts.sort(key=lambda p: p[0])
-    n = sum(size for _, _, size in parts)
-    return tuple(_estimate([sums[k] for _, sums, _ in parts], n)
+    return tuple(_estimate([sums[k] for sums in parts], cfg.samples)
                  for k in range(len(MC_METRICS)))
 
 

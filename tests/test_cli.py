@@ -3,6 +3,7 @@ import importlib.util
 import json
 import hashlib
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import fsosec.cli as cli
 from fsosec.cli import fmt_number, main
 from fsosec.errors import NonConvergent, PoleCollision
 from fsosec.mc import McEstimate, mc_metrics
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = """\
 [geometry]
@@ -127,6 +130,19 @@ def test_metrics_byte_identical_across_runs_and_jobs(sweep_cfg, tmp_path):
         outs.append(Path(out).read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] == outs[2]
+
+
+def test_every_point_gives_its_monte_carlo_all_jobs(sweep_cfg, monkeypatch, capsys):
+    # sweep points run in order; each hands all --jobs to its own batches
+    seen = []
+
+    def recording(scenario, mc_cfg):
+        seen.append(mc_cfg.jobs)
+        return mc_metrics(scenario, mc_cfg)
+    monkeypatch.setattr(cli, "mc_metrics", recording)
+    assert main(["metrics", "--config", sweep_cfg, "--methods", "monte_carlo",
+                 "--jobs", "3"]) == 0
+    assert seen == [3, 3, 3]
 
 
 def test_metrics_seed_changes_mc_rows(cfg, tmp_path):
@@ -336,6 +352,18 @@ def test_config_error_exits(cfg, tmp_path, capsys):
     assert main(["metrics", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("key", ["satellite_altitude_km", "divergence_urad",
+                                 "cn2_ground", "wind_speed_m_s"])
+def test_non_finite_value_is_a_config_error(key, tmp_path, capsys):
+    # inf passes the range rules (inf > 0) but breaks the physics later
+    text = (CONFIGS / "zenith-sweep.cfg").read_text()
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(re.sub(rf"^{key} = .*$", f"{key} = inf", text, flags=re.M))
+    assert bad.read_text() != text
+    assert main(["metrics", "--config", str(bad)]) == 2
+    assert f"{key}: must be finite" in capsys.readouterr().err
 
 
 def test_run_section_output_path(tmp_path, capsys):

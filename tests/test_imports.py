@@ -1,7 +1,8 @@
 """Guard the package's dependencies: the standard library and numpy.
 
 scipy and mpmath are test oracles only; a module of ``src/fsosec`` that
-imports anything else fails here.
+imports anything else fails here.  Threads are started in one place,
+the Monte Carlo batches of ``mc.py``.
 """
 import ast
 import sys
@@ -25,3 +26,11 @@ def test_package_imports_only_the_standard_library_and_numpy():
              for root in _imported_roots(ast.parse(path.read_text()))
              if root not in ALLOWED}
     assert found == set()
+
+
+def test_only_mc_starts_threads():
+    found = {path.name
+             for path in sorted(PACKAGE.glob("*.py"))
+             if {"concurrent", "threading"}
+             & set(_imported_roots(ast.parse(path.read_text())))}
+    assert found == {"mc.py"}
