@@ -9,7 +9,7 @@ bound) and the probability of strictly positive secrecy capacity.
 
 Every metric is computable three independent ways: adaptive quadrature
 of the defining integrals, closed forms built on a numerical Meijer-G
-evaluator, and Monte Carlo simulation with a counter-based RNG.
+evaluator, and Monte Carlo simulation on a seed-determined stream.
 """
 
 from .errors import ConfigError, FsosecError, NonConvergent, PoleCollision

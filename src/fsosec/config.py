@@ -46,6 +46,13 @@ def _nonneg(x):
     return x >= 0.0
 
 
+def _db_to_linear(key, db):
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{key}: {db!r} dB overflows a float") from None
+
+
 # One entry per recognised numeric leaf; anything else in these
 # sections is rejected with its field path.
 _RULES = {
@@ -114,7 +121,8 @@ class SweepSpec:
         if self.scale == "linear":
             return [(x, x) for x in grid]
         if self.scale == "db":
-            return [(x, 10.0 ** (x / 10.0)) for x in grid]
+            key = f"sweep: {self.variable}"
+            return [(x, _db_to_linear(key, x)) for x in grid]
         # log: the grid above runs over exponents of the endpoints
         la, lb = math.log(self.start), math.log(self.stop)
         if n == 1:
@@ -387,7 +395,7 @@ def link_state(rc):
     snr_bob = mean_snr_from_budget(power, noise_bob, h_a * h_s_bob * h_c)
     ratio_db = rc.value("link.eve_snr_ratio_db")
     if ratio_db is not None:
-        snr_eve = snr_bob * 10.0 ** (ratio_db / 10.0)
+        snr_eve = snr_bob * _db_to_linear("link.eve_snr_ratio_db", ratio_db)
     else:
         snr_eve = mean_snr_from_budget(power, noise_eve, h_a * h_s_eve * h_c)
 

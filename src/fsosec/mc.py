@@ -1,8 +1,9 @@
 """Monte Carlo reference estimates for the secrecy metrics.
 
-Sampling is counter-based: the logical sample stream is fixed by
-(seed, batch index) through a Philox generator, so the decomposition
-into worker threads never changes the drawn samples or the reduction
+Each batch draws from its own SFC64 generator, seeded by
+SeedSequence([seed, batch index]), so the logical sample stream is a
+pure function of (seed, batch index) and the decomposition into
+worker threads never changes the drawn samples or the reduction
 order.  Batch results are reduced in batch-index order whether they
 come from the serial loop or the thread pool, so the estimate for a
 given seed and sample count is identical for any worker count.
@@ -57,7 +58,7 @@ def _log2_capacity(h, mean_snr):
 def _capacity_delta_batch(scenario, cfg, index, size):
     # log2 SNR-capacity difference for one batch; the sign carries the
     # outage information so every metric reads off the same stream
-    rng = np.random.Generator(np.random.Philox(
+    rng = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence([cfg.seed, index])))
     bob, eve = scenario.bob, scenario.eve
     d = _log2_capacity(sample_ht(bob.fading, rng, size), bob.mean_snr)

@@ -366,6 +366,28 @@ def test_non_finite_value_is_a_config_error(key, tmp_path, capsys):
     assert f"{key}: must be finite" in capsys.readouterr().err
 
 
+def test_fixed_db_overflow_is_a_config_error(tmp_path, capsys):
+    text = (CONFIGS / "zenith-sweep.cfg").read_text()
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace("[link]\n",
+                                "[link]\neve_snr_ratio_db = 4000\n"))
+    assert main(["link-budget", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: link.eve_snr_ratio_db:" in err
+
+
+def test_swept_db_overflow_is_a_config_error(tmp_path, capsys):
+    text = (CONFIGS / "zenith-sweep.cfg").read_text()
+    sweep = text[:text.index("[sweep]")] + (
+        "[sweep]\nvariable = link.eve_snr_ratio_db\n"
+        "start = 3000\nstop = 4000\ncount = 3\nscale = db\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(sweep)
+    assert main(["link-budget", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: sweep: link.eve_snr_ratio_db:" in err
+
+
 def test_run_section_output_path(tmp_path, capsys):
     out = tmp_path / "from_cfg.csv"
     p = tmp_path / "run.cfg"
