@@ -396,6 +396,9 @@ def link_state(rc):
     ratio_db = rc.value("link.eve_snr_ratio_db")
     if ratio_db is not None:
         snr_eve = snr_bob * _db_to_linear("link.eve_snr_ratio_db", ratio_db)
+        if math.isinf(snr_eve):
+            raise ConfigError(f"link.eve_snr_ratio_db: {ratio_db!r} dB "
+                              "overflows Eve's mean SNR")
     else:
         snr_eve = mean_snr_from_budget(power, noise_eve, h_a * h_s_eve * h_c)
 

@@ -366,11 +366,14 @@ def test_non_finite_value_is_a_config_error(key, tmp_path, capsys):
     assert f"{key}: must be finite" in capsys.readouterr().err
 
 
-def test_fixed_db_overflow_is_a_config_error(tmp_path, capsys):
+# 4000 dB overflows the power itself; 3080 dB gives a finite ratio
+# whose product with Bob's mean SNR overflows.
+@pytest.mark.parametrize("db", ["4000", "3080"])
+def test_fixed_db_overflow_is_a_config_error(tmp_path, capsys, db):
     text = (CONFIGS / "zenith-sweep.cfg").read_text()
     bad = tmp_path / "bad.cfg"
     bad.write_text(text.replace("[link]\n",
-                                "[link]\neve_snr_ratio_db = 4000\n"))
+                                f"[link]\neve_snr_ratio_db = {db}\n"))
     assert main(["link-budget", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "config error: link.eve_snr_ratio_db:" in err

@@ -3,17 +3,18 @@
 Run from anywhere, with two checkouts of the repository:
 
     python3 tools/bench_pairs.py BEFORE AFTER --workload mc-sweep \
-        --pairs 10 --out BENCH.json
+        --out BENCH.json
 
-Each pair runs ``python3 bench/run.py --workload W`` once in BEFORE,
-then once in AFTER (the order alternates from pair to pair, so a slow
-drift of the machine does not favour one side).  The entry keyed
-"WORKLOAD/seedSEED" in OUT holds the last-line metrics of every run,
-the median and quartiles of each end-to-end metric per side, the
-number of pairs the AFTER side won on each, and the machine of the
-first run (nproc, CPU model, Python and numpy versions).  Other
-entries already in OUT are kept, so one file can gather several
-workloads and seeds.
+Each of ten pairs runs ``python3 bench/run.py --workload W`` once in
+BEFORE, then once in AFTER (the order alternates from pair to pair, so
+a slow drift of the machine does not favour one side); ``bench/run.py``
+alone sets the run length, and the seed unless --seed is passed on.
+The entry keyed "WORKLOAD/seedSEED" in OUT, named by the seed the runs
+report, holds the last-line metrics of every run, the median and
+quartiles of each end-to-end metric per side, the number of pairs the
+AFTER side won on each, and the machine of the first run (nproc, CPU
+model, Python and numpy versions).  Other entries already in OUT are
+kept, so one file can gather several workloads and seeds.
 """
 
 import argparse
@@ -24,15 +25,17 @@ import sys
 from pathlib import Path
 
 SIDES = ("before", "after")
+PAIRS = 10
 
 
-def _run(checkout, workload, seed, seconds):
-    out = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, check=True, capture_output=True, text=True).stdout
+def _run(checkout, workload, seed):
+    command = [sys.executable, "bench/run.py", "--workload", workload]
+    if seed is not None:
+        command += ["--seed", str(seed)]
+    out = subprocess.run(command, cwd=checkout, check=True,
+                         capture_output=True, text=True).stdout
     machine_line, metrics_line = out.strip().splitlines()[-2:]
-    return json.loads(machine_line)["machine"], json.loads(metrics_line)
+    return json.loads(machine_line), json.loads(metrics_line)
 
 
 def _revision(checkout):
@@ -52,24 +55,19 @@ def main(argv=None):
     parser.add_argument("before", type=Path)
     parser.add_argument("after", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("quartiles need --pairs >= 2")
 
     spec = json.loads((args.after / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = dict(zip(SIDES, (args.before, args.after)))
     runs = {side: [] for side in SIDES}
-    machine = None
-    for pair in range(args.pairs):
+    first = None
+    for pair in range(PAIRS):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            m, result = _run(checkouts[side], args.workload, args.seed,
-                             args.seconds)
-            machine = machine or m
+            line, result = _run(checkouts[side], args.workload, args.seed)
+            first = first or line
             runs[side].append(result)
             values = {k: v["value"] for k, v in result["metrics"].items()}
             print(f"pair {pair} {side}: {json.dumps(values)}",
@@ -87,10 +85,10 @@ def main(argv=None):
         }
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record[f"{args.workload}/seed{args.seed}"] = {
-        "seconds": args.seconds, "pairs": args.pairs,
+    record[f"{args.workload}/seed{first['seed']}"] = {
+        "pairs": PAIRS,
         "revisions": {side: _revision(checkouts[side]) for side in SIDES},
-        "machine": machine, "summary": summary, "runs": runs,
+        "machine": first["machine"], "summary": summary, "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
