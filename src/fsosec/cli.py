@@ -20,8 +20,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
+from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
@@ -234,15 +236,24 @@ def _manifest(rc, args, methods, out_path):
     }, sort_keys=True, indent=2) + "\n"
 
 
-def _write(text, out_path, manifest_text=None):
+def _write(text, out_path, manifest_text):
     if out_path is None:
         sys.stdout.write(text)
         return
-    with open(out_path, "w", newline="") as fh:
-        fh.write(text)
-    if manifest_text is not None:
-        with open(out_path + ".manifest.json", "w", newline="") as fh:
-            fh.write(manifest_text)
+    written = []
+    try:
+        for path, content in ((out_path, text),
+                              (out_path + ".manifest.json", manifest_text)):
+            with open(path, "w", newline="") as fh:
+                written.append(path)
+                fh.write(content)
+    except OSError as exc:
+        # a file this run opened is incomplete or orphaned: remove it
+        for done in written:
+            with suppress(OSError):
+                os.remove(done)
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") \
+            from None
 
 
 def _build_parser():

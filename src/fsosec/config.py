@@ -370,6 +370,21 @@ class LinkState:
     target_rate_bits: float
 
 
+def _budget_snr(receiver, pointing_key, power, noise, h_a, h_s, h_c):
+    # mean SNR of one receiver's budget; one that underflows to 0 is
+    # named by the key of the first zero gain, or by link.tx_power_w
+    keys = ("atmosphere", pointing_key, "atmosphere")
+    gain = h_a * h_s * h_c
+    snr = mean_snr_from_budget(power, noise, gain) if gain > 0.0 else 0.0
+    if snr == 0.0:
+        key = next((k for k, g in zip(keys, (h_a, h_s, h_c)) if g == 0.0),
+                   "link.tx_power_w")
+        raise ConfigError(f"{key}: {receiver}'s mean SNR underflows to 0 "
+                          f"(atmospheric, pointing and cloud gains "
+                          f"{h_a!r}, {h_s!r}, {h_c!r})")
+    return snr
+
+
 def link_state(rc):
     """Evaluate the deterministic budget and the fading shapes.
 
@@ -392,15 +407,18 @@ def link_state(rc):
     noise_eve = rc.value("link.eve_noise_std_a")
     if noise_eve is None:
         noise_eve = noise_bob
-    snr_bob = mean_snr_from_budget(power, noise_bob, h_a * h_s_bob * h_c)
+    snr_bob = _budget_snr("Bob", "geometry.pointing_offset_m", power,
+                          noise_bob, h_a, h_s_bob, h_c)
     ratio_db = rc.value("link.eve_snr_ratio_db")
     if ratio_db is not None:
         snr_eve = snr_bob * _db_to_linear("link.eve_snr_ratio_db", ratio_db)
-        if math.isinf(snr_eve):
-            raise ConfigError(f"link.eve_snr_ratio_db: {ratio_db!r} dB "
-                              "overflows Eve's mean SNR")
+        if math.isinf(snr_eve) or snr_eve == 0.0:
+            raise ConfigError(
+                f"link.eve_snr_ratio_db: {ratio_db!r} dB "
+                f"{'overflows' if snr_eve else 'underflows'} Eve's mean SNR")
     else:
-        snr_eve = mean_snr_from_budget(power, noise_eve, h_a * h_s_eve * h_c)
+        snr_eve = _budget_snr("Eve", "geometry.eve_separation_m", power,
+                              noise_eve, h_a, h_s_eve, h_c)
 
     rytov = rytov_variance(profile, geom)
     a, b = fading_shapes_from_rytov(rytov)

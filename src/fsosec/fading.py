@@ -215,10 +215,6 @@ def snr_pdf_gform(channel, snr):
 
 def snr_cdf_gform(channel, snr):
     """SNR distribution via the Meijer-G route; returns (value, error)."""
-    a, b = channel.fading.a, channel.fading.b
     if not snr > 0.0:
         raise ValueError("G-form SNR distribution needs snr > 0")
-    x = a / (b - 1.0) * math.sqrt(snr / (4.0 * channel.mean_snr))
-    spec = MeijerGSpec(1, 2, 2, 2, (1.0 - b, 1.0), (a, 0.0), x)
-    log_pref = -log_beta(a, b) - math.lgamma(a + b)
-    return meijer_g(spec, log_scale=log_pref)
+    return cdf_ht_gform(channel.fading, h_from_snr(channel, snr))

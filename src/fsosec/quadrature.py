@@ -104,23 +104,20 @@ def kronrod_panel(f, a, b):
 
 def _lockstep(steps, answer):
     # run step generators to their return values together: each round,
-    # answer(ids, requests) replies to the pending scan requests (u
-    # arrays) or, when none is left, to the pending panel requests
-    # ((lo, hi) pairs), so a round holds one kind only
+    # answer(ids, requests) replies to every request pending, of any kind
     out = [None] * len(steps)
-    pending = {}
     replies = dict.fromkeys(range(len(steps)))
     while True:
+        pending = {}
         for i, reply in replies.items():
             try:
                 pending[i] = steps[i].send(reply)
             except StopIteration as stop:
                 out[i] = stop.value
-        ids = ([i for i, r in pending.items() if not isinstance(r, tuple)]
-               or list(pending))
-        if not ids:
+        if not pending:
             return out
-        replies = dict(zip(ids, answer(ids, [pending.pop(i) for i in ids])))
+        replies = dict(zip(pending, answer(list(pending),
+                                           list(pending.values()))))
 
 
 def _adaptive_steps(a, b, tol_abs, tol_rel, max_panels):
@@ -181,46 +178,22 @@ def quad_adaptive(f, a, b, tol_abs=1e-12, tol_rel=1e-10,
     return _lockstep([steps], lambda _, r: [kronrod_panel(f, *r[0])])[0]
 
 
-def _peak_range(vals, lo, hi, n, stop_rel):
-    # grid indices [left, right] around the largest sample of the known
-    # range vals[lo..hi]: walked out until a sample has dropped to
-    # stop_rel of the peak and is not rising; None on a side where the
-    # known range ends before that (and the grid does not)
-    top = lo + int(np.argmax(vals[lo:hi + 1]))
-    stop = stop_rel * vals[top]
-    side = vals[lo:top]
-    below = np.nonzero((side <= stop) & (side <= vals[lo + 1:top + 1]))[0]
-    if below.size:
-        left = lo + int(below[-1])
-    else:
-        left = 0 if lo == 0 else None
-    side = vals[top + 1:hi + 1]
-    below = np.nonzero((side <= stop) & (side <= vals[top:hi]))[0]
-    if below.size:
-        right = top + 1 + int(below[0])
-    else:
-        right = n if hi == n else None
-    return top, left, right
-
-
-def _expand(vals, i, step, n, lo, hi, floor):
-    # walk from grid index i in steps of step indices until a sample is
-    # below floor and not rising; (index, tail bound), or None when the
-    # walk leaves the known range vals[lo..hi]
-    prev = vals[i]
-    while 0 < i < n:
-        j = min(max(i + step, 0), n)
-        if not lo <= j <= hi:
-            return None
-        cur = vals[j]
-        if cur <= floor and cur <= prev:
-            # geometric tail bound from the last observed decay ratio
-            rate = math.log(max(prev, 1e-300) / max(cur, 1e-300))
-            bound = cur / rate if rate > 0.1 else cur * 10.0
-            return j, bound
-        prev = cur
-        i = j
-    return i, vals[i] * 10.0
+def _walk(vals, i, step, floor, lo, hi, n):
+    # walk from grid index i in steps of step indices, the last one
+    # clipped to the grid, until a sample is <= floor and not above the
+    # one before it: (its index, the index before it), or (end, end) at
+    # the grid end without a hit (a walk from a grid end stays there);
+    # None when the known range vals[lo..hi] ends first
+    if not 0 < i < n:
+        return i, i
+    end = n if step > 0 else 0
+    path = np.append(np.arange(i, end, step), end)
+    known = path[(lo <= path) & (path <= hi)]
+    cur, prev = vals[known[1:]], vals[known[:-1]]
+    hit = np.flatnonzero((cur <= floor) & (cur <= prev))
+    if hit.size:
+        return int(known[hit[0] + 1]), int(known[hit[0]])
+    return (end, end) if known.size == path.size else None
 
 
 def _positive_axis_steps(x_peak):
@@ -245,32 +218,42 @@ def _positive_axis_steps(x_peak):
         yield from sample(np.arange(lo, hi + 1))
 
     while True:
-        top, left, right = _peak_range(vals, lo, hi, n, 1e-3 * _TAIL_EPS)
+        top = lo + int(np.argmax(vals[lo:hi + 1]))
         best = vals[top]
         if best == 0.0:
             return 0.0, 0.0
+        # walked out to 1e-3 * _TAIL_EPS of the peak in steps of one,
+        # then in steps of two to _TAIL_EPS of the coarse integral
+        stop = 1e-3 * _TAIL_EPS * best
+        left = _walk(vals, top, -1, stop, lo, hi, n)
+        right = _walk(vals, top, +1, stop, lo, hi, n)
         ends = (None, None)
         if left is not None and right is not None:
-            coarse = float(np.sum(vals[left:right + 1])) * _SCAN_STEP
+            coarse = float(np.sum(vals[left[0]:right[0] + 1])) * _SCAN_STEP
             floor = _TAIL_EPS * max(coarse, best)
-            ends = (_expand(vals, top, -2, n, lo, hi, floor),
-                    _expand(vals, top, +2, n, lo, hi, floor))
+            ends = (_walk(vals, top, -2, floor, lo, hi, n),
+                    _walk(vals, top, +2, floor, lo, hi, n))
             if None not in ends:
                 break
         # grow each side that ran out of samples by as many whole blocks
-        # as are known already, both sides in one request
+        # as are known already, both sides in one request (both when a
+        # step-one walk ran out)
         width = hi - lo + 1
-        new_lo = max(lo - width, 0) if left is None or ends[0] is None else lo
-        new_hi = min(hi + width, n) if right is None or ends[1] is None else hi
+        new_lo = max(lo - width, 0) if ends[0] is None else lo
+        new_hi = min(hi + width, n) if ends[1] is None else hi
         yield from sample(np.concatenate((np.arange(new_lo, lo),
                                           np.arange(hi + 1, new_hi + 1))))
         lo, hi = new_lo, new_hi
 
-    (left, lbound), (right, rbound) = ends
+    (left, _), (right, _) = ends
     val, err = yield from _adaptive_steps(
         _U_LO + left * _SCAN_STEP, _U_LO + right * _SCAN_STEP,
         _TOL_ABS, _TOL_REL, _MAX_PANELS)
-    return val, float(err + lbound + rbound)
+    for j, i in ends:
+        # geometric tail bound from the last observed decay ratio
+        rate = math.log(max(vals[i], 1e-300) / max(vals[j], 1e-300))
+        err += vals[j] / rate if rate > 0.1 else vals[j] * 10.0
+    return val, float(err)
 
 
 def quad_positive_axis(f, x_peak=None):
@@ -310,21 +293,20 @@ def quad_positive_axis_many(f_many, x_peaks):
 
     f_many(ids, xs) returns [f_i(x) for i, x in zip(ids, xs)], the
     integrands of the integrals numbered ids on their abscissae xs.  It
-    is called once per round, with the integrals that are not finished:
-    while any of them is scanning, a round serves only the scans, under
-    np.errstate(all="ignore"), and the others wait; then a round serves
-    every pending panel level.  A NonConvergent of any integral is
+    is called once per round, under np.errstate(all="ignore"), with
+    every integral that is not finished: a scanning one asks for a 1-D
+    array of grid abscissae, an integrating one for a panel level (one
+    row of 15 nodes per panel).  A NonConvergent of any integral is
     raised for the group.
     """
     def answer(ids, requests):
-        if not isinstance(requests[0], tuple):
-            with np.errstate(all="ignore"):
-                xs = [np.exp(u) for u in requests]
-                return [np.abs(v * x) for v, x in zip(f_many(ids, xs), xs)]
-        nodes = [_panel_nodes(lo, hi) for lo, hi in requests]
-        xs = [np.exp(u) for u, _ in nodes]
-        return [_panel_sums(u, v * x, h)
-                for (u, h), v, x in zip(nodes, f_many(ids, xs), xs)]
+        nodes = [_panel_nodes(*r) if isinstance(r, tuple) else (r, None)
+                 for r in requests]
+        with np.errstate(all="ignore"):
+            xs = [np.exp(u) for u, _ in nodes]
+            gs = [v * x for v, x in zip(f_many(ids, xs), xs)]
+            return [np.abs(g) if h is None else _panel_sums(u, g, h)
+                    for (u, h), g in zip(nodes, gs)]
 
     return _lockstep([_positive_axis_steps(x_peak) for x_peak in x_peaks],
                      answer)

@@ -79,23 +79,18 @@ def log_beta(a, b):
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _betacf(x, k, a, b):
+def _betacf(x, flip, a, b):
     # Continued fraction for the incomplete beta, modified Lentz scheme,
-    # on a whole array at once: x[:k] with shapes (a, b) and x[k:] with
-    # the swapped pair (b, a).  All elements iterate together until each
-    # has converged (checked every 4th iteration).
-    num = np.empty_like(x)
-    sides = [(x[sl], num[sl], p, q) for sl, p, q in ((slice(0, k), a, b),
-                                                     (slice(k, None), b, a))
-             if x[sl].size]
+    # on a whole array at once: shapes (a, b), or the swapped pair
+    # (b, a) where flip is set.  All elements iterate together until
+    # each has converged (checked every 4th iteration).
+    num = (a + b) * x / np.where(flip, b + 1.0, a + 1.0)
     # d and c as the two rows of one buffer, so one Lentz guard covers
     # both: a denominator that came out (near) zero is replaced by a
     # tiny positive number
     dc = np.ones((2,) + x.shape)
     absdc = np.empty_like(dc)
     d, c = dc
-    for xs, num_side, p, q in sides:
-        np.divide((p + q) * xs, p + 1.0, out=num_side)
     np.subtract(1.0, num, out=d)
     np.abs(dc, out=absdc)
     if absdc.min() < _CF_TINY:
@@ -109,10 +104,10 @@ def _betacf(x, k, a, b):
         m2 = 2 * m
         for odd in (False, True):
             # the even or the odd numerator of step m, coefficient * x
-            for xs, num_side, p, q in sides:
-                coef = (-(p + m) * (p + q + m) / ((p + m2) * (p + 1.0 + m2))
-                        if odd else m * (q - m) / ((p - 1.0 + m2) * (p + m2)))
-                np.multiply(xs, coef, out=num_side)
+            coef = [(-(p + m) * (p + q + m) / ((p + m2) * (p + 1.0 + m2))
+                     if odd else m * (q - m) / ((p - 1.0 + m2) * (p + m2)))
+                    for p, q in ((a, b), (b, a))]
+            np.multiply(x, np.where(flip, coef[1], coef[0]), out=num)
             np.multiply(num, d, out=d)
             np.divide(num, c, out=c)
             dc += 1.0
@@ -169,17 +164,9 @@ def reg_inc_beta(x, a, b):
     if inner.any():
         xi = x[inner]
         flip = xi >= (a + 1.0) / (a + b + 2.0)
-        k = len(xi) - int(np.count_nonzero(flip))
-        order = np.argsort(flip, kind="stable")
-        xs = xi[order]
-        cf = _betacf(np.where(flip[order], 1.0 - xs, xs), k, a, b)
-        front = np.exp(a * np.log(xs) + b * np.log1p(-xs) - log_beta(a, b))
-        val = np.empty_like(xs)
-        val[:k] = front[:k] * cf[:k] / a
-        val[k:] = 1.0 - front[k:] * cf[k:] / b
-        res = np.empty_like(xs)
-        res[order] = val
-        out[inner] = res
+        cf = _betacf(np.where(flip, 1.0 - xi, xi), flip, a, b)
+        front = np.exp(a * np.log(xi) + b * np.log1p(-xi) - log_beta(a, b))
+        out[inner] = np.where(flip, 1.0 - front * cf / b, front * cf / a)
     return out if out.ndim else float(out)
 
 

@@ -391,6 +391,39 @@ def test_swept_db_overflow_is_a_config_error(tmp_path, capsys):
     assert "config error: sweep: link.eve_snr_ratio_db:" in err
 
 
+# a gain or mean SNR that underflows to 0 names the receiver and the key
+@pytest.mark.parametrize("edit, message", [
+    (("stop = 30\n", "stop = 1000\n"),
+     "geometry.eve_separation_m: Eve's mean SNR underflows to 0"),
+    (("[geometry]\n", "[geometry]\npointing_offset_m = 1e5\n"),
+     "geometry.pointing_offset_m: Bob's mean SNR underflows to 0"),
+    (("[link]\n", "[link]\neve_snr_ratio_db = -4000\n"),
+     "link.eve_snr_ratio_db: -4000.0 dB underflows Eve's mean SNR"),
+], ids=["eve_separation", "pointing_offset", "snr_ratio"])
+@pytest.mark.parametrize("command", ["link-budget", "metrics"])
+def test_zero_mean_snr_is_a_config_error(tmp_path, capsys, edit, message,
+                                         command):
+    text = (CONFIGS / "eve-offset-sweep.cfg").read_text()
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(*edit))
+    assert bad.read_text() != text
+    assert main([command, "--config", str(bad),
+                 "--methods", "closed_form"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_a_config_error(cfg, tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(["link-budget", "--config", cfg, "--out", str(missing)]) == 2
+    assert f"cannot write {missing}: " in capsys.readouterr().err
+    # the table is written but its manifest cannot be: neither is kept
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    assert main(["link-budget", "--config", cfg, "--out", str(out)]) == 2
+    assert f"cannot write {out}.manifest.json: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_section_output_path(tmp_path, capsys):
     out = tmp_path / "from_cfg.csv"
     p = tmp_path / "run.cfg"

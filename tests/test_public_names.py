@@ -12,7 +12,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fsosec"
 
 KEPT = {
     "pdf_ht_gform": "documented Meijer-G cross-check route of pdf_ht",
-    "cdf_ht_gform": "documented Meijer-G cross-check route of cdf_ht",
     "snr_pdf_gform": "documented Meijer-G cross-check route of snr_pdf",
     "snr_cdf_gform": "documented Meijer-G cross-check route of snr_cdf",
     "mc_asc": "imported by the benchmark smoke tests",

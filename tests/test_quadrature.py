@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fsosec.errors import NonConvergent
-from fsosec.quadrature import (kronrod_panel, quad_adaptive,
+from fsosec.quadrature import (_walk, kronrod_panel, quad_adaptive,
                                quad_positive_axis, quad_positive_axis_many)
 
 
@@ -176,6 +176,61 @@ def test_lockstep_group_raises_a_member_failure():
     with pytest.raises(NonConvergent) as group:
         quad_positive_axis_many(f_many, (0.7, 0.7))
     assert str(group.value) == str(alone.value)
+
+
+def test_lockstep_round_serves_scans_and_panels_together():
+    # the narrow hinted integral integrates while the wide one scans on
+    kinds = []
+    fs = (_gauss, _lognormal(1e8, 3.0))
+
+    def f_many(ids, xs):
+        kinds.append({np.ndim(x) for x in xs})
+        return [fs[i](x) for i, x in zip(ids, xs)]
+
+    got = quad_positive_axis_many(f_many, (0.7, 1e8))
+    assert {1, 2} in kinds
+    assert got == [quad_positive_axis(f, x_peak=p)
+                   for f, p in zip(fs, (0.7, 1e8))]
+
+
+def _loop_walk(vals, i, step, floor, lo, hi, n):
+    # the rule of _walk, one step at a time
+    while 0 < i < n:
+        j = min(max(i + step, 0), n)
+        if not lo <= j <= hi:
+            return None
+        if vals[j] <= floor and vals[j] <= vals[i]:
+            return j, i
+        i = j
+    return i, i
+
+
+def test_walk_matches_the_loop_rule():
+    rng = np.random.default_rng(7)
+    ran_out = 0
+    for n in (1, 2, 5, 8, 11):
+        k = np.arange(n + 1)
+        vectors = (
+            np.zeros(n + 1),
+            np.round(3.0 * rng.random(n + 1)) / 3.0,  # zeros and plateaus
+            rng.random(n + 1) * (rng.random(n + 1) < 0.6),
+            # a peak whose tails rise again towards both grid ends
+            np.exp(-((k - n / 2.0) / 1.5) ** 2) + 0.01 * (k - n / 2.0) ** 2,
+        )
+        for vals in vectors:
+            floors = (0.0, float(np.median(vals)), float(vals.max()))
+            for i in range(n + 1):
+                for lo in range(i + 1):
+                    for hi in range(i, n + 1):
+                        for step in (-2, -1, 1, 2):
+                            for floor in floors:
+                                want = _loop_walk(vals, i, step, floor,
+                                                  lo, hi, n)
+                                assert _walk(vals, i, step, floor,
+                                             lo, hi, n) == want
+                                ran_out += want is None
+    # known ranges that end before the walk does were reached too
+    assert ran_out > 0
 
 
 @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0))
