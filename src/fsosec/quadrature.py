@@ -186,14 +186,18 @@ def _walk(vals, i, step, floor, lo, hi, n):
     # None when the known range vals[lo..hi] ends first
     if not 0 < i < n:
         return i, i
-    end = n if step > 0 else 0
-    path = np.append(np.arange(i, end, step), end)
-    known = path[(lo <= path) & (path <= hi)]
-    cur, prev = vals[known[1:]], vals[known[:-1]]
-    hit = np.flatnonzero((cur <= floor) & (cur <= prev))
-    if hit.size:
-        return int(known[hit[0] + 1]), int(known[hit[0]])
-    return (end, end) if known.size == path.size else None
+    end, edge = (n, hi) if step > 0 else (0, lo)
+    path = np.arange(i, edge + step, step)
+    if edge == end:
+        path[-1] = end
+    elif path[-1] != edge:
+        path = path[:-1]
+    cur, prev = vals[path[1:]], vals[path[:-1]]
+    hit = (cur <= floor) & (cur <= prev)
+    if hit.any():
+        k = int(hit.argmax())
+        return int(path[k + 1]), int(path[k])
+    return (end, end) if edge == end else None
 
 
 def _positive_axis_steps(x_peak):
