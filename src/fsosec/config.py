@@ -371,12 +371,19 @@ class LinkState:
 
 
 def _budget_snr(receiver, pointing_key, power, noise, h_a, h_s, h_c):
-    # mean SNR of one receiver's budget; one that underflows to 0 is
-    # named by the key of the first zero gain, or by link.tx_power_w
-    keys = ("atmosphere", pointing_key, "atmosphere")
+    # mean SNR of one receiver's budget; one that overflows is named by
+    # link.tx_power_w, one that underflows to 0 by the key of the first
+    # zero gain, or by link.tx_power_w when no gain is zero
     gain = h_a * h_s * h_c
-    snr = mean_snr_from_budget(power, noise, gain) if gain > 0.0 else 0.0
+    try:
+        snr = mean_snr_from_budget(power, noise, gain) if gain > 0.0 else 0.0
+    except OverflowError:
+        snr = math.inf
+    if math.isinf(snr):
+        raise ConfigError(f"link.tx_power_w: {receiver}'s mean SNR "
+                          "overflows a float")
     if snr == 0.0:
+        keys = ("atmosphere", pointing_key, "atmosphere")
         key = next((k for k, g in zip(keys, (h_a, h_s, h_c)) if g == 0.0),
                    "link.tx_power_w")
         raise ConfigError(f"{key}: {receiver}'s mean SNR underflows to 0 "

@@ -102,12 +102,13 @@ def _betacf(x, flip, a, b):
     pending = np.ones(x.shape, dtype=bool)
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        for odd in (False, True):
-            # the even or the odd numerator of step m, coefficient * x
-            coef = [(-(p + m) * (p + q + m) / ((p + m2) * (p + 1.0 + m2))
-                     if odd else m * (q - m) / ((p - 1.0 + m2) * (p + m2)))
-                    for p, q in ((a, b), (b, a))]
-            np.multiply(x, np.where(flip, coef[1], coef[0]), out=num)
+        # the even and the odd numerator of step m, coefficient * x, for
+        # the shapes (a, b) or, where flip is set, (b, a)
+        for coef in ((m * (a - m) / ((b - 1.0 + m2) * (b + m2)),
+                      m * (b - m) / ((a - 1.0 + m2) * (a + m2))),
+                     (-(b + m) * (b + a + m) / ((b + m2) * (b + 1.0 + m2)),
+                      -(a + m) * (a + b + m) / ((a + m2) * (a + 1.0 + m2)))):
+            np.multiply(x, np.where(flip, *coef), out=num)
             np.multiply(num, d, out=d)
             np.divide(num, c, out=c)
             dc += 1.0

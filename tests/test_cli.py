@@ -391,18 +391,20 @@ def test_swept_db_overflow_is_a_config_error(tmp_path, capsys):
     assert "config error: sweep: link.eve_snr_ratio_db:" in err
 
 
-# a gain or mean SNR that underflows to 0 names the receiver and the key
+# a mean SNR that leaves the float range names the receiver and the key
 @pytest.mark.parametrize("edit, message", [
+    (("tx_power_w = 1\n", "tx_power_w = 1e200\n"),
+     "link.tx_power_w: Bob's mean SNR overflows a float"),
     (("stop = 30\n", "stop = 1000\n"),
      "geometry.eve_separation_m: Eve's mean SNR underflows to 0"),
     (("[geometry]\n", "[geometry]\npointing_offset_m = 1e5\n"),
      "geometry.pointing_offset_m: Bob's mean SNR underflows to 0"),
     (("[link]\n", "[link]\neve_snr_ratio_db = -4000\n"),
      "link.eve_snr_ratio_db: -4000.0 dB underflows Eve's mean SNR"),
-], ids=["eve_separation", "pointing_offset", "snr_ratio"])
+], ids=["tx_power", "eve_separation", "pointing_offset", "snr_ratio"])
 @pytest.mark.parametrize("command", ["link-budget", "metrics"])
-def test_zero_mean_snr_is_a_config_error(tmp_path, capsys, edit, message,
-                                         command):
+def test_mean_snr_out_of_range_is_a_config_error(tmp_path, capsys, edit,
+                                                 message, command):
     text = (CONFIGS / "eve-offset-sweep.cfg").read_text()
     bad = tmp_path / "bad.cfg"
     bad.write_text(text.replace(*edit))
