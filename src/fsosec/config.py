@@ -371,24 +371,18 @@ class LinkState:
 
 
 def _budget_snr(receiver, pointing_key, power, noise, h_a, h_s, h_c):
-    # mean SNR of one receiver's budget; one that overflows is named by
-    # link.tx_power_w, one that underflows to 0 by the key of the first
-    # zero gain, or by link.tx_power_w when no gain is zero
+    # mean SNR of one receiver's budget; one outside the float range is
+    # named by the key of a zero gain, else by link.tx_power_w
     gain = h_a * h_s * h_c
     try:
         snr = mean_snr_from_budget(power, noise, gain) if gain > 0.0 else 0.0
     except OverflowError:
         snr = math.inf
-    if math.isinf(snr):
-        raise ConfigError(f"link.tx_power_w: {receiver}'s mean SNR "
-                          "overflows a float")
-    if snr == 0.0:
-        keys = ("atmosphere", pointing_key, "atmosphere")
-        key = next((k for k, g in zip(keys, (h_a, h_s, h_c)) if g == 0.0),
-                   "link.tx_power_w")
-        raise ConfigError(f"{key}: {receiver}'s mean SNR underflows to 0 "
-                          f"(atmospheric, pointing and cloud gains "
-                          f"{h_a!r}, {h_s!r}, {h_c!r})")
+    if not 0.0 < snr < math.inf:
+        keys = [k for k, g in ((pointing_key, h_s), ("atmosphere", h_a * h_c))
+                if g == 0.0] + ["link.tx_power_w"]
+        raise ConfigError(f"{keys[0]}: {receiver}'s mean SNR "
+                          f"{'overflows a float' if snr else 'underflows to 0'}")
     return snr
 
 
@@ -419,7 +413,7 @@ def link_state(rc):
     ratio_db = rc.value("link.eve_snr_ratio_db")
     if ratio_db is not None:
         snr_eve = snr_bob * _db_to_linear("link.eve_snr_ratio_db", ratio_db)
-        if math.isinf(snr_eve) or snr_eve == 0.0:
+        if not 0.0 < snr_eve < math.inf:
             raise ConfigError(
                 f"link.eve_snr_ratio_db: {ratio_db!r} dB "
                 f"{'overflows' if snr_eve else 'underflows'} Eve's mean SNR")

@@ -189,9 +189,9 @@ def _walk(vals, i, step, floor, lo, hi, n):
     end, edge = (n, hi) if step > 0 else (0, lo)
     path = np.arange(i, edge + step, step)
     if edge == end:
-        path[-1] = end
+        path[-1] = end  # the last step, clipped to the grid
     elif path[-1] != edge:
-        path = path[:-1]
+        path = path[:-1]  # a step past the known range
     cur, prev = vals[path[1:]], vals[path[:-1]]
     hit = (cur <= floor) & (cur <= prev)
     if hit.any():
@@ -226,8 +226,6 @@ def _positive_axis_steps(x_peak):
         best = vals[top]
         if best == 0.0:
             return 0.0, 0.0
-        # walked out to 1e-3 * _TAIL_EPS of the peak in steps of one,
-        # then in steps of two to _TAIL_EPS of the coarse integral
         stop = 1e-3 * _TAIL_EPS * best
         left = _walk(vals, top, -1, stop, lo, hi, n)
         right = _walk(vals, top, +1, stop, lo, hi, n)
@@ -239,9 +237,8 @@ def _positive_axis_steps(x_peak):
                     _walk(vals, top, +2, floor, lo, hi, n))
             if None not in ends:
                 break
-        # grow each side that ran out of samples by as many whole blocks
-        # as are known already, both sides in one request (both when a
-        # step-one walk ran out)
+        # grow each side whose walk ran out of samples (both, for a step
+        # of one) by as many whole blocks as are known, in one request
         width = hi - lo + 1
         new_lo = max(lo - width, 0) if ends[0] is None else lo
         new_hi = min(hi + width, n) if ends[1] is None else hi

@@ -102,8 +102,8 @@ def _betacf(x, flip, a, b):
     pending = np.ones(x.shape, dtype=bool)
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        # the even and the odd numerator of step m, coefficient * x, for
-        # the shapes (a, b) or, where flip is set, (b, a)
+        # the even and the odd numerator of step m, coefficient * x; each
+        # pair of coefficients is for the shapes (b, a), then (a, b)
         for coef in ((m * (a - m) / ((b - 1.0 + m2) * (b + m2)),
                       m * (b - m) / ((a - 1.0 + m2) * (a + m2))),
                      (-(b + m) * (b + a + m) / ((b + m2) * (b + 1.0 + m2)),

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -219,16 +220,13 @@ def test_walk_matches_the_loop_rule():
         )
         for vals in vectors:
             floors = (0.0, float(np.median(vals)), float(vals.max()))
-            for i in range(n + 1):
-                for lo in range(i + 1):
-                    for hi in range(i, n + 1):
-                        for step in (-2, -1, 1, 2):
-                            for floor in floors:
-                                want = _loop_walk(vals, i, step, floor,
-                                                  lo, hi, n)
-                                assert _walk(vals, i, step, floor,
-                                             lo, hi, n) == want
-                                ran_out += want is None
+            grid = range(n + 1)
+            for i, lo, hi, step, floor in product(grid, grid, grid,
+                                                  (-2, -1, 1, 2), floors):
+                if lo <= i <= hi:
+                    want = _loop_walk(vals, i, step, floor, lo, hi, n)
+                    assert _walk(vals, i, step, floor, lo, hi, n) == want
+                    ran_out += want is None
     # known ranges that end before the walk does were reached too
     assert ran_out > 0
 

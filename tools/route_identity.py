@@ -67,13 +67,16 @@ def _draw_scenario(rng, index):
     return [shapes, snr_bob, ratio_db, rate], scenario
 
 
+def _hex(mv):
+    return [float(mv.value).hex(), float(mv.error).hex()]
+
+
 def _outcome(call):
-    # [value.hex(), error.hex()] of a MetricValue, or the exception type
+    # _hex of the MetricValue call() returns, or the exception's type
     try:
-        mv = call()
+        return _hex(call())
     except Exception as exc:  # every outcome is compared, failures too
         return type(exc).__name__
-    return [float(mv.value).hex(), float(mv.error).hex()]
 
 
 def _records(count, seed):
@@ -97,7 +100,7 @@ def _records(count, seed):
         for method, result in shared.items():
             key = f"scenario {index} evaluate_scenario {method}"
             out[key] = (type(result).__name__ if isinstance(result, Exception)
-                        else [_outcome(lambda: mv) for mv in result])
+                        else [_hex(mv) for mv in result])
 
     for index in range(count):
         a, b = _log_uniform(rng, 0.3, 300.0), _log_uniform(rng, 1.05, 300.0)
