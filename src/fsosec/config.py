@@ -371,17 +371,18 @@ class LinkState:
 
 
 def _budget_snr(receiver, pointing_key, power, noise, h_a, h_s, h_c):
-    # mean SNR of one receiver's budget; one outside the float range is
-    # named by the key of a zero gain, else by link.tx_power_w
+    # mean SNR of one receiver's budget; one that overflows is named by
+    # link.tx_power_w, one that underflows by the key of its smallest factor
     gain = h_a * h_s * h_c
     try:
         snr = mean_snr_from_budget(power, noise, gain) if gain > 0.0 else 0.0
     except OverflowError:
         snr = math.inf
     if not 0.0 < snr < math.inf:
-        keys = [k for k, g in ((pointing_key, h_s), ("atmosphere", h_a * h_c))
-                if g == 0.0] + ["link.tx_power_w"]
-        raise ConfigError(f"{keys[0]}: {receiver}'s mean SNR "
+        factors = {pointing_key: h_s, "atmosphere": h_a * h_c,
+                   "link.tx_power_w": power / noise}
+        key = min(factors, key=factors.get) if snr == 0.0 else "link.tx_power_w"
+        raise ConfigError(f"{key}: {receiver}'s mean SNR "
                           f"{'overflows a float' if snr else 'underflows to 0'}")
     return snr
 

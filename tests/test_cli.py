@@ -397,11 +397,17 @@ def test_swept_db_overflow_is_a_config_error(tmp_path, capsys):
      "link.tx_power_w: Bob's mean SNR overflows a float"),
     (("stop = 30\n", "stop = 1000\n"),
      "geometry.eve_separation_m: Eve's mean SNR underflows to 0"),
+    # Eve's gain is still positive at 85-115 m; its squared budget is not
+    (("stop = 30\n", "stop = 100\n"),
+     "geometry.eve_separation_m: Eve's mean SNR underflows to 0"),
+    (("tx_power_w = 1\n", "tx_power_w = 1e-200\n"),
+     "link.tx_power_w: Bob's mean SNR underflows to 0"),
     (("[geometry]\n", "[geometry]\npointing_offset_m = 1e5\n"),
      "geometry.pointing_offset_m: Bob's mean SNR underflows to 0"),
     (("[link]\n", "[link]\neve_snr_ratio_db = -4000\n"),
      "link.eve_snr_ratio_db: -4000.0 dB underflows Eve's mean SNR"),
-], ids=["tx_power", "eve_separation", "pointing_offset", "snr_ratio"])
+], ids=["tx_power", "eve_separation", "eve_gain_squared", "tx_power_low",
+        "pointing_offset", "snr_ratio"])
 @pytest.mark.parametrize("command", ["link-budget", "metrics"])
 def test_mean_snr_out_of_range_is_a_config_error(tmp_path, capsys, edit,
                                                  message, command):

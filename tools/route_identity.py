@@ -2,17 +2,17 @@
 
 Run from anywhere, with two checkouts of the repository:
 
-    python3 tools/route_identity.py BEFORE AFTER [--count 300] [--seed 0]
+    python3 tools/route_identity.py BEFORE AFTER
 
 Each checkout is imported from its own src/ in a child process, which
-draws COUNT wiretap scenarios from a seeded domain: shapes a in
+draws 300 wiretap scenarios from a domain seeded with 0: shapes a in
 0.3-300 and b in 1.05-300, Bob's mean SNR in 1e-3-1e10 (all three
 log-uniform), Eve's mean SNR -60 to +20 dB from Bob's, target rate 0,
 0.5, 2 or 8 bits, and every second scenario with shapes of Eve's own.
 Per scenario it records float.hex of value and error, or the type of
 the exception raised, of the seven standalone routes and of
 evaluate_scenario over both analytic methods.  It also records a digest
-of reg_inc_beta on COUNT seeded point sets of up to 1500 points (with
+of reg_inc_beta on 300 seeded point sets of up to 1500 points (with
 0, 1 and nan among them).  Then each checkout runs ``fsosec metrics
 --methods quadrature,closed_form,monte_carlo`` on the configs/*.cfg of
 AFTER at --jobs 1 and 2, and the CSVs are compared byte by byte.
@@ -42,6 +42,8 @@ _ROUTES = (("asc", "quadrature", "asc_quadrature", {}),
            ("spsc", "closed_form", "spsc", {"method": "closed_form"}))
 _RATES = (0.0, 0.5, 2.0, 8.0)
 _METHODS = "quadrature,closed_form,monte_carlo"
+_COUNT = 300
+_SEED = 0
 
 
 def _log_uniform(rng, lo, hi):
@@ -79,14 +81,14 @@ def _outcome(call):
         return type(exc).__name__
 
 
-def _records(count, seed):
+def _records():
     """{key: outcome} of this process's fsosec over the seeded domain."""
     from fsosec import secrecy
     from fsosec.specfun import reg_inc_beta
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     out = {}
-    for index in range(count):
+    for index in range(_COUNT):
         draw, scenario = _draw_scenario(rng, index)
         out[f"scenario {index} draw"] = repr(draw)
         for metric, method, name, kwargs in _ROUTES:
@@ -102,7 +104,7 @@ def _records(count, seed):
             out[key] = (type(result).__name__ if isinstance(result, Exception)
                         else [_hex(mv) for mv in result])
 
-    for index in range(count):
+    for index in range(_COUNT):
         a, b = _log_uniform(rng, 0.3, 300.0), _log_uniform(rng, 1.05, 300.0)
         x = rng.random(int(rng.integers(1, 1501)))
         x[:3] = (0.0, 1.0, np.nan)[:x.size]
@@ -120,9 +122,8 @@ def _child_env(checkout):
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
-def _run_records(checkout, count, seed):
-    command = [sys.executable, str(Path(__file__).resolve()), "--records",
-               str(count), str(seed)]
+def _run_records(checkout):
+    command = [sys.executable, str(Path(__file__).resolve()), "--records"]
     out = subprocess.run(command, cwd=checkout, env=_child_env(checkout),
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out)
@@ -140,18 +141,15 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--records"]:
         # child mode: records of the fsosec on the import path, to stdout
-        json.dump(_records(*map(int, argv[1:3])), sys.stdout)
+        json.dump(_records(), sys.stdout)
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("before", type=Path)
     parser.add_argument("after", type=Path)
-    parser.add_argument("--count", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     differences = 0
-    sides = [_run_records(c, args.count, args.seed)
-             for c in (args.before, args.after)]
+    sides = [_run_records(c) for c in (args.before, args.after)]
     for key in sorted(set(sides[0]) | set(sides[1])):
         before, after = (side.get(key) for side in sides)
         if before != after:
