@@ -103,8 +103,7 @@ def _evaluate_point(rc, methods, jobs, metrics=None):
     outcomes = evaluate_scenario(
         scenario, [m for m in methods if m != "monte_carlo"], metrics)
     if "monte_carlo" in methods:
-        cfg = McConfig(samples=rc.mc_samples, seed=rc.mc_seed,
-                       jobs=jobs, batch_size=rc.mc_batch_size)
+        cfg = McConfig(samples=rc.mc_samples, seed=rc.mc_seed, jobs=jobs)
         outcomes["monte_carlo"] = [
             MetricValue(name, "monte_carlo", est.mean, est.std_error)
             for name, est in zip(MC_METRICS, mc_metrics(scenario, cfg))]

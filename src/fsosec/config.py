@@ -142,7 +142,6 @@ class RunConfig:
     output: str = None
     mc_samples: int = 1_000_000
     mc_seed: int = 0
-    mc_batch_size: int = 1 << 16
     sweep: SweepSpec = None
 
     def value(self, path):
@@ -227,8 +226,6 @@ def parse_config(path):
                 run["mc_samples"] = _int_field("mc", key, text, 1)
             elif key == "seed":
                 run["mc_seed"] = _int_field("mc", key, text, 0)
-            elif key == "batch_size":
-                run["mc_batch_size"] = _int_field("mc", key, text, 1)
             else:
                 raise ConfigError(f"unknown key mc.{key}")
 

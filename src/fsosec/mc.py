@@ -2,11 +2,11 @@
 
 Each batch draws from its own SFC64 generator, seeded by
 SeedSequence([seed, batch index]), so the logical sample stream is a
-pure function of (seed, batch index) and the decomposition into
-worker threads never changes the drawn samples or the reduction
-order.  Batch results are reduced in batch-index order whether they
-come from the serial loop or the thread pool, so the estimate for a
-given seed and sample count is identical for any worker count.
+pure function of (seed, batch index).  The batches, of _BATCH_SIZE
+samples each but the last, always go through a thread pool of the
+configured worker count and are reduced in batch-index order, so the
+estimate for a given seed and sample count is the same at any worker
+count.
 """
 
 import math
@@ -18,6 +18,8 @@ import numpy as np
 from .fading import sample_ht
 
 MC_METRICS = ("asc", "sop", "spsc")
+# samples per batch, each batch one seeded stream
+_BATCH_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -27,15 +29,14 @@ class McConfig:
     samples: int
     seed: int
     jobs: int = 1
-    batch_size: int = 1 << 16
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("need at least one sample")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.jobs < 1 or self.batch_size < 1:
-            raise ValueError("jobs and batch size must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ def _capacity_delta_batch(scenario, cfg, index, size):
 
 
 def _batches(cfg):
-    full, rem = divmod(cfg.samples, cfg.batch_size)
-    sizes = [(i, cfg.batch_size) for i in range(full)]
+    full, rem = divmod(cfg.samples, _BATCH_SIZE)
+    sizes = [(i, _BATCH_SIZE) for i in range(full)]
     if rem:
         sizes.append((full, rem))
     return sizes
@@ -93,12 +94,8 @@ def mc_metrics(scenario, cfg):
         return [(float(np.sum(d)), float(np.sum(d * d))),
                 (outage, outage), (positive, positive)]
 
-    items = _batches(cfg)
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            parts = list(pool.map(one, items))
-    else:
-        parts = [one(it) for it in items]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        parts = list(pool.map(one, _batches(cfg)))
     return tuple(_estimate([sums[k] for sums in parts], cfg.samples)
                  for k in range(len(MC_METRICS)))
 

@@ -213,7 +213,8 @@ def _positive_axis_steps(x_peak):
         vals[idx] = np.where(np.isfinite(v), v, 0.0)
 
     lo, hi = 0, n
-    if x_peak is not None and math.isfinite(x_peak) and x_peak > 0.0:
+    hinted = x_peak is not None and math.isfinite(x_peak) and x_peak > 0.0
+    if hinted:
         i = min(max(round((math.log(x_peak) - _U_LO) / _SCAN_STEP), 0), n)
         lo, hi = max(i - _SCAN_HALF_BLOCK, 0), min(i + _SCAN_HALF_BLOCK, n)
     yield from sample(np.arange(lo, hi + 1))
@@ -225,6 +226,10 @@ def _positive_axis_steps(x_peak):
         top = lo + int(np.argmax(vals[lo:hi + 1]))
         best = vals[top]
         if best == 0.0:
+            # the whole grid read 0: is there mass between its samples?
+            if hinted and (yield np.array([math.log(x_peak)]))[0] > 0.0:
+                raise NonConvergent(f"mass at the hint {x_peak:g} is "
+                                    "between scan grid samples")
             return 0.0, 0.0
         stop = 1e-3 * _TAIL_EPS * best
         left = _walk(vals, top, -1, stop, lo, hi, n)
@@ -281,7 +286,8 @@ def quad_positive_axis(f, x_peak=None):
     grid, every decision reads the same samples, and the result is the
     same as without the hint.  A hint that is None, not finite or not
     positive, or whose block holds only zeros, falls back to one call
-    on the whole grid.
+    on the whole grid.  A grid of only zeros gives (0, 0), or raises
+    NonConvergent if g is positive at the hint, between grid samples.
 
     Returns (value, error_estimate).
     """

@@ -83,15 +83,6 @@ def _check_method(method):
         raise ValueError(f"unknown analytic method {method!r}")
 
 
-def _once(key, compute):
-    # compute() once per key and evaluate_scenario call; a failure is
-    # not kept, so each route that needs the term raises it on its own
-    memo = _SHARED.get()
-    if memo is None:
-        return compute()
-    return memo[key] if key in memo else memo.setdefault(key, compute())
-
-
 def _cdf_integrals(terms):
     """[(value, error)] of the integrals over (0, inf) of
     weight(x) * cdf_ht(fading, arg(x)), one per term (weight, fading,
@@ -114,13 +105,15 @@ def _cdf_integrals(terms):
     return quad_positive_axis_many(f_many, [term[3] for term in terms])
 
 
-def _integrals(terms):
-    # _cdf_integrals of the terms {key: term}, from the running call's
-    # memo when it holds every key, else run as one group and kept there
+def _shared(terms, compute=_cdf_integrals):
+    # compute(list of the terms {key: term}), from the running
+    # evaluate_scenario call's memo when it holds every key, else run as
+    # one group and kept there; a failure is not kept, so each route
+    # meets it.  A key names what varies within one call.
     memo = _SHARED.get()
     if memo is not None and all(key in memo for key in terms):
         return [memo[key] for key in terms]
-    results = _cdf_integrals(list(terms.values()))
+    results = compute(list(terms.values()))
     if memo is not None:
         memo.update(zip(terms, results))
     return results
@@ -142,8 +135,7 @@ def _cdf_terms(scenario, metric, method):
             return (lambda g: np.log1p(g) * snr_pdf(own, g), other.fading,
                     lambda g: h_from_snr(other, np.maximum(g, 0.0)),
                     _snr_mode(own))
-        return {("asc_bob", bob, eve): term(bob, eve),
-                ("asc_eve", bob, eve): term(eve, bob)}
+        return {"asc_bob": term(bob, eve), "asc_eve": term(eve, bob)}
     if metric == "spsc":
         # those of the zero-rate outage route spsc subtracts from one
         return _cdf_terms(replace(scenario, target_rate=0.0),
@@ -159,13 +151,14 @@ def _cdf_terms(scenario, metric, method):
     else:
         w = _lb_scale(scenario)
         arg = lambda h: w * h
-    return {(metric, scenario): (lambda h: pdf_ht(eve.fading, h), bob.fading,
-                                 arg, _gain_mode(eve.fading))}
+    return {(metric, scenario.target_rate): (
+        lambda h: pdf_ht(eve.fading, h), bob.fading, arg,
+        _gain_mode(eve.fading))}
 
 
 def _asc_cross_terms(scenario):
     # the two cross terms summed, (value, error) in nats
-    (v1, e1), (v2, e2) = _integrals(_cdf_terms(scenario, "asc", None))
+    (v1, e1), (v2, e2) = _shared(_cdf_terms(scenario, "asc", None))
     return v1 + v2, e1 + e2
 
 
@@ -281,7 +274,7 @@ def sop_exact(scenario):
     """Secrecy outage probability by quadrature over the Eve gain."""
     terms = _cdf_terms(scenario, "sop", "quadrature")
     if terms:
-        (value, err), = _integrals(terms)
+        (value, err), = _shared(terms)
         return MetricValue("sop", "quadrature", min(max(value, 0.0), 1.0), err)
     # Eve's gain above which Bob's pinned gain is in outage; 0 if t2 <= 0
     bob, eve = scenario.bob, scenario.eve
@@ -305,7 +298,7 @@ def sop_lower_bound(scenario, method="closed_form"):
     w = _lb_scale(scenario)
     terms = _cdf_terms(scenario, "sop_lb", method)
     if terms:
-        (value, err), = _integrals(terms)
+        (value, err), = _shared(terms)
         value = min(max(value, 0.0), 1.0)
         return MetricValue("sop_lb", "quadrature", value, err)
     if bob.fading.no_fading or eve.fading.no_fading:
@@ -314,7 +307,9 @@ def sop_lower_bound(scenario, method="closed_form"):
     a, b = bob.fading.a, bob.fading.b
     spec = MeijerGSpec(2, 3, 3, 3, (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0), w)
     log_pref = -2.0 * (log_beta(a, b) + math.lgamma(a + b))
-    value, err = _once(spec, lambda: meijer_g(spec, log_scale=log_pref))
+    (value, err), = _shared({("sop_lb_g", scenario.target_rate): spec},
+                            lambda specs: [meijer_g(s, log_scale=log_pref)
+                                           for s in specs])
     value = min(max(value, 0.0), 1.0)
     return MetricValue("sop_lb", "closed_form", value, err)
 
@@ -372,7 +367,7 @@ def evaluate_scenario(scenario, methods=_METHODS, metrics=None):
                 group.update(_cdf_terms(scenario, metric, method))
         if group:
             with suppress(NonConvergent):
-                _integrals(group)
+                _shared(group)
         for method, rows in routes.items():
             try:
                 out[method] = tuple(route(scenario, *args)

@@ -12,12 +12,12 @@ along a vertical contour Re(s) = c chosen inside the strip that
 separates the two Gamma pole families.  Phi is first reduced: equal
 Gamma factors merge into one power, and Gamma(x + 1) = x Gamma(x) folds
 a factor into the one a unit below it, so each contour node takes
-fewer complex log-gammas.  The abscissa is placed at the minimum of
-|Phi(c) z^c| on the strip (the real-axis saddle), which keeps the
-oscillatory cancellation of the contour integral mild for arguments
-far from 1.  No residue summation is performed, so parameter
-sets with repeated or integer-spaced bottom parameters need no special
-casing.
+fewer complex log-gammas.  The abscissa is placed by golden-section
+search at the minimum of |Phi(c) z^c| on the strip (the real-axis
+saddle), which keeps the oscillatory cancellation of the contour
+integral mild for arguments far from 1.  No residue summation is
+performed, so parameter sets with repeated or integer-spaced bottom
+parameters need no special casing.
 
 Evaluation is restricted to the four (m, n, p, q) orders the rest of
 the package needs; anything else is rejected up front rather than
@@ -309,26 +309,13 @@ def _log_phi_complex(factors, s):
     return total
 
 
-def _log_convex(factors):
-    # whether log |Phi| is convex on the strip: Gamma is log-convex on
-    # the positive axis, where the strip keeps the argument of every
-    # surviving numerator factor, and -log|x| is convex on either side
-    # of 0, where a pole of Phi (outside the strip) keeps each
-    # negative-power linear factor
-    gammas, linears = factors
-    return (all(power > 0.0 for _, _, power in gammas)
-            and all(power < 0.0 for _, _, power in linears))
-
-
 def _contour_abscissa(spec, factors):
     # Strip separating the pole families: poles of Gamma(b_j - s) sit at
-    # b_j, b_j+1, ...; poles of Gamma(1 - a_j + s) at a_j - 1, a_j - 2, ...
-    lo = -math.inf
-    for j in range(spec.n):
-        lo = max(lo, spec.a_params[j] - 1.0)
-    hi = math.inf
-    for j in range(spec.m):
-        hi = min(hi, spec.b_params[j])
+    # b_j, b_j+1, ...; poles of Gamma(1 - a_j + s) at a_j - 1, a_j - 2,
+    # ...  Every supported order has m >= 1 and n >= 1, so both ends are
+    # finite.
+    lo = max(a - 1.0 for a in spec.a_params[:spec.n])
+    hi = min(spec.b_params[:spec.m])
     for j in range(spec.n):
         for i in range(spec.m):
             d = spec.a_params[j] - spec.b_params[i]
@@ -340,12 +327,13 @@ def _contour_abscissa(spec, factors):
         raise PoleCollision(
             f"no vertical contour separates the pole families "
             f"(strip [{lo:g}, {hi:g}] is empty)")
-    if not math.isfinite(lo):
-        lo = hi - 30.0
-    if not math.isfinite(hi):
-        hi = lo + 30.0
 
-    # Saddle placement: minimize log |Phi(c) z^c| over the open strip.
+    # Saddle placement: golden-section search for the minimum of
+    # log |Phi(c) z^c| over the whole open strip.  With only positive
+    # Gamma powers and negative linear powers, as in production calls,
+    # that energy is convex and has one minimum there.  Otherwise the
+    # search may settle on a local minimum: the integral does not depend
+    # on c inside the strip, only its cancellation does.
     lnz = math.log(spec.z)
     pad = 1e-3 * (hi - lo)
     a0 = lo + pad
@@ -358,21 +346,6 @@ def _contour_abscissa(spec, factors):
         except ValueError:
             return math.inf
 
-    if not _log_convex(factors):
-        # a grid locates the bracket of the lowest minimum
-        npts = 64
-        step = (b0 - a0) / npts
-        best_c = None
-        best_e = math.inf
-        for i in range(npts + 1):
-            c = a0 + (b0 - a0) * i / npts
-            e = energy(c)
-            if e < best_e:
-                best_e = e
-                best_c = c
-        a0, b0 = max(a0, best_c - step), min(b0, best_c + step)
-    # golden-section refinement of the bracket; a convex energy has one
-    # minimum on the strip, so its bracket is the whole strip
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b0 - invphi * (b0 - a0)
     x2 = a0 + invphi * (b0 - a0)

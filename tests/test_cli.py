@@ -259,6 +259,26 @@ def test_metrics_nonconvergence_exit(cfg, monkeypatch, capsys):
     assert ",asc,closed_form," in out
 
 
+def test_saturated_turbulence_gives_status_rows(tmp_path, capsys):
+    # at cn2_ground = 1e-6 the gain densities are too narrow for the
+    # quadrature's scan grid: such points are status rows, never ok
+    # rows of 0 with error 0
+    text = (CONFIGS / "zenith-sweep.cfg").read_text()
+    saturated = re.sub(r"(?m)^cn2_ground = .*$", "cn2_ground = 1e-6", text)
+    assert saturated != text
+    path = tmp_path / "saturated.cfg"
+    path.write_text(saturated)
+    assert main(["metrics", "--config", str(path), "--methods",
+                 "quadrature,closed_form"]) == 3
+    rows = [line.split(",")
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    quadrature = [row for row in rows if row[2] == "quadrature"]
+    assert len(quadrature) >= 11
+    zero = fmt_number(0.0)
+    assert not [row for row in quadrature
+                if row[3:] == [zero, zero, "ok"]]
+
+
 def test_metrics_pole_collision_row(cfg, monkeypatch, capsys):
     def collides(scenario):
         raise PoleCollision("synthetic")

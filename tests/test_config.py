@@ -63,7 +63,6 @@ def test_parse_minimal(tmp_path):
     assert rc.methods == ("quadrature", "closed_form")
     assert rc.mc_samples == 1_000_000
     assert rc.mc_seed == 0
-    assert rc.mc_batch_size == 1 << 16
     assert rc.sweep is None
     assert rc.output is None
     # defaults fill unset optional leaves
@@ -134,12 +133,11 @@ def test_inline_comments_are_stripped(tmp_path):
 
 def test_mc_and_run_sections(tmp_path):
     cfg = variant()
-    cfg["mc"] = {"samples": "5000", "seed": "9", "batch_size": "1024"}
+    cfg["mc"] = {"samples": "5000", "seed": "9"}
     cfg["run"] = {"methods": "monte_carlo, quadrature", "output": "out.csv"}
     rc = parse_config(write_cfg(tmp_path, cfg))
     assert rc.mc_samples == 5000
     assert rc.mc_seed == 9
-    assert rc.mc_batch_size == 1024
     assert rc.methods == ("monte_carlo", "quadrature")
     assert rc.output == "out.csv"
 
@@ -151,6 +149,10 @@ def test_mc_validation(tmp_path):
         parse_config(write_cfg(tmp_path, cfg))
     cfg["mc"] = {"walkers": "4"}
     with pytest.raises(ConfigError, match="unknown key mc.walkers"):
+        parse_config(write_cfg(tmp_path, cfg))
+    # the batch size is fixed, so the stream depends on seed and samples
+    cfg["mc"] = {"batch_size": "1024"}
+    with pytest.raises(ConfigError, match="unknown key mc.batch_size"):
         parse_config(write_cfg(tmp_path, cfg))
 
 

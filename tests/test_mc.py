@@ -16,8 +16,8 @@ PAIR = WiretapScenario(BOB, EVE, target_rate=0.5)
 def _per_metric_pass(scenario, cfg, stat):
     # one pass over the stream for a single metric, batches summed in
     # index order: the estimator that mc_metrics fuses three of
-    full, rem = divmod(cfg.samples, cfg.batch_size)
-    sizes = [cfg.batch_size] * full + ([rem] if rem else [])
+    full, rem = divmod(cfg.samples, fsosec.mc._BATCH_SIZE)
+    sizes = [fsosec.mc._BATCH_SIZE] * full + ([rem] if rem else [])
     s = 0.0
     s2 = 0.0
     for index, size in enumerate(sizes):
@@ -37,10 +37,12 @@ def _per_metric_pass(scenario, cfg, stat):
 
 @pytest.mark.parametrize("rate", [0.0, 0.5])
 @pytest.mark.parametrize("jobs", [1, 4])
-def test_one_pass_matches_per_metric_passes_bit_for_bit(jobs, rate):
+def test_one_pass_matches_per_metric_passes_bit_for_bit(jobs, rate,
+                                                        monkeypatch):
     scen = WiretapScenario(BOB, SnrChannel(EVE.fading, 190.0), rate)
     # seventeen full batches and a remainder batch
-    cfg = McConfig(samples=70_001, seed=17, jobs=jobs, batch_size=1 << 12)
+    monkeypatch.setattr(fsosec.mc, "_BATCH_SIZE", 1 << 12)
+    cfg = McConfig(samples=70_001, seed=17, jobs=jobs)
 
     def outage(d):
         return (d <= 0.0 if rate == 0.0 else d < rate).astype(float)
@@ -67,23 +69,11 @@ def test_worker_count_does_not_change_the_estimate():
         assert a.n == b.n == 200_000
 
 
-def test_batch_size_does_not_change_the_estimate():
-    # same logical stream regardless of how it is cut into batches
-    coarse = McConfig(samples=130_000, seed=7, batch_size=1 << 16)
-    no_remainder = McConfig(samples=130_000, seed=7, batch_size=65_000)
-    # batch boundaries change which seeded batch stream a sample comes
-    # from, so only the statistical agreement is required here
-    for a, b in zip(mc_metrics(PAIR, coarse), mc_metrics(PAIR, no_remainder)):
-        assert a.n == b.n == 130_000
-        assert abs(a.mean - b.mean) <= 4.0 * math.hypot(a.std_error,
-                                                        b.std_error)
-
-
 def test_batch_streams_are_independent(monkeypatch):
     # SFC64 has no counter to keep streams apart; only the
     # SeedSequence([seed, batch index]) seeding does.  Read the gamma
     # variates of the generator mc_metrics builds for each batch.
-    n = 1 << 16
+    n = fsosec.mc._BATCH_SIZE
     drawn = []
 
     def spy(fading, rng, size):
@@ -93,8 +83,8 @@ def test_batch_streams_are_independent(monkeypatch):
 
     monkeypatch.setattr(fsosec.mc, "sample_ht", spy)
     seed = 23
-    mc_metrics(PAIR, McConfig(samples=2 * n, seed=seed, batch_size=n))
-    mc_metrics(PAIR, McConfig(samples=n, seed=seed + 1, batch_size=n))
+    mc_metrics(PAIR, McConfig(samples=2 * n, seed=seed))
+    mc_metrics(PAIR, McConfig(samples=n, seed=seed + 1))
     # Bob then Eve per batch, batches (seed, 0), (seed, 1), (seed + 1, 0);
     # Eve's draw continues Bob's stream of batch (seed, 0)
     streams = [drawn[0], drawn[2], drawn[4], drawn[1]]
@@ -106,7 +96,8 @@ def test_batch_streams_are_independent(monkeypatch):
 
 
 def test_batch_remainder_counted():
-    cfg = McConfig(samples=150_001, seed=3, batch_size=1 << 16)
+    # two full batches of 1 << 16 and a remainder
+    cfg = McConfig(samples=150_001, seed=3)
     assert [est.n for est in mc_metrics(PAIR, cfg)] == [150_001] * 3
 
 
@@ -170,5 +161,3 @@ def test_config_validation():
         McConfig(samples=10, seed=-1)
     with pytest.raises(ValueError):
         McConfig(samples=10, seed=0, jobs=0)
-    with pytest.raises(ValueError):
-        McConfig(samples=10, seed=0, batch_size=0)

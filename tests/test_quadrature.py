@@ -87,6 +87,22 @@ def test_positive_axis_far_peak():
 def test_positive_axis_zero_integrand():
     val, err = quad_positive_axis(lambda x: 0.0)
     assert val == 0.0 and err == 0.0
+    val, err = quad_positive_axis(lambda x: 0.0 * x, x_peak=2.0)
+    assert val == 0.0 and err == 0.0
+
+
+def test_mass_between_grid_samples_at_the_hint_raises():
+    # a bump in u = ln x centred between the grid nodes 0 and 0.5, too
+    # narrow to leave a nonzero sample on the grid: g(u) = f(e^u) e^u
+    def bump(x):
+        return np.exp(-((np.log(x) - 0.25) / 0.005) ** 2) / x
+
+    grid = -690.0 + 0.5 * np.arange(2761)
+    assert not bump(np.exp(grid)).any()
+    with pytest.raises(NonConvergent, match="between scan grid samples"):
+        quad_positive_axis(bump, x_peak=math.exp(0.25))
+    # without a hint nothing points at the mass
+    assert quad_positive_axis(bump) == (0.0, 0.0)
 
 
 def test_positive_axis_survives_bad_tail_points():

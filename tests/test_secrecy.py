@@ -18,7 +18,7 @@ from fsosec.quadrature import quad_positive_axis, quad_positive_axis_many
 from fsosec.secrecy import (WiretapScenario, asc_closed_form, asc_quadrature,
                             eve_ergodic_rate_closed_form, evaluate_scenario,
                             sop_exact, sop_lower_bound, spsc)
-from fsosec.specfun import reg_inc_beta
+from fsosec.specfun import _gamma_factors, _reduce_factors, reg_inc_beta
 
 BOB = SnrChannel(FFadingParams(9.1, 11.7), 472.7)
 EVE = SnrChannel(FFadingParams(9.1, 11.7), 48.3)
@@ -66,6 +66,50 @@ def test_eve_ergodic_rate_matches_quadrature():
         direct, derr = quad_positive_axis(
             lambda g: np.log1p(g) * snr_pdf(chan, g))
         assert closed == pytest.approx(direct, rel=1e-8)
+
+
+def test_coincident_integer_shapes_agree_across_routes(monkeypatch):
+    # integer shapes that put Gamma factors of the G-forms a whole unit
+    # apart (a = b + 1 at (2,3,3,3); b = 3 or 4 at (4,3,4,4)) or on one
+    # point (a = b): the reduced Phi keeps a positive-power linear
+    # factor, so the saddle search runs on a non-convex energy.  Each
+    # closed form must still sit within the summed errors of its
+    # quadrature route, over seeded SNRs and target rates.
+    specs = []
+    real = secrecy.meijer_g
+
+    def spy(spec, **kwargs):
+        specs.append(spec)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(secrecy, "meijer_g", spy)
+    rng = np.random.default_rng(15)
+    checked = 0
+    for a, b in ((3, 2), (4, 3), (8, 7), (5, 4), (2, 4), (6, 4), (10, 4),
+                 (2, 2)):
+        fading = FFadingParams(float(a), float(b))
+        for _ in range(10):
+            snr_bob = 10.0 ** rng.uniform(-2.0, 6.0)
+            eve = SnrChannel(fading, snr_bob * 10.0 ** rng.uniform(-4.0, 1.0))
+            closed, c_err = eve_ergodic_rate_closed_form(eve)
+            direct, d_err = quad_positive_axis(
+                lambda g: np.log1p(g) * snr_pdf(eve, g))
+            assert abs(closed - direct) <= c_err + d_err, (a, b, eve)
+            scen = WiretapScenario(SnrChannel(fading, snr_bob), eve,
+                                   float(rng.choice((0.0, 0.5, 2.0))))
+            lb_c = sop_lower_bound(scen, method="closed_form")
+            lb_q = sop_lower_bound(scen, method="quadrature")
+            assert lb_c.method == "closed_form"
+            assert abs(lb_c.value - lb_q.value) <= lb_c.error + lb_q.error, \
+                (a, b, scen)
+            checked += 2
+    assert checked == 160 and len(specs) == checked
+    linears = [_reduce_factors(_gamma_factors(spec))[1] for spec in specs]
+    for order in ((4, 3, 4, 4), (2, 3, 3, 3)):
+        assert any(power > 0.0
+                   for spec, lin in zip(specs, linears)
+                   if (spec.m, spec.n, spec.p, spec.q) == order
+                   for _, _, power in lin), order
 
 
 def test_asc_routes_agree():

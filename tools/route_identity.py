@@ -13,9 +13,11 @@ Per scenario it records float.hex of value and error, or the type of
 the exception raised, of the seven standalone routes and of
 evaluate_scenario over both analytic methods.  It also records a digest
 of reg_inc_beta on 300 seeded point sets of up to 1500 points (with
-0, 1 and nan among them).  Then each checkout runs ``fsosec metrics
---methods quadrature,closed_form,monte_carlo`` on the configs/*.cfg of
-AFTER at --jobs 1 and 2, and the CSVs are compared byte by byte.
+0, 1 and nan among them).  Then each checkout runs ``fsosec
+link-budget``, ``fsosec metrics`` and ``fsosec validate``, the last two
+with ``--methods quadrature,closed_form,monte_carlo``, on the
+configs/*.cfg of AFTER at --jobs 1 and 2, and the exit codes, CSVs and
+messages are compared byte by byte.
 
 Every difference is printed; the exit status is 1 if there is any.
 Needs numpy only.
@@ -42,6 +44,8 @@ _ROUTES = (("asc", "quadrature", "asc_quadrature", {}),
            ("spsc", "closed_form", "spsc", {"method": "closed_form"}))
 _RATES = (0.0, 0.5, 2.0, 8.0)
 _METHODS = "quadrature,closed_form,monte_carlo"
+_COMMANDS = (("link-budget",), ("metrics", "--methods", _METHODS),
+             ("validate", "--methods", _METHODS))
 _COUNT = 300
 _SEED = 0
 
@@ -129,9 +133,9 @@ def _run_records(checkout):
     return json.loads(out)
 
 
-def _run_metrics(checkout, config, jobs):
-    command = [sys.executable, "-m", "fsosec.cli", "metrics", "--config",
-               str(config), "--methods", _METHODS, "--jobs", str(jobs)]
+def _run_cli(checkout, command, config, jobs):
+    command = [sys.executable, "-m", "fsosec.cli", *command, "--config",
+               str(config), "--jobs", str(jobs)]
     done = subprocess.run(command, cwd=checkout, env=_child_env(checkout),
                           capture_output=True)
     return done.returncode, done.stdout, done.stderr
@@ -158,15 +162,16 @@ def main(argv=None):
     print(f"{len(sides[1])} route records compared")
 
     configs = sorted((args.after / "configs").glob("*.cfg"))
-    for config in configs:
-        for jobs in (1, 2):
-            runs = [_run_metrics(c, config.resolve(), jobs)
-                    for c in (args.before, args.after)]
-            if runs[0] != runs[1]:
-                differences += 1
-                print(f"metrics {config.name} --jobs {jobs}: exit "
-                      f"{runs[0][0]} -> {runs[1][0]}, output differs")
-    print(f"{2 * len(configs)} metrics runs compared; "
+    for command in _COMMANDS:
+        for config in configs:
+            for jobs in (1, 2):
+                runs = [_run_cli(c, command, config.resolve(), jobs)
+                        for c in (args.before, args.after)]
+                if runs[0] != runs[1]:
+                    differences += 1
+                    print(f"{command[0]} {config.name} --jobs {jobs}: exit "
+                          f"{runs[0][0]} -> {runs[1][0]}, output differs")
+    print(f"{2 * len(configs) * len(_COMMANDS)} CLI runs compared; "
           f"{differences} differences")
     return 1 if differences else 0
 
