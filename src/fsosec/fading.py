@@ -9,7 +9,8 @@ shape a and large-scale shape b:
 
 equivalently ((b-1)/a) times a beta-prime(a, b) variate.  The
 instantaneous electrical SNR is gamma = 4 * mean_snr * h_t^2, with the
-deterministic channel gains folded into mean_snr.
+deterministic channel gains folded into mean_snr.  Both shapes are
+finite, so every branch fades.
 """
 
 import math
@@ -25,23 +26,18 @@ class FFadingParams:
     """Shape pair of the F fading distribution.
 
     a is the small-scale (diffractive) shape, b the large-scale
-    (refractive) shape.  b must exceed 1 for the unit-mean scaling to
-    exist; the variance additionally needs b > 2.  Infinite shapes are
-    the no-fading sentinel produced by vanishing turbulence.
+    (refractive) shape, both finite.  b must exceed 1 for the unit-mean
+    scaling to exist; the variance additionally needs b > 2.
     """
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError(f"shape a must be > 0, got {self.a!r}")
-        if not self.b > 1.0:
-            raise ValueError(f"shape b must be > 1, got {self.b!r}")
-
-    @property
-    def no_fading(self):
-        return math.isinf(self.a) or math.isinf(self.b)
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"shape a must be in (0, inf), got {self.a!r}")
+        if not 1.0 < self.b < math.inf:
+            raise ValueError(f"shape b must be in (1, inf), got {self.b!r}")
 
 
 def _scalar_or_array(x, out):
@@ -53,16 +49,11 @@ def pdf_ht(params, h):
     """Density of the power gain, elementwise on an array of h.
 
     Zero for h < 0 and h = inf.  At h = 0 it is inf for a < 1, the
-    finite limit for a = 1 and 0 for a > 1.  The no-fading sentinel
-    has no density: ValueError for any h in [0, inf).
+    finite limit for a = 1 and 0 for a > 1.
     """
     a, b = params.a, params.b
     h = np.asarray(h, dtype=float)
     outside = (h < 0.0) | (h == math.inf)
-    if params.no_fading:
-        if not outside.all():
-            raise ValueError("no-fading sentinel has no density")
-        return _scalar_or_array(h, np.zeros(h.shape))
     lb = log_beta(a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_p = (a * math.log(a) + b * math.log(b - 1.0) + (a - 1.0) * np.log(h)
@@ -79,12 +70,9 @@ def pdf_ht(params, h):
 def cdf_ht(params, h):
     """Distribution function of the power gain, elementwise on an array.
 
-    0 for h <= 0 and 1 at h = inf; a step at h = 1 for the no-fading
-    sentinel.
+    0 for h <= 0 and 1 at h = inf.
     """
     h = np.asarray(h, dtype=float)
-    if params.no_fading:
-        return _scalar_or_array(h, (h >= 1.0).astype(float))
     a, b = params.a, params.b
     with np.errstate(invalid="ignore", over="ignore"):
         ah = a * h
@@ -124,8 +112,6 @@ def sample_ht(params, rng, n):
     h = ((b-1)/a) * X / Y with X ~ Gamma(a, 1), Y ~ Gamma(b, 1) is
     exactly the unit-mean F power gain.
     """
-    if params.no_fading:
-        return np.ones(n)
     a, b = params.a, params.b
     x = rng.standard_gamma(a, size=n)
     y = rng.standard_gamma(b, size=n)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonConvergent, PoleCollision
+# snr_cdf has no caller here; bench/tracer.py patches it by name
 from .fading import cdf_ht, h_from_snr, pdf_ht, snr_cdf, snr_pdf
 from .quadrature import quad_positive_axis, quad_positive_axis_many
 from .specfun import MeijerGSpec, log_beta, meijer_g
@@ -59,11 +60,6 @@ class MetricValue:
     method: str
     value: float
     error: float
-
-
-def _fixed_snr(channel):
-    # degenerate (no-fading) branch pins h_t at its unit mean
-    return 4.0 * channel.mean_snr
 
 
 def _gain_mode(fading):
@@ -122,12 +118,10 @@ def _shared(terms, compute=_cdf_integrals):
 def _cdf_terms(scenario, metric, method):
     """{memo key: (weight, fading, arg, x_peak)} of the CDF-weighted
     integrals the route of metric by method takes, the one statement of
-    them; empty when it takes none: a branch without fading has an exact
-    value, and the lower bound's closed form a G-function.
+    them; empty only for the lower bound's closed form on shared shapes,
+    which takes a G-function instead.
     """
     bob, eve = scenario.bob, scenario.eve
-    if bob.fading.no_fading or eve.fading.no_fading:
-        return {}
     if metric == "asc":
         # both methods: one receiver's rate density over SNR times the
         # other's CDF, each way round
@@ -185,23 +179,7 @@ def asc_quadrature(scenario):
     unconditional eavesdropper ergodic rate.  A tiny negative total is
     clamped to zero only when it sits inside the combined error bar.
     """
-    bob, eve = scenario.bob, scenario.eve
-    if bob.fading.no_fading and eve.fading.no_fading:
-        value = max(0.0, math.log2(1.0 + _fixed_snr(bob))
-                    - math.log2(1.0 + _fixed_snr(eve)))
-        return MetricValue("asc", "quadrature", value, 0.0)
-    if eve.fading.no_fading:
-        ge = _fixed_snr(eve)
-        v1, e1 = quad_positive_axis(
-            lambda x: np.log1p(ge + x) * snr_pdf(bob, ge + x))
-        v2 = math.log1p(ge) * (snr_cdf(bob, ge) - 1.0)
-        return _asc_value(v1 + v2, e1, "quadrature")
-    if bob.fading.no_fading:
-        gb = _fixed_snr(bob)
-        v1, e1 = quad_positive_axis(
-            lambda g: np.where(g < gb, (math.log1p(gb) - np.log1p(g))
-                               * snr_pdf(eve, g), 0.0))
-        return _asc_value(v1, e1, "quadrature")
+    eve = scenario.eve
     cross, e_cross = _asc_cross_terms(scenario)
     v3, e3 = quad_positive_axis(
         lambda g: np.log1p(g) * snr_pdf(eve, g), x_peak=_snr_mode(eve))
@@ -214,8 +192,6 @@ def eve_ergodic_rate_closed_form(channel):
     Returns (value, error) in nats.
     """
     a, b = channel.fading.a, channel.fading.b
-    if channel.fading.no_fading:
-        return math.log1p(_fixed_snr(channel)), 0.0
     z = a * a / (4.0 * (b - 1.0) ** 2 * channel.mean_snr)
     spec = MeijerGSpec(4, 3, 4, 4,
                        ((1.0 - b) / 2.0, (2.0 - b) / 2.0, 0.0, 1.0),
@@ -228,15 +204,13 @@ def eve_ergodic_rate_closed_form(channel):
 def asc_closed_form(scenario):
     """ASC with the eavesdropper ergodic term in closed form.
 
-    The two cross terms keep their quadrature route; the method is
-    still an independent check of the G-engine because the subtracted
-    term dominates whenever the branches are close.
+    The two cross terms keep their quadrature route, the same floats
+    asc_quadrature takes; the method is still an independent check of
+    the G-engine because the subtracted term dominates whenever the
+    branches are close.
     """
-    bob, eve = scenario.bob, scenario.eve
-    if bob.fading.no_fading or eve.fading.no_fading:
-        return replace(asc_quadrature(scenario), method="closed_form")
     cross, e_cross = _asc_cross_terms(scenario)
-    v3, e3 = eve_ergodic_rate_closed_form(eve)
+    v3, e3 = eve_ergodic_rate_closed_form(scenario.eve)
     return _asc_value(cross - v3, e_cross + e3, "closed_form")
 
 
@@ -258,31 +232,10 @@ def _lb_scale(scenario):
             * math.sqrt(scenario.eve.mean_snr / scenario.bob.mean_snr))
 
 
-def _pinned_outage(scenario, bob_level, eve_level):
-    # outage probability when a branch has no fading, so its gain is
-    # pinned at 1: Bob's gain below bob_level when Eve's is pinned, or
-    # Eve's above eve_level when Bob's is
-    bob, eve = scenario.bob.fading, scenario.eve.fading
-    if bob.no_fading and eve.no_fading:
-        return 1.0 if bob_level > 1.0 else 0.0
-    if eve.no_fading:
-        return cdf_ht(bob, bob_level)
-    return 1.0 - cdf_ht(eve, eve_level)
-
-
 def sop_exact(scenario):
     """Secrecy outage probability by quadrature over the Eve gain."""
-    terms = _cdf_terms(scenario, "sop", "quadrature")
-    if terms:
-        (value, err), = _shared(terms)
-        return MetricValue("sop", "quadrature", min(max(value, 0.0), 1.0), err)
-    # Eve's gain above which Bob's pinned gain is in outage; 0 if t2 <= 0
-    bob, eve = scenario.bob, scenario.eve
-    t2 = (2.0 ** -scenario.target_rate * (4.0 * bob.mean_snr + 1.0)
-          - 1.0) / (4.0 * eve.mean_snr)
-    value = _pinned_outage(scenario, _outage_gain_threshold(scenario, 1.0),
-                           math.sqrt(max(t2, 0.0)))
-    return MetricValue("sop", "quadrature", value, 0.0)
+    (value, err), = _shared(_cdf_terms(scenario, "sop", "quadrature"))
+    return MetricValue("sop", "quadrature", min(max(value, 0.0), 1.0), err)
 
 
 def sop_lower_bound(scenario, method="closed_form"):
@@ -294,18 +247,14 @@ def sop_lower_bound(scenario, method="closed_form"):
     mismatched shapes fall back to quadrature.
     """
     _check_method(method)
-    bob, eve = scenario.bob, scenario.eve
-    w = _lb_scale(scenario)
     terms = _cdf_terms(scenario, "sop_lb", method)
     if terms:
         (value, err), = _shared(terms)
         value = min(max(value, 0.0), 1.0)
         return MetricValue("sop_lb", "quadrature", value, err)
-    if bob.fading.no_fading or eve.fading.no_fading:
-        return MetricValue("sop_lb", "quadrature",
-                           _pinned_outage(scenario, w, 1.0 / w), 0.0)
-    a, b = bob.fading.a, bob.fading.b
-    spec = MeijerGSpec(2, 3, 3, 3, (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0), w)
+    a, b = scenario.bob.fading.a, scenario.bob.fading.b
+    spec = MeijerGSpec(2, 3, 3, 3, (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0),
+                       _lb_scale(scenario))
     log_pref = -2.0 * (log_beta(a, b) + math.lgamma(a + b))
     (value, err), = _shared({("sop_lb_g", scenario.target_rate): spec},
                             lambda specs: [meijer_g(s, log_scale=log_pref)

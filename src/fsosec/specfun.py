@@ -270,13 +270,16 @@ def _reduce_factors(factors):
     # it whenever both are present (an exact float match of const), so
     # fewer complex log-gammas are taken per contour node.  Folding from
     # the top const down carries a whole unit-spaced chain to its base.
+    # From |const| >= 2^53 on, const - 1 rounds back to const, and the
+    # factor would fold into itself and vanish: it is kept.
     powers = {}
     for const, sign_s, power in factors:
         powers[const, sign_s] = powers.get((const, sign_s), 0.0) + power
     linears = []
     for const, sign_s in sorted(powers, reverse=True):
         power = powers[const, sign_s]
-        if power and (const - 1.0, sign_s) in powers:
+        if (power and const - 1.0 != const
+                and (const - 1.0, sign_s) in powers):
             powers[const - 1.0, sign_s] += power
             powers[const, sign_s] = 0.0
             linears.append((const - 1.0, sign_s, power))

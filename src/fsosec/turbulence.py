@@ -137,15 +137,18 @@ def rytov_variance(profile, geom):
 def scintillation_log_variances(rytov_var):
     """Small- and large-scale log-irradiance variances (plane wave).
 
-    Returns (sigma_lnS^2, sigma_lnL^2).
+    Returns (sigma_lnS^2, sigma_lnL^2).  A denominator that overflows
+    gives a variance of 0, and an infinite or nan Rytov variance nan.
     """
-    s = rytov_var
-    if s < 0.0:
+    if rytov_var < 0.0:
         raise ValueError("Rytov variance must be >= 0")
-    s125 = s ** (12.0 / 5.0)
-    small = 0.51 * s / (1.0 + 0.69 * s125) ** (5.0 / 6.0)
-    large = 0.49 * s / (1.0 + 1.11 * s125) ** (7.0 / 6.0)
-    return small, large
+    # a numpy scalar overflows to inf where a Python float raises
+    s = np.float64(rytov_var)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s125 = s ** (12.0 / 5.0)
+        small = 0.51 * s / (1.0 + 0.69 * s125) ** (5.0 / 6.0)
+        large = 0.49 * s / (1.0 + 1.11 * s125) ** (7.0 / 6.0)
+    return float(small), float(large)
 
 
 def fading_shapes_from_rytov(rytov_var):
@@ -154,12 +157,16 @@ def fading_shapes_from_rytov(rytov_var):
     a = 1/(exp(sigma_lnS^2) - 1)    small-scale shape
     b = 1/(exp(sigma_lnL^2) - 1) + 2  large-scale shape
 
-    A vanishing Rytov variance sends both shapes to +inf, the
-    no-fading limit; callers should branch on that sentinel.
+    NonConvergent when the mapping gives no finite shape pair: for a
+    Rytov variance of 0 or a subnormal one (a station above the
+    turbulent layer), one so large that a log variance underflows to 0,
+    and an infinite or nan one.
     """
     small, large = scintillation_log_variances(rytov_var)
-    if small == 0.0 or large == 0.0:
-        return math.inf, math.inf
-    a = 1.0 / math.expm1(small)
-    b = 1.0 / math.expm1(large) + 2.0
-    return a, b
+    if small > 0.0 and large > 0.0:
+        a = 1.0 / math.expm1(small)
+        b = 1.0 / math.expm1(large) + 2.0
+        if math.isfinite(a) and math.isfinite(b):
+            return a, b
+    raise NonConvergent(f"Rytov variance {rytov_var!r} maps onto no finite "
+                        f"F-law shape pair")

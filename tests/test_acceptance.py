@@ -149,7 +149,8 @@ def test_identical_branches_give_even_odds():
               abs(sop_lower_bound(scen, "closed_form").value - 0.5),
               abs(spsc(scen).value - 0.5))
     n = 10_000_000
-    _, est, _ = mc_metrics(scen, McConfig(samples=n, seed=90210))
+    # the estimate is the same at any worker count (check 9)
+    _, est, _ = mc_metrics(scen, McConfig(samples=n, seed=90210, jobs=2))
     pull = abs(est.mean - 0.5) / math.sqrt(0.25 / n)
     ok = gap <= 1e-8 and pull <= 3.0
     assert _verdict(
@@ -169,7 +170,7 @@ def test_analytic_and_monte_carlo_routes_agree():
                              (0.5, 5.0, 50.0))
     for i, (a, b, ratio) in enumerate(grid):
         scen = _shared_scenario(a, b, 50.0, 50.0 / ratio, 0.5)
-        cfg = McConfig(samples=n, seed=8800 + i)
+        cfg = McConfig(samples=n, seed=8800 + i, jobs=2)
         analytic = (asc_quadrature(scen).value, sop_exact(scen).value,
                     spsc(scen).value)
         # one sampler pass per scenario gives all three estimates

@@ -279,6 +279,55 @@ def test_saturated_turbulence_gives_status_rows(tmp_path, capsys):
                 if row[3:] == [zero, zero, "ok"]]
 
 
+def _zenith_sweep_with(tmp_path, **values):
+    # configs/zenith-sweep.cfg with the named keys set to new values
+    text = (CONFIGS / "zenith-sweep.cfg").read_text()
+    for key, value in values.items():
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert count == 1
+    path = tmp_path / "edited.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def _rows(out):
+    return [line.split(",") for line in out.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("edits", [
+    # the scintillation split overflows
+    {"cn2_ground": "1e100"}, {"cn2_ground": "1e300"},
+    # above the turbulent layer the Rytov variance underflows to 0
+    {"ground_height_m": "1.2e6", "satellite_altitude_km": "2000"}],
+    ids=["cn2-1e100", "cn2-1e300", "ground-1200km"])
+@pytest.mark.parametrize("command", ["link-budget", "metrics"])
+def test_no_finite_shapes_exit_numerics(tmp_path, capsys, command, edits):
+    # no finite F-law shape pair: exit 3 with a message or status rows,
+    # never a traceback, a nan shape or an ok row
+    path = _zenith_sweep_with(tmp_path, **edits)
+    assert main([command, "--config", path]) == 3
+    captured = capsys.readouterr()
+    if command == "link-budget":
+        assert "no finite F-law shape pair" in captured.err
+    else:
+        rows = _rows(captured.out)
+        assert len(rows) == 22
+        assert all(row[1:] == ["all", row[2], "", "", "non_convergent"]
+                   for row in rows)
+
+
+def test_huge_shapes_exit_numerics(tmp_path, capsys):
+    # shapes near 1e146: the lower bound's G-function keeps its Gamma
+    # factors, so its closed form is a status row, not a traceback
+    path = _zenith_sweep_with(tmp_path, ground_height_m="5e5",
+                              satellite_altitude_km="2000")
+    assert main(["metrics", "--config", path]) == 3
+    closed = [row for row in _rows(capsys.readouterr().out)
+              if row[2] == "closed_form"]
+    assert len(closed) == 11
+    assert all(row[5] == "non_convergent" for row in closed)
+
+
 def test_metrics_pole_collision_row(cfg, monkeypatch, capsys):
     def collides(scenario):
         raise PoleCollision("synthetic")

@@ -116,11 +116,6 @@ def test_densities_act_elementwise_with_scalar_edges():
     assert pdf_ht(FFadingParams(1.0, 4.0), 0.0) == pytest.approx(4.0 / 3.0, rel=1e-13)
     assert pdf_ht(FFadingParams(2.5, 3.2), 0.0) == 0.0
     assert snr_cdf(SnrChannel(FFadingParams(2.5, 3.2), 48.3), np.inf) == 1.0
-    calm = FFadingParams(math.inf, math.inf)
-    assert list(cdf_ht(calm, np.array([0.5, 1.0, 2.0]))) == [0.0, 1.0, 1.0]
-    assert list(pdf_ht(calm, np.array([-1.0, np.inf]))) == [0.0, 0.0]
-    with pytest.raises(ValueError):
-        pdf_ht(calm, np.array([-1.0, 1.0]))
 
 
 def test_gform_matches_direct():
@@ -133,15 +128,11 @@ def test_gform_matches_direct():
             assert val == pytest.approx(cdf_ht(params, h), rel=1e-8)
 
 
-def test_no_fading_sentinel():
-    params = FFadingParams(math.inf, math.inf)
-    assert params.no_fading
-    assert np.all(sample_ht(params, np.random.default_rng(0), 8) == 1.0)
-    assert not FFadingParams(9.1, 11.7).no_fading
-
-
 def test_params_validation():
-    for a, b in ((0.0, 3.0), (-1.0, 3.0), (1.0, 1.0), (1.0, 0.5)):
+    # both shapes must also be finite
+    for a, b in ((0.0, 3.0), (-1.0, 3.0), (1.0, 1.0), (1.0, 0.5),
+                 (math.inf, math.inf), (math.inf, 3.0), (1.0, math.inf),
+                 (math.nan, 3.0), (1.0, math.nan)):
         with pytest.raises(ValueError):
             FFadingParams(a, b)
 

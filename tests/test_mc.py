@@ -144,13 +144,14 @@ def test_probabilities_stay_in_range():
         assert asc.mean >= 0.0
 
 
-def test_no_fading_stream_is_constant():
-    calm = SnrChannel(FFadingParams(math.inf, math.inf), 100.0)
-    scen = WiretapScenario(calm, SnrChannel(FFadingParams(math.inf, math.inf), 10.0))
-    est, _, _ = mc_metrics(scen, McConfig(samples=1000, seed=0))
-    want = math.log2(401.0) - math.log2(41.0)
-    assert est.mean == pytest.approx(want, rel=1e-14)
-    # one-pass variance of a constant stream leaves only roundoff
+def test_constant_stream_leaves_only_roundoff():
+    # equal batch sums of a constant stream: the one-pass variance is
+    # cancellation roundoff alone, clamped at zero
+    value = math.log2(401.0) - math.log2(41.0)
+    sizes = [fsosec.mc._BATCH_SIZE] * 15 + [1000]
+    est = fsosec.mc._estimate([(value * n, value * value * n) for n in sizes],
+                              sum(sizes))
+    assert est.mean == pytest.approx(value, rel=1e-14)
     assert est.std_error <= 1e-8 * est.mean
 
 

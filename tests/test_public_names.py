@@ -17,6 +17,8 @@ KEPT = {
     "mc_asc": "imported by the benchmark smoke tests",
     "cn2_profile": "patched by name by the benchmark tracer and integrated by "
                    "the Rytov oracle test",
+    "snr_cdf": "imported into secrecy only for the benchmark tracer, which "
+               "patches secrecy.snr_cdf by name",
 }
 
 

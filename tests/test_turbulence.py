@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 
 from fsosec.atmosphere import LinkGeometry
+from fsosec.errors import NonConvergent
 from fsosec.turbulence import (TurbulenceProfile, cn2_profile,
                                fading_shapes_from_rytov, rytov_variance,
                                scintillation_log_variances)
@@ -103,6 +104,12 @@ def test_scintillation_split_formulas():
         assert large == pytest.approx(0.49 * s / (1.0 + 1.11 * s125) ** (7.0 / 6.0), rel=1e-14)
         assert 0.0 < small and 0.0 < large
     assert scintillation_log_variances(0.0) == (0.0, 0.0)
+    # a denominator past the float range gives a zero variance, not an
+    # OverflowError
+    assert scintillation_log_variances(1e300) == (0.0, 0.0)
+    small, large = scintillation_log_variances(1e112)
+    assert large == 0.0 and 0.0 < small < 1e-100
+    assert all(map(math.isnan, scintillation_log_variances(math.inf)))
 
 
 def test_fading_shapes_mapping():
@@ -122,7 +129,12 @@ def test_fading_shapes_weak_fluctuations_drive_shapes_up():
 
 
 def test_fading_shapes_no_turbulence_sentinel():
-    assert fading_shapes_from_rytov(0.0) == (math.inf, math.inf)
+    # no turbulence, or none a float resolves, maps onto no finite shape
+    # pair, and neither does a variance whose split overflows, nor an
+    # infinite or nan one
+    for rytov in (0.0, 1e-320, 1e112, 1e300, math.inf, math.nan):
+        with pytest.raises(NonConvergent, match="no finite"):
+            fading_shapes_from_rytov(rytov)
 
 
 def test_profile_validation():
