@@ -251,6 +251,10 @@ def _positive_axis_steps(x_peak):
                                           np.arange(hi + 1, new_hi + 1))))
         lo, hi = new_lo, new_hi
 
+    if any(j == i for j, i in ends):
+        # a walk ran off a grid end before g fell to the floor
+        raise NonConvergent(f"integrand mass beyond the scan grid, "
+                            f"e^{_U_LO:g} to e^{_U_HI:g}")
     (left, _), (right, _) = ends
     val, err = yield from _adaptive_steps(
         _U_LO + left * _SCAN_STEP, _U_LO + right * _SCAN_STEP,
@@ -276,7 +280,9 @@ def quad_positive_axis(f, x_peak=None):
     integrated adaptively to _TOL_ABS and _TOL_REL.
     A bound on the truncated tails, from the locally observed geometric
     decay, is folded into the returned error.  A sample that is nan,
-    inf or overflows counts as empty.
+    inf or overflows counts as empty.  When the window reaches a grid
+    end before g has fallen below its floor, the mass beyond it is not
+    seen, and NonConvergent is raised.
 
     x_peak, when given, is a guess of where g peaks (in x, not u).  The
     grid is then sampled in a block of 49 points around ln(x_peak),

@@ -118,8 +118,8 @@ def _shared(terms, compute=_cdf_integrals):
 def _cdf_terms(scenario, metric, method):
     """{memo key: (weight, fading, arg, x_peak)} of the CDF-weighted
     integrals the route of metric by method takes, the one statement of
-    them; empty only for the lower bound's closed form on shared shapes,
-    which takes a G-function instead.
+    them; empty only for the lower bound's closed form, which takes a
+    G-function instead.
     """
     bob, eve = scenario.bob, scenario.eve
     if metric == "asc":
@@ -136,11 +136,10 @@ def _cdf_terms(scenario, metric, method):
                           "sop" if method == "quadrature" else "sop_lb",
                           method)
     # outage: Eve's gain density times Bob's CDF at the threshold gain,
-    # or at the lower bound's scaled gain; the lower bound's closed form
-    # needs both branches to share the fading shapes
+    # or at the lower bound's scaled gain
     if metric == "sop":
         arg = lambda h: _outage_gain_threshold(scenario, h)
-    elif method == "closed_form" and bob.fading == eve.fading:
+    elif method == "closed_form":
         return {}
     else:
         w = _lb_scale(scenario)
@@ -243,24 +242,24 @@ def sop_lower_bound(scenario, method="closed_form"):
 
     Drops the +1 SNR offsets, so only the gain ratio and the target
     rate enter.  Coincides with sop_exact at target rate zero.  The
-    closed form requires both branches to share the fading shapes;
-    mismatched shapes fall back to quadrature.
+    closed form, a G^{2,3}_{3,3}, is P(U < z) for U = X_B Y_E / (Y_B X_E)
+    with X ~ Gamma(a), Y ~ Gamma(b) of each branch's own shapes.
     """
     _check_method(method)
     terms = _cdf_terms(scenario, "sop_lb", method)
     if terms:
         (value, err), = _shared(terms)
-        value = min(max(value, 0.0), 1.0)
-        return MetricValue("sop_lb", "quadrature", value, err)
-    a, b = scenario.bob.fading.a, scenario.bob.fading.b
-    spec = MeijerGSpec(2, 3, 3, 3, (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0),
-                       _lb_scale(scenario))
-    log_pref = -2.0 * (log_beta(a, b) + math.lgamma(a + b))
-    (value, err), = _shared({("sop_lb_g", scenario.target_rate): spec},
-                            lambda specs: [meijer_g(s, log_scale=log_pref)
-                                           for s in specs])
-    value = min(max(value, 0.0), 1.0)
-    return MetricValue("sop_lb", "closed_form", value, err)
+    else:
+        bob, eve = scenario.bob.fading, scenario.eve.fading
+        z = _lb_scale(scenario) * (bob.a * (eve.b - 1.0)
+                                   / ((bob.b - 1.0) * eve.a))
+        spec = MeijerGSpec(2, 3, 3, 3, (1.0 - bob.b, 1.0, 1.0 - eve.a),
+                           (bob.a, eve.b, 0.0), z)
+        log_pref = -((log_beta(bob.a, bob.b) + math.lgamma(bob.a + bob.b))
+                     + (log_beta(eve.a, eve.b) + math.lgamma(eve.a + eve.b)))
+        (value, err), = _shared({("sop_lb_g", scenario.target_rate): spec},
+                                lambda s: [meijer_g(*s, log_scale=log_pref)])
+    return MetricValue("sop_lb", method, min(max(value, 0.0), 1.0), err)
 
 
 def spsc(scenario, method="quadrature"):

@@ -105,6 +105,19 @@ def test_mass_between_grid_samples_at_the_hint_raises():
     assert quad_positive_axis(bump) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("f, x_peak", [
+    # unit mass around x = 1e300 and 1e-300, past each end of the grid
+    # e^-690 ... e^690; the walks run into the end still rising
+    (lambda x: np.exp(-x / 1e300) / 1e300, None),
+    (lambda x: np.exp(-x / 1e300) / 1e300, 1e300),
+    (lambda x: 1e300 * np.exp(-1e300 * x), None),
+    (lambda x: 1e300 * np.exp(-1e300 * x), 1e-300),
+], ids=["top-scan", "top-hint", "bottom-scan", "bottom-hint"])
+def test_mass_beyond_a_grid_end_raises(f, x_peak):
+    with pytest.raises(NonConvergent, match="beyond the scan grid"):
+        quad_positive_axis(f, x_peak=x_peak)
+
+
 def test_positive_axis_survives_bad_tail_points():
     # inf or nan far outside the mass window must not poison the peak
     # scan; lognormal mass near x = 1 is untouched

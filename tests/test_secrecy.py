@@ -17,7 +17,8 @@ from fsosec.quadrature import quad_positive_axis, quad_positive_axis_many
 from fsosec.secrecy import (WiretapScenario, asc_closed_form, asc_quadrature,
                             eve_ergodic_rate_closed_form, evaluate_scenario,
                             sop_exact, sop_lower_bound, spsc)
-from fsosec.specfun import _gamma_factors, _reduce_factors, reg_inc_beta
+from fsosec.specfun import (MeijerGSpec, _gamma_factors, _reduce_factors,
+                            log_beta, meijer_g, reg_inc_beta)
 
 BOB = SnrChannel(FFadingParams(9.1, 11.7), 472.7)
 EVE = SnrChannel(FFadingParams(9.1, 11.7), 48.3)
@@ -187,13 +188,70 @@ def test_spsc_complements_zero_rate_outage():
         assert s_c.value == pytest.approx(s_q.value, abs=1e-8)
 
 
-def test_mismatched_shapes_fall_back_to_quadrature():
-    scen = WiretapScenario(SnrChannel(FFadingParams(9.1, 11.7), 100.0),
-                           SnrChannel(FFadingParams(2.5, 3.2), 10.0))
-    got = sop_lower_bound(scen, method="closed_form")
-    assert got.method == "quadrature"
-    ref = sop_lower_bound(scen, method="quadrature")
-    assert got.value == pytest.approx(ref.value, rel=1e-12)
+def _betaprime_sop_lb(scenario):
+    # Independent reference for the outage lower bound P(h_B < w h_E),
+    # w = _lb_scale: each gain is (b-1)/a times a beta-prime(a, b)
+    # variate, whose CDF at y is scipy's betainc(a, b, y / (1 + y)), and
+    # Eve's density times Bob's CDF at w h is integrated by QUADPACK
+    # over t = ln y_E, with breaks at Eve's median and where z y_E = 1.
+    from scipy import integrate, special
+
+    (a_b, b_b), (a_e, b_e) = ((ch.fading.a, ch.fading.b)
+                              for ch in (scenario.bob, scenario.eve))
+    z = secrecy._lb_scale(scenario) * a_b * (b_e - 1.0) / ((b_b - 1.0) * a_e)
+    log_beta_e = special.betaln(a_e, b_e)
+
+    def integrand(t):
+        # Eve's log beta-prime density in t, times Bob's CDF at z e^t
+        y = math.exp(t)
+        return (math.exp(a_e * t - (a_e + b_e) * math.log1p(y) - log_beta_e)
+                * special.betainc(a_b, b_b, z * y / (1.0 + z * y)))
+
+    half = special.betaincinv(a_e, b_e, 0.5)
+    mid = math.log(half / (1.0 - half))
+    lo, hi = max(mid - 200.0, -700.0), min(mid + 200.0, 700.0)
+    cuts = sorted({lo, mid, min(max(-math.log(z), lo), hi), hi})
+    return sum(integrate.quad(integrand, t0, t1, epsabs=1e-16,
+                              epsrel=1e-12, limit=500)[0]
+               for t0, t1 in zip(cuts, cuts[1:]))
+
+
+def _own_shape_scenarios(seed, count):
+    # draws of _drawn_scenarios with Eve's own shapes, over the four
+    # target rates in turn
+    return [replace(s, target_rate=(0.0, 0.5, 2.0, 8.0)[k % 4])
+            for k, s in enumerate(_drawn_scenarios(seed, 2 * count)[1::2])]
+
+
+def test_own_shapes_take_the_closed_form():
+    # the G-form of the gain ratio holds for any shape pair: within the
+    # summed errors of the quadrature route, and within its error plus
+    # QUADPACK's 1e-12 of the scipy beta-prime reference
+    for scen in _own_shape_scenarios(20261019, 16):
+        assert scen.bob.fading != scen.eve.fading
+        got = sop_lower_bound(scen, "closed_form")
+        assert got.method == "closed_form"
+        quad = sop_lower_bound(scen, "quadrature")
+        assert abs(got.value - quad.value) <= got.error + quad.error
+        assert abs(got.value - _betaprime_sop_lb(scen)) <= got.error + 1e-12
+        if scen.target_rate == 0.0:
+            pos = spsc(scen, "closed_form")
+            assert pos.method == "closed_form"
+            assert abs(pos.value - (1.0 - _betaprime_sop_lb(scen))) \
+                <= pos.error + 1e-12
+
+
+def test_shared_shapes_keep_the_closed_form_floats():
+    # at shared shapes the gain-ratio G-form reduces to the shared-shape
+    # spec, argument and prefactor, float for float
+    for scen in _drawn_scenarios(20261019, 8)[::2]:
+        a, b = scen.bob.fading.a, scen.bob.fading.b
+        spec = MeijerGSpec(2, 3, 3, 3, (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0),
+                           secrecy._lb_scale(scen))
+        value, err = meijer_g(
+            spec, log_scale=-2.0 * (log_beta(a, b) + math.lgamma(a + b)))
+        assert sop_lower_bound(scen, "closed_form") == secrecy.MetricValue(
+            "sop_lb", "closed_form", min(max(value, 0.0), 1.0), err)
 
 
 def test_evaluate_scenario_report():
@@ -221,6 +279,15 @@ def test_evaluate_scenario_report():
     # the one-method call form of earlier releases is refused by name
     with pytest.raises(TypeError, match=r"\('closed_form',\)"):
         evaluate_scenario(PAIR, "closed_form")
+
+
+@pytest.mark.parametrize("own_shapes", [False, True],
+                         ids=["shared-shapes", "own-shapes"])
+def test_every_row_carries_its_method(own_shapes):
+    for rate in (0.0, 0.5):
+        report = evaluate_scenario(_shipped_scenario(rate, own_shapes))
+        for method, rows in report.items():
+            assert [mv.method for mv in rows] == [method] * len(rows)
 
 
 def test_spsc_error_covers_the_subtraction():
@@ -364,20 +431,30 @@ def test_shipped_configs_never_take_the_full_scan(monkeypatch):
     assert max(counts) < 1000
 
 
-def _shipped_scenario(rate):
+def _shipped_scenario(rate, own_shapes=False):
+    # the first turbulence-sweep point, with Eve's shapes of her own if
+    # own_shapes
     rc = parse_config(str(CONFIGS / "turbulence-sweep.cfg"))
     _, raw = rc.sweep.points()[0]
     scenario = build_scenario(rc.with_value(rc.sweep.variable, raw))
+    if own_shapes:
+        scenario = replace(scenario, eve=replace(
+            scenario.eve, fading=FFadingParams(2.5, 3.2)))
     return replace(scenario, target_rate=rate)
 
 
-@pytest.mark.parametrize("rate, integrals, g_calls", [(0.5, 6, 3),
-                                                      (0.0, 5, 2)])
-def test_planner_computes_each_distinct_integral_once(monkeypatch, rate,
-                                                      integrals, g_calls):
+@pytest.mark.parametrize("rate, integrals, g_calls, own_shapes", [
+    pytest.param(0.5, 6, 3, False, id="0.5-6-3"),
+    pytest.param(0.0, 5, 2, False, id="0.0-5-2"),
+    pytest.param(0.5, 6, 3, True, id="0.5-6-3-own-shapes"),
+    pytest.param(0.0, 5, 2, True, id="0.0-5-2-own-shapes"),
+])
+def test_planner_computes_each_distinct_integral_once(
+        monkeypatch, rate, integrals, g_calls, own_shapes):
     # both methods make 8 integrals and 3 G-functions when every route
     # computes its own: the ASC cross terms are shared, and at rate 0
-    # SPSC reuses the outage integral and the lower-bound G-function
+    # SPSC reuses the outage integral and the lower-bound G-function;
+    # the lower bound's closed form is a G-function for any shapes
     calls = []
 
     def counted(name, fn):
@@ -396,7 +473,7 @@ def test_planner_computes_each_distinct_integral_once(monkeypatch, rate,
     monkeypatch.setattr(secrecy, "quad_positive_axis_many", counted_many)
     monkeypatch.setattr(secrecy, "meijer_g",
                         counted("g", secrecy.meijer_g))
-    scenario = _shipped_scenario(rate)
+    scenario = _shipped_scenario(rate, own_shapes)
     for runs in (1, 2):
         # nothing is kept from one call to the next
         report = evaluate_scenario(scenario)

@@ -19,8 +19,12 @@ with ``--methods quadrature,closed_form,monte_carlo``, on the
 configs/*.cfg of AFTER at --jobs 1 and 2, and the exit codes, CSVs and
 messages are compared byte by byte.
 
-Every difference is printed; the exit status is 1 if there is any.
-Needs numpy only.
+Every difference is printed, then one line that sizes them: how many
+value records differ, how many changed kind (a value against an
+exception, or one exception type against another), and the worst shift
+|value_after - value_before| / (error_before + error_after) with its
+key, over an evaluate_scenario record's rows the worst of them.  The
+exit status is 1 if there is any difference.  Needs numpy only.
 """
 
 import argparse
@@ -121,6 +125,42 @@ def _records():
     return out
 
 
+def _shift(before, after):
+    # worst |value change| / (summed errors) of two value records, each
+    # one [value, error] pair or a list of them (evaluate_scenario)
+    if isinstance(before[0], str):
+        before, after = [before], [after]
+    worst = 0.0
+    for pairs in zip(before, after):
+        (v0, e0), (v1, e1) = ([float.fromhex(x) for x in pair]
+                              for pair in pairs)
+        if v0 != v1:
+            worst = max(worst, abs(v1 - v0) / (e0 + e1) if e0 + e1 > 0.0
+                        else float("inf"))
+    return worst
+
+
+def _summary(changed):
+    # the line that sizes the differing records {key: (before, after)};
+    # draws and digests are neither values nor exceptions
+    values, kinds, others, worst, worst_key = 0, 0, 0, 0.0, None
+    for key, (before, after) in changed.items():
+        if key.endswith(" draw") or key.startswith("reg_inc_beta"):
+            others += 1
+        elif isinstance(before, list) and isinstance(after, list) \
+                and len(before) == len(after):
+            values += 1
+            shift = _shift(before, after)
+            if shift > worst:
+                worst, worst_key = shift, key
+        else:
+            kinds += 1
+    return (f"{values} value records differ, {kinds} changed kind, "
+            f"{others} draws or digests differ; worst shift {worst:.3g} "
+            f"of the summed errors" + (f" at {worst_key}" if worst_key
+                                       else ""))
+
+
 def _child_env(checkout):
     paths = [str(Path(checkout).resolve() / "src"), os.environ.get("PYTHONPATH")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -152,14 +192,16 @@ def main(argv=None):
     parser.add_argument("after", type=Path)
     args = parser.parse_args(argv)
 
-    differences = 0
     sides = [_run_records(c) for c in (args.before, args.after)]
+    changed = {}
     for key in sorted(set(sides[0]) | set(sides[1])):
         before, after = (side.get(key) for side in sides)
         if before != after:
-            differences += 1
+            changed[key] = before, after
             print(f"{key}: {before} -> {after}")
     print(f"{len(sides[1])} route records compared")
+    print(_summary(changed))
+    differences = len(changed)
 
     configs = sorted((args.after / "configs").glob("*.cfg"))
     for command in _COMMANDS:
