@@ -1,12 +1,16 @@
 """Mellin-Barnes G-function engine against analytic identities and
 frozen mpmath references (50 digits)."""
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from fsosec import secrecy, specfun
+from fsosec.config import build_scenario, parse_config
 from fsosec.errors import NonConvergent, PoleCollision
+from fsosec.secrecy import evaluate_scenario
 from fsosec.specfun import (MeijerGSpec, _gamma_factors, _log_phi_complex,
                             _reduce_factors, log_beta, log_gamma_complex,
                             meijer_g)
@@ -220,3 +224,103 @@ def test_surviving_denominator_gamma_within_error_of_mpmath():
             val, err = meijer_g(MeijerGSpec(1, 2, 2, 2, a_params, b_params, z))
             want = mp.meijerg([a_params, ()], [b_params[:1], b_params[1:]], z)
             assert abs(val - want) <= err, z
+
+
+@pytest.mark.parametrize("offset", [1.0 + 1e-8, 1.0 - 1e-8, 1.0 + 1e-6,
+                                    1.0 - 1e-6, 1.0 - 1e-2])
+def test_narrow_strip_gives_a_value_within_error_or_raises(offset):
+    # an upper and a lower parameter a unit apart up to offset - 1, just
+    # outside the 1e-9 integer-spacing test of the contour placement:
+    # the strip between the pole families is empty (offset > 1) or
+    # |offset - 1| wide, and the trapezoid step shrinks with it.  Each
+    # call gives a value within error of mpmath (at arguments below 1,
+    # where mpmath is fast), or raises once past the node budget
+    rng = np.random.default_rng(int(offset * 1e9) % 2 ** 32)
+    b = rng.uniform(0.2, 2.0)
+    z = math.exp(rng.uniform(math.log(1e-3), math.log(0.3)))
+    for spec in (MeijerGSpec(1, 1, 1, 1, (b + offset,), (b,), z),
+                 MeijerGSpec(4, 3, 4, 4, (-1.0, offset, 0.0, 1.0),
+                             (b + 0.25, b + 0.75, 0.0, 0.0), z)):
+        try:
+            val, err = meijer_g(spec)
+        except (PoleCollision, NonConvergent):
+            continue
+        assert math.isfinite(val) and math.isfinite(err)
+        with mp.workdps(30):
+            want = mp.meijerg(
+                [spec.a_params[:spec.n], spec.a_params[spec.n:]],
+                [spec.b_params[:spec.m], spec.b_params[spec.m:]], z)
+        assert abs(val - want) <= err, (spec, val, want)
+
+
+@pytest.mark.parametrize("make", [_ergodic_spec, _lower_bound_spec])
+def test_contour_takes_one_walk_and_one_trapezoid_batch(make, monkeypatch):
+    # the tail walk samples the contour and both strip edges in one
+    # log-Phi batch per block; when the tail fits one block, the
+    # trapezoid rule then takes exactly one more
+    batches = []
+    real = specfun._log_phi_complex
+
+    def spy(factors, s):
+        batches.append(np.shape(s))
+        return real(factors, s)
+
+    monkeypatch.setattr(specfun, "_log_phi_complex", spy)
+    for a, b, z in ((9.1, 11.7, 0.0037), (2.5, 3.2, 0.7), (5.0, 6.5, 1.8)):
+        spec, log_pref = make(a, b, z)
+        batches.clear()
+        meijer_g(spec, log_scale=log_pref)
+        assert batches[0] == (3, specfun._TAIL_BLOCK + 1)
+        assert len(batches) == 2, (a, b, z, batches)
+
+
+def test_largest_node_shapes_of_the_shipped_configs_within_error(monkeypatch):
+    # the far end of the eve-offset sweep takes the most trapezoid nodes
+    # of any shipped config: Eve's ergodic G argument near 2e41 and the
+    # lower bound's near 2e-22 put the saddle close to a pole, so the
+    # strip around the contour is narrow.  mpmath takes well under 2 s
+    # at these very arguments
+    rc = parse_config(Path(__file__).resolve().parent.parent / "configs"
+                      / "eve-offset-sweep.cfg")
+    _, raw = list(rc.sweep.points())[-1]
+    calls = []
+    real = secrecy.meijer_g
+    monkeypatch.setattr(secrecy, "meijer_g", lambda spec, **kw: (
+        calls.append((spec, kw)), real(spec, **kw))[1])
+    evaluate_scenario(build_scenario(rc.with_value(rc.sweep.variable, raw)),
+                      methods=("closed_form",))
+    monkeypatch.undo()
+    sizes = []
+    log_phi = specfun._log_phi_complex
+    monkeypatch.setattr(specfun, "_log_phi_complex", lambda f, s: (
+        sizes.append(np.size(s)), log_phi(f, s))[1])
+    assert {(s.m, s.n, s.p, s.q) for s, _ in calls} == {(4, 3, 4, 4),
+                                                          (2, 3, 3, 3)}
+    with mp.workdps(30):
+        for spec, kw in calls:
+            sizes.clear()
+            val, err = meijer_g(spec, **kw)
+            assert sizes[-1] > 3000, spec
+            want = mp.exp(kw.get("log_scale", 0.0)) * mp.meijerg(
+                [spec.a_params[:spec.n], spec.a_params[spec.n:]],
+                [spec.b_params[:spec.m], spec.b_params[spec.m:]], spec.z)
+            assert abs(val - want) <= err, spec
+
+
+def test_coincident_integer_shapes_within_error_of_mpmath():
+    # the integer shapes of the route-agreement test in test_secrecy,
+    # which leave a positive-power linear factor in the reduced Phi,
+    # at seeded arguments where mpmath's series are fast (away from 1)
+    rng = np.random.default_rng(18)
+    with mp.workdps(30):
+        for a, b in ((3, 2), (4, 3), (8, 7), (5, 4), (2, 4), (6, 4),
+                     (10, 4), (2, 2)):
+            for make, z_lo, z_hi in ((_ergodic_spec, 1e-12, 0.3),
+                                     (_lower_bound_spec, 1e-2, 0.5)):
+                z = math.exp(rng.uniform(math.log(z_lo), math.log(z_hi)))
+                spec, log_pref = make(float(a), float(b), z)
+                val, err = meijer_g(spec, log_scale=log_pref)
+                want = mp.exp(log_pref) * mp.meijerg(
+                    [spec.a_params[:spec.n], spec.a_params[spec.n:]],
+                    [spec.b_params[:spec.m], spec.b_params[spec.m:]], z)
+                assert abs(val - want) <= err, (spec.m, a, b, z)

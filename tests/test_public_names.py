@@ -19,6 +19,9 @@ KEPT = {
                    "the Rytov oracle test",
     "snr_cdf": "imported into secrecy only for the benchmark tracer, which "
                "patches secrecy.snr_cdf by name",
+    "quad_adaptive": "imported into specfun only for the benchmark tracer, "
+                     "which patches quadrature.quad_adaptive and "
+                     "specfun.quad_adaptive by name",
 }
 
 

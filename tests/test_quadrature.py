@@ -32,6 +32,13 @@ def test_adaptive_smooth():
     assert abs(val - 2.0) <= max(err, 1e-13)
 
 
+def test_adaptive_cancelling_integral_reports_its_rounding():
+    # the panels of 50 periods cancel to 0: the error must cover what
+    # the summation of their values leaves over
+    val, err = quad_adaptive(np.sin, 0.0, 100.0 * math.pi)
+    assert abs(val) <= err
+
+
 def test_adaptive_narrow_spike():
     # mass concentrated on 2% of the interval still gets resolved
     val, err = quad_adaptive(
