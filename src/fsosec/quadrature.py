@@ -136,7 +136,6 @@ def _adaptive_steps(a, b, tol_abs, tol_rel, max_panels):
         total_err = err.sum()
         tol = max(tol_abs, tol_rel * abs(total))
         if total_err <= tol:
-            # never below the rounding of the sum of the panel values
             return total.item(), max(total_err.item(),
                                      _EPS * float(np.abs(k).sum()))
         split = err > tol / len(k)
@@ -173,9 +172,8 @@ def quad_adaptive(f, a, b, tol_abs=1e-12, tol_rel=1e-10,
     new halves are evaluated in one call.  A panel at floating-point
     resolution is accepted as it is.
 
-    Returns (value, error_estimate) as Python scalars; the estimate is
-    at least eps times the summed |K15| of the panels, the rounding of
-    their sum, so a cancelling integral reports no less.  Raises
+    Returns (value, error_estimate) as Python scalars, the estimate no
+    less than the rounding of the panel sum, eps * sum |K15|.  Raises
     NonConvergent when bisecting would exceed max_panels, or when f
     gives a nan or inf at a node.
     """

@@ -17,13 +17,12 @@ search at the minimum of |Phi(c) z^c| on the strip (the real-axis
 saddle), which keeps the oscillatory cancellation of the contour
 integral mild for arguments far from 1.  The integrand is analytic on
 the pole-free strip around c, so the plain trapezoidal rule converges
-geometrically there, with an a-priori error bound (Trefethen &
-Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
-56(3), 2014, Theorem 5.1): one batch of nodes, its step sized from the
-strip's half-width and the integrand's size on the strip's edges,
-gives the value.  No residue summation is performed, so parameter sets
-with repeated or integer-spaced bottom parameters need no special
-casing.
+geometrically, with an a-priori error bound (Trefethen & Weideman,
+SIAM Review 56(3), 2014, Theorem 5.1): one batch of nodes, its step
+sized from the strip's half-width and the integrand's size on the
+strip's edges, gives the value.  No residue summation is performed, so
+parameter sets with repeated or integer-spaced bottom parameters need
+no special casing.
 
 Evaluation is restricted to the four (m, n, p, q) orders the rest of
 the package needs; anything else is rejected up front rather than
