@@ -35,6 +35,13 @@ def _lower_bound_spec(a, b, w):
     return spec, -2.0 * (log_beta(a, b) + math.lgamma(a + b))
 
 
+def _mpmath_g(spec, log_scale=0.0):
+    # exp(log_scale) * G at the working precision of mpmath
+    return mp.exp(log_scale) * mp.meijerg(
+        [spec.a_params[:spec.n], spec.a_params[spec.n:]],
+        [spec.b_params[:spec.m], spec.b_params[spec.m:]], spec.z)
+
+
 def test_g1111_power_identity():
     # G^{1,1}_{1,1}(z | a; b) = Gamma(1-a+b) z^b (1+z)^(a-b-1)
     grid = (0.5, 2.0, 7.0, 20.0)
@@ -179,10 +186,8 @@ def test_production_orders_against_mpmath_within_error():
                     continue
                 spec, log_pref = make(a, b, z)
                 val, err = meijer_g(spec, log_scale=log_pref)
-                want = mp.exp(log_pref) * mp.meijerg(
-                    [spec.a_params[:spec.n], spec.a_params[spec.n:]],
-                    [spec.b_params[:spec.m], spec.b_params[spec.m:]], z)
-                assert abs(val - want) <= err, (spec.m, a, b, z)
+                assert abs(val - _mpmath_g(spec, log_pref)) <= err, (
+                    spec.m, a, b, z)
                 checked += 1
     assert checked >= 40
 
@@ -247,10 +252,7 @@ def test_narrow_strip_gives_a_value_within_error_or_raises(offset):
             continue
         assert math.isfinite(val) and math.isfinite(err)
         with mp.workdps(30):
-            want = mp.meijerg(
-                [spec.a_params[:spec.n], spec.a_params[spec.n:]],
-                [spec.b_params[:spec.m], spec.b_params[spec.m:]], z)
-        assert abs(val - want) <= err, (spec, val, want)
+            assert abs(val - _mpmath_g(spec)) <= err, spec
 
 
 @pytest.mark.parametrize("make", [_ergodic_spec, _lower_bound_spec])
@@ -307,10 +309,7 @@ def test_largest_node_shapes_of_the_shipped_configs_within_error(monkeypatch):
         for spec, kwargs in calls:
             val, err = meijer_g(spec, **kwargs)
             assert sizes[-1] > 3000, spec
-            want = mp.exp(kwargs["log_scale"]) * mp.meijerg(
-                [spec.a_params[:spec.n], spec.a_params[spec.n:]],
-                [spec.b_params[:spec.m], spec.b_params[spec.m:]], spec.z)
-            assert abs(val - want) <= err, spec
+            assert abs(val - _mpmath_g(spec, **kwargs)) <= err, spec
 
 
 def test_coincident_integer_shapes_within_error_of_mpmath():
@@ -326,7 +325,5 @@ def test_coincident_integer_shapes_within_error_of_mpmath():
                 z = math.exp(rng.uniform(math.log(z_lo), math.log(z_hi)))
                 spec, log_pref = make(float(a), float(b), z)
                 val, err = meijer_g(spec, log_scale=log_pref)
-                want = mp.exp(log_pref) * mp.meijerg(
-                    [spec.a_params[:spec.n], spec.a_params[spec.n:]],
-                    [spec.b_params[:spec.m], spec.b_params[spec.m:]], z)
-                assert abs(val - want) <= err, (spec.m, a, b, z)
+                assert abs(val - _mpmath_g(spec, log_pref)) <= err, (
+                    spec.m, a, b, z)
