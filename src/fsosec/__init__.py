@@ -7,8 +7,8 @@ physical-layer secrecy quantities of the resulting wiretap channel:
 average secrecy capacity, secrecy outage probability (exact and lower
 bound) and the probability of strictly positive secrecy capacity.
 
-Every metric is computable three independent ways: adaptive quadrature
-of the defining integrals, closed forms built on a numerical Meijer-G
+Every metric is computable three independent ways: quadrature of the
+defining integrals, closed forms built on a numerical Meijer-G
 evaluator, and Monte Carlo simulation on a seed-determined stream.
 """
 

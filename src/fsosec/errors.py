@@ -11,8 +11,8 @@ class PoleCollision(FsosecError):
 
 
 class NonConvergent(FsosecError):
-    """Raised when an adaptive numerical scheme fails to reach its target
-    tolerance within its evaluation budget."""
+    """Raised when a numerical scheme misses its tolerance within its
+    budget, meets a non-finite value, or rounding leaves it no digit."""
 
 
 class ConfigError(FsosecError):

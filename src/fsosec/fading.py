@@ -181,12 +181,6 @@ def snr_pdf(channel, snr):
     return _scalar_or_array(snr, out)
 
 
-def snr_cdf(channel, snr):
-    """Distribution of the instantaneous electrical SNR, elementwise."""
-    return cdf_ht(channel.fading,
-                  h_from_snr(channel, np.maximum(snr, 0.0)))
-
-
 def snr_pdf_gform(channel, snr):
     """SNR density via the Meijer-G route; returns (value, error)."""
     a, b = channel.fading.a, channel.fading.b

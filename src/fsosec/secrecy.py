@@ -10,8 +10,8 @@ secrecy capacity (ASC), the secrecy outage probability against a target
 rate (exact and as the scale-invariant lower bound), and the
 probability of strictly positive secrecy capacity (SPSC).
 
-Each metric comes in at least two independent flavours: adaptive
-quadrature of the defining integrals, and closed forms riding on the
+Each metric comes in at least two independent flavours: quadrature of
+the defining integrals on the log axis, and closed forms riding on the
 Meijer-G evaluator.  The exact-outage and ASC main-channel integrals
 have no closed form here on purpose; the quadrature route is the
 reference and the G-forms cover the eavesdropper ergodic term and the
@@ -26,12 +26,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonConvergent, PoleCollision
-# snr_cdf has no caller here; bench/tracer.py patches it by name
-from .fading import cdf_ht, h_from_snr, pdf_ht, snr_cdf, snr_pdf
+from .fading import cdf_ht, h_from_snr, pdf_ht, snr_pdf
 from .quadrature import quad_positive_axis, quad_positive_axis_many
-from .specfun import MeijerGSpec, log_beta, meijer_g
+from .specfun import _LOG_GAMMA_ULPS, MeijerGSpec, log_beta, meijer_g
 
 _LN2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
 _METHODS = ("quadrature", "closed_form")
 _METRICS = ("asc", "sop", "sop_lb", "spsc")
 # the terms the running evaluate_scenario call has computed so far
@@ -79,13 +79,54 @@ def _check_method(method):
         raise ValueError(f"unknown analytic method {method!r}")
 
 
+def _log_terms(fading, h, front=False):
+    # the log terms of pdf_ht(fading, h), or with front those of the
+    # front z^a (1 - z)^b / B(a, b) of reg_inc_beta in cdf_ht(fading, h),
+    # log_beta counted as its three lgammas
+    a, b = fading.a, fading.b
+    terms = [math.lgamma(a), math.lgamma(b), math.lgamma(a + b)]
+    if not front:
+        return terms + [a * math.log(a), b * math.log(b - 1.0),
+                        (a - 1.0) * math.log(h),
+                        (a + b) * math.log(a * h + b - 1.0)]
+    z = a * h / (a * h + b - 1.0)
+    # at z = 0 or 1 the value is exact and has no front
+    return terms + ([a * math.log(z), b * math.log1p(-z)]
+                    if 0.0 < z < 1.0 else [])
+
+
+def _rounding(*parts):
+    """Relative rounding bound of an integrand built on pdf_ht and
+    cdf_ht, from the log terms of each part (fading, gain, front) at the
+    gain where the mass is: exp carries a log term's absolute rounding,
+    about _LOG_GAMMA_ULPS eps per unit of its size, into the value.
+    Raises NonConvergent, naming the shapes, when it reaches 1.
+    """
+    terms = [t for part in parts for t in _log_terms(*part)]
+    rel = _EPS * (1.0 + _LOG_GAMMA_ULPS * (len(terms)
+                                            + sum(map(abs, terms))))
+    if not rel < 1.0:
+        shapes = ", ".join(dict.fromkeys(f"(a={fading.a:g}, b={fading.b:g})"
+                                         for fading, _, _ in parts))
+        raise NonConvergent(f"the integrand at shapes {shapes} loses "
+                            f"every digit to rounding")
+    return rel
+
+
 def _cdf_integrals(terms):
     """[(value, error)] of the integrals over (0, inf) of
     weight(x) * cdf_ht(fading, arg(x)), one per term (weight, fading,
-    arg, x_peak), run in lockstep: each round evaluates weight and arg
-    per integral and cdf_ht once per distinct fading.  cdf_ht acts
-    element by element, so each value is that of the integral alone.
+    arg, x_peak, weight_fading), run in lockstep: each round evaluates
+    weight and arg per integral and cdf_ht once per distinct fading.
+    cdf_ht acts element by element, so each value is that of the
+    integral alone.  Each error adds the rounding of the integrand: that
+    of the density of weight_fading at its mode, and of cdf_ht there.
     """
+    with np.errstate(all="ignore"):
+        rounding = [_rounding((own, _gain_mode(own), False),
+                              (fading, arg(x_peak), True))
+                    for _, fading, arg, x_peak, own in terms]
+
     def f_many(ids, xs):
         args = [terms[i][2](x) for i, x in zip(ids, xs)]
         cdfs = [None] * len(ids)
@@ -98,7 +139,9 @@ def _cdf_integrals(terms):
                 cdfs[k] = part.reshape(args[k].shape)
         return [terms[i][0](x) * cdf for i, x, cdf in zip(ids, xs, cdfs)]
 
-    return quad_positive_axis_many(f_many, [term[3] for term in terms])
+    return [(value, err + rel * abs(value)) for (value, err), rel in zip(
+        quad_positive_axis_many(f_many, [term[3] for term in terms]),
+        rounding)]
 
 
 def _shared(terms, compute=_cdf_integrals):
@@ -116,10 +159,10 @@ def _shared(terms, compute=_cdf_integrals):
 
 
 def _cdf_terms(scenario, metric, method):
-    """{memo key: (weight, fading, arg, x_peak)} of the CDF-weighted
-    integrals the route of metric by method takes, the one statement of
-    them; empty only for the lower bound's closed form, which takes a
-    G-function instead.
+    """{memo key: (weight, fading, arg, x_peak, weight_fading)} of the
+    CDF-weighted integrals the route of metric by method takes, the one
+    statement of them; empty only for the lower bound's closed form,
+    which takes a G-function instead.
     """
     bob, eve = scenario.bob, scenario.eve
     if metric == "asc":
@@ -128,7 +171,7 @@ def _cdf_terms(scenario, metric, method):
         def term(own, other):
             return (lambda g: np.log1p(g) * snr_pdf(own, g), other.fading,
                     lambda g: h_from_snr(other, np.maximum(g, 0.0)),
-                    _snr_mode(own))
+                    _snr_mode(own), own.fading)
         return {"asc_bob": term(bob, eve), "asc_eve": term(eve, bob)}
     if metric == "spsc":
         # those of the zero-rate outage route spsc subtracts from one
@@ -146,7 +189,7 @@ def _cdf_terms(scenario, metric, method):
         arg = lambda h: w * h
     return {(metric, scenario.target_rate): (
         lambda h: pdf_ht(eve.fading, h), bob.fading, arg,
-        _gain_mode(eve.fading))}
+        _gain_mode(eve.fading), eve.fading)}
 
 
 def _asc_cross_terms(scenario):
@@ -169,20 +212,22 @@ def _asc_value(total, err, method):
 
 
 def asc_quadrature(scenario):
-    """Average secrecy capacity by adaptive quadrature.
+    """Average secrecy capacity by quadrature.
 
     Decomposes the positive-part expectation into three single
     integrals over SNR: the main-channel ergodic rate weighted by the
     probability the eavesdropper is weaker, the eavesdropper rate
     weighted by the probability the main channel is weaker, minus the
-    unconditional eavesdropper ergodic rate.  A tiny negative total is
-    clamped to zero only when it sits inside the combined error bar.
+    unconditional eavesdropper ergodic rate.  Each error carries the
+    rounding of its integrand.  A tiny negative total is clamped to
+    zero only when it sits inside the combined error bar.
     """
     eve = scenario.eve
     cross, e_cross = _asc_cross_terms(scenario)
+    rel = _rounding((eve.fading, _gain_mode(eve.fading), False))
     v3, e3 = quad_positive_axis(
         lambda g: np.log1p(g) * snr_pdf(eve, g), x_peak=_snr_mode(eve))
-    return _asc_value(cross - v3, e_cross + e3, "quadrature")
+    return _asc_value(cross - v3, e_cross + e3 + rel * abs(v3), "quadrature")
 
 
 def eve_ergodic_rate_closed_form(channel):

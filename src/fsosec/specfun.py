@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, PoleCollision
-from .quadrature import quad_adaptive  # noqa: F401 (the tracer patches it)
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)

@@ -76,7 +76,7 @@ def test_fading_distribution_agrees_with_sampler():
 
 def test_contour_engine_passes_identity_and_integral_suites():
     # Two elementary identities at 1e-10 relative, then the two
-    # production instances against adaptive quadrature of the
+    # production instances against quadrature of the
     # integrals they summarise, at 1e-5 relative over 27 points each.
     t0 = time.perf_counter()
     worst_pow = 0.0

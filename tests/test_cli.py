@@ -394,7 +394,15 @@ def test_bench_tracer_reaches_every_layer(cfg, capsys):
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
-        assert "not found" not in capsys.readouterr().err
+        # the tracer skips only the names the package has retired; any
+        # other miss would zero its counters silently
+        missing = {line.split()[1]
+                   for line in capsys.readouterr().err.splitlines()
+                   if "not found" in line}
+        assert missing == {"fsosec.quadrature.quad_adaptive",
+                           "fsosec.quadrature.kronrod_panel",
+                           "fsosec.specfun.quad_adaptive",
+                           "fsosec.secrecy.snr_cdf"}
         assert cli.main(["metrics", "--config", cfg, "--methods",
                          "quadrature,closed_form,monte_carlo"]) == 0
     finally:
@@ -433,6 +441,23 @@ def test_non_finite_value_is_a_config_error(key, tmp_path, capsys):
     assert bad.read_text() != text
     assert main(["metrics", "--config", str(bad)]) == 2
     assert f"{key}: must be finite" in capsys.readouterr().err
+
+
+def test_huge_shapes_give_status_rows(tmp_path):
+    # a ground station at 500 km under a 2000 km orbit leaves a path so
+    # short that the F-law shapes reach about 1e146: no point may report
+    # a value, where quadrature rows read 0 +- 0 with status ok
+    text = (CONFIGS / "zenith-sweep.cfg").read_text()
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text.replace("satellite_altitude_km = 600",
+                                "satellite_altitude_km = 2000")
+                   .replace("ground_height_m = 10", "ground_height_m = 5e5"))
+    out = tmp_path / "huge.csv"
+    assert main(["metrics", "--config", str(cfg), "--methods",
+                 "quadrature,closed_form", "--out", str(out)]) == 3
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 22
+    assert {row[-1] for row in rows} == {"non_convergent"}
 
 
 # 4000 dB overflows the power itself; 3080 dB gives a finite ratio

@@ -13,15 +13,11 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fsosec"
 KEPT = {
     "pdf_ht_gform": "documented Meijer-G cross-check route of pdf_ht",
     "snr_pdf_gform": "documented Meijer-G cross-check route of snr_pdf",
-    "snr_cdf_gform": "documented Meijer-G cross-check route of snr_cdf",
+    "snr_cdf_gform": "documented Meijer-G cross-check route of the SNR "
+                     "distribution",
     "mc_asc": "imported by the benchmark smoke tests",
     "cn2_profile": "patched by name by the benchmark tracer and integrated by "
                    "the Rytov oracle test",
-    "snr_cdf": "imported into secrecy only for the benchmark tracer, which "
-               "patches secrecy.snr_cdf by name",
-    "quad_adaptive": "imported into specfun only for the benchmark tracer, "
-                     "which patches quadrature.quad_adaptive and "
-                     "specfun.quad_adaptive by name",
 }
 
 

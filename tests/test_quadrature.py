@@ -6,62 +6,57 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fsosec.errors import NonConvergent
-from fsosec.quadrature import (_walk, kronrod_panel, quad_adaptive,
-                               quad_positive_axis, quad_positive_axis_many)
-
-
-def test_panel_exact_for_low_degree_polynomials():
-    # Gauss-7 integrates degree <= 13 exactly, Kronrod-15 degree <= 22
-    # on panels [0, 1] and [1, 2] evaluated in one call
-    for k in range(14):
-        calls = []
-        g7, k15 = kronrod_panel(lambda x: calls.append(x.shape) or x ** k,
-                                np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-        assert calls == [(2, 15)]
-        for got_g, got_k, exact in zip(g7, k15, (1.0 / (k + 1),
-                                                (2.0 ** (k + 1) - 1.0) / (k + 1))):
-            assert abs(got_g - exact) < 1e-14 * max(1.0, abs(exact))
-            assert abs(got_k - exact) < 1e-14 * max(1.0, abs(exact))
+from fsosec.quadrature import _walk, quad_positive_axis, quad_positive_axis_many
 
 
 def test_adaptive_smooth():
-    val, err = quad_adaptive(np.exp, 0.0, 1.0)
-    assert abs(val - (math.e - 1.0)) <= max(err, 1e-14)
-
-    val, err = quad_adaptive(np.sin, 0.0, math.pi)
-    assert abs(val - 2.0) <= max(err, 1e-13)
+    # a one-sided exponential in ln x, and a log-logistic density
+    val, err = quad_positive_axis(lambda x: np.exp(-x))
+    assert abs(val - 1.0) <= err
+    val, err = quad_positive_axis(lambda x: 1.0 / (1.0 + x * x), x_peak=1.0)
+    assert abs(val - math.pi / 2.0) <= err
 
 
 def test_adaptive_cancelling_integral_reports_its_rounding():
-    # the panels of 50 periods cancel to 0: the error must cover what
-    # the summation of their values leaves over
-    val, err = quad_adaptive(np.sin, 0.0, 100.0 * math.pi)
-    assert abs(val) <= err
+    # e^-x - 2 e^-2x has integral 0: the step halving stops at the
+    # rounding of the sum, and the error covers what it leaves over
+    val, err = quad_positive_axis(lambda x: np.exp(-x) - 2.0 * np.exp(-2.0 * x))
+    assert abs(val) <= err < 1e-14
 
 
 def test_adaptive_narrow_spike():
-    # mass concentrated on 2% of the interval still gets resolved
-    val, err = quad_adaptive(
-        lambda x: np.exp(-((x - 0.3) / 0.02) ** 2), 0.0, 1.0,
-        tol_rel=1e-12)
-    exact = 0.02 * math.sqrt(math.pi)
-    assert abs(val - exact) / exact < 1e-10
+    # a lognormal of width 0.05 in ln x, between grid samples, resolved
+    # from the full scan and from a hint alike
+    sigma = 0.05
+
+    def spike(x):
+        return np.exp(-0.5 * ((np.log(x) - 0.2) / sigma) ** 2) / x
+
+    exact = sigma * math.sqrt(2.0 * math.pi)
+    val, err = quad_positive_axis(spike)
+    assert abs(val - exact) <= err
+    assert err / exact < 1e-10
+    assert quad_positive_axis(spike, x_peak=math.exp(0.2)) == (val, err)
 
 
 def test_adaptive_error_estimate_honest():
-    for f, a, b, exact in (
-            (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, math.pi / 4.0),
-            (np.sqrt, 0.0, 1.0, 2.0 / 3.0),
-            (np.log, 1e-12, 1.0, -1.0 + 1e-12 * (1 - math.log(1e-12)))):
-        val, err = quad_adaptive(f, a, b, tol_rel=1e-10)
-        assert abs(val - exact) <= max(10.0 * err, 1e-12)
+    euler_gamma = 0.57721566490153286
+    for f, exact in (
+            (lambda x: 1.0 / (1.0 + x) ** 2, 1.0),
+            (lambda x: np.exp(-x) / np.sqrt(x), math.sqrt(math.pi)),
+            (lambda x: x ** 3 / np.expm1(x), math.pi ** 4 / 15.0),
+            # a signed integrand: negative below x = 1.78
+            (lambda x: np.exp(-x) * np.log(x), -euler_gamma)):
+        val, err = quad_positive_axis(f)
+        assert abs(val - exact) <= err < 1e-12
 
 
 def test_adaptive_budget_exhaustion_raises():
-    # a discontinuity that never converges past the panel budget
-    with pytest.raises(NonConvergent):
-        quad_adaptive(lambda x: np.where(x < 0.5, 1.0, 0.0), 0.0, 1.0,
-                      tol_abs=0.0, tol_rel=1e-15, max_panels=8)
+    # a jump at x = e^0.1, between grid samples: the trapezoid converges
+    # only linearly there and runs out of nodes long before 1e-10
+    with pytest.raises(NonConvergent, match="over the budget"):
+        quad_positive_axis(lambda x: np.where(x < math.exp(0.1),
+                                              np.exp(-x), 0.0))
 
 
 def test_positive_axis_gaussian():
@@ -149,8 +144,16 @@ def test_positive_axis_nan_inside_the_mass_window_raises(x_peak):
 
 
 def test_adaptive_non_finite_node_raises():
-    with pytest.raises(NonConvergent):
-        quad_adaptive(lambda x: np.where(x > 0.9, np.inf, x), 0.0, 1.0)
+    # inf on 0.2 < ln x < 0.3 misses every scan sample; the first
+    # halving of the step puts a midpoint at ln x = 0.25
+    def f(x):
+        lx = np.log(x)
+        return np.where((lx > 0.2) & (lx < 0.3), np.inf, np.exp(-x))
+
+    grid = np.exp(-690.0 + 0.5 * np.arange(2761))
+    assert np.isfinite(f(grid)).all()
+    with pytest.raises(NonConvergent, match="not finite"):
+        quad_positive_axis(f)
 
 
 def _gauss(x):
@@ -215,19 +218,39 @@ def test_lockstep_group_raises_a_member_failure():
     assert str(group.value) == str(alone.value)
 
 
+def _on_grid(x):
+    # whether the abscissae x are scan grid points e^(-690 + 0.5 k), not
+    # midpoints of a halved step
+    k = (np.log(x) + 690.0) / 0.5
+    return bool(np.all(np.abs(k - np.round(k)) < 1e-6))
+
+
 def test_lockstep_round_serves_scans_and_panels_together():
-    # the narrow hinted integral integrates while the wide one scans on
-    kinds = []
-    fs = (_gauss, _lognormal(1e8, 3.0))
+    # the narrow hinted integral halves its step while the wide one
+    # still scans: one call serves both, and the group makes each
+    # member's requests in as many rounds as the longer member alone
+    fs = (_lognormal(1.0, 0.3), _lognormal(1e8, 3.0))
+    x_peaks = (1.0, 1e8)
+    alone = [0, 0]
+
+    def counted(k):
+        def f(x):
+            alone[k] += 1
+            return fs[k](x)
+        return f
+
+    want = [quad_positive_axis(counted(k), x_peak=p)
+            for k, p in enumerate(x_peaks)]
+    rounds = []
 
     def f_many(ids, xs):
-        kinds.append({np.ndim(x) for x in xs})
+        rounds.append({i: _on_grid(x) for i, x in zip(ids, xs)})
         return [fs[i](x) for i, x in zip(ids, xs)]
 
-    got = quad_positive_axis_many(f_many, (0.7, 1e8))
-    assert {1, 2} in kinds
-    assert got == [quad_positive_axis(f, x_peak=p)
-                   for f, p in zip(fs, (0.7, 1e8))]
+    assert quad_positive_axis_many(f_many, x_peaks) == want
+    assert {0: False, 1: True} in rounds
+    assert len(rounds) == max(alone)
+    assert sum(map(len, rounds)) == sum(alone)
 
 
 def _loop_walk(vals, i, step, floor, lo, hi, n):
@@ -269,6 +292,11 @@ def test_walk_matches_the_loop_rule():
 
 @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0))
 def test_adaptive_linearity(scale, width):
-    val, err = quad_adaptive(lambda x: scale * x, 0.0, width)
-    exact = scale * width * width / 2.0
+    # scale * x * e^(-x / width) integrates to scale * width^2
+    val, err = quad_positive_axis(lambda x: scale * x * np.exp(-x / width),
+                                  x_peak=width)
+    exact = scale * width * width
     assert abs(val - exact) <= max(err, 1e-12 * max(1.0, exact))
+    unit, unit_err = quad_positive_axis(lambda x: x * np.exp(-x / width),
+                                        x_peak=width)
+    assert abs(val - scale * unit) <= err + scale * unit_err
