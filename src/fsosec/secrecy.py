@@ -28,10 +28,9 @@ import numpy as np
 from .errors import NonConvergent, PoleCollision
 from .fading import cdf_ht, h_from_snr, pdf_ht, snr_pdf
 from .quadrature import quad_positive_axis, quad_positive_axis_many
-from .specfun import _LOG_GAMMA_ULPS, MeijerGSpec, log_beta, meijer_g
+from .specfun import _EPS, _LOG_GAMMA_ULPS, MeijerGSpec, log_beta, meijer_g
 
 _LN2 = math.log(2.0)
-_EPS = float(np.finfo(float).eps)
 _METHODS = ("quadrature", "closed_form")
 _METRICS = ("asc", "sop", "sop_lb", "spsc")
 # the terms the running evaluate_scenario call has computed so far

@@ -732,9 +732,9 @@ def _mp_sop(scenario):
     return _mp_integral(f, _mp_breaks(scenario.eve, False))
 
 
-# draws 24, 146, 248 and 272 (a 35-242, b 25-194) missed by up to 22
-# times their error while it left out the rounding of the integrands;
-# 2 (a 0.31) and 95 (a 0.81, b 1.13) reach the soft spots a < 1 and b
+# at draws 24, 146, 248 and 272 (a 35-242, b 25-194) an error without
+# the rounding of the integrands falls short by up to 22 times; 2
+# (a 0.31) and 95 (a 0.81, b 1.13) reach the soft spots a < 1 and b
 # near 1; 61, 173 and 299 have shapes of Eve's own
 _ORACLE_DRAWS = (24, 146, 248, 272, 2, 95, 61, 173, 299)
 
