@@ -1,6 +1,5 @@
-"""Fisher-Snedecor F fading of the optical power gain, and the induced
-electrical SNR statistics of an intensity-modulated direct-detection
-receiver.
+"""Fisher-Snedecor F fading of the optical power gain, and the receiver
+branch of an intensity-modulated direct-detection link.
 
 The power gain h_t follows a unit-mean F distribution with small-scale
 shape a and large-scale shape b:
@@ -9,8 +8,9 @@ shape a and large-scale shape b:
 
 equivalently ((b-1)/a) times a beta-prime(a, b) variate.  The
 instantaneous electrical SNR is gamma = 4 * mean_snr * h_t^2, with the
-deterministic channel gains folded into mean_snr.  Both shapes are
-finite, so every branch fades.
+deterministic channel gains folded into mean_snr, so every statistic of
+the SNR is one of the gain: the package integrates over h_t.  Both
+shapes are finite, so every branch fades.
 """
 
 import math
@@ -56,14 +56,11 @@ def pdf_ht(params, h):
     outside = (h < 0.0) | (h == math.inf)
     lb = log_beta(a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_p = (a * math.log(a) + b * math.log(b - 1.0) + (a - 1.0) * np.log(h)
+        # (a - 1) ln h is 0 at a = 1, h = 0 included
+        power = (a - 1.0) * np.log(h) if a != 1.0 else 0.0
+        log_p = (a * math.log(a) + b * math.log(b - 1.0) + power
                  - lb - (a + b) * np.log(a * h + b - 1.0))
         out = np.where(outside, 0.0, np.exp(log_p))
-    if a <= 1.0 and (h == 0.0).any():
-        at_zero = (math.inf if a < 1.0 else
-                   math.exp(b * math.log(b - 1.0) - lb
-                            - (a + b) * math.log(b - 1.0)))
-        out = np.where(h == 0.0, at_zero, out)
     return _scalar_or_array(h, out)
 
 
@@ -141,60 +138,3 @@ def mean_snr_from_budget(tx_power, noise_std, gain):
     if tx_power <= 0.0 or noise_std <= 0.0 or gain <= 0.0:
         raise ValueError("power, noise and gain must all be positive")
     return 2.0 * (tx_power * gain / noise_std) ** 2
-
-
-def h_from_snr(channel, snr):
-    """Power gain at which the instantaneous SNR equals snr, elementwise."""
-    snr = np.asarray(snr, dtype=float)
-    if (snr < 0.0).any():
-        raise ValueError("SNR must be >= 0")
-    return _scalar_or_array(snr, np.sqrt(snr / (4.0 * channel.mean_snr)))
-
-
-def snr_pdf(channel, snr):
-    """Density of the instantaneous electrical SNR, elementwise.
-
-    Zero for snr <= 0.  Where 4 * mean_snr * snr underflows to zero the
-    density is taken from its left-tail power law in log space.
-    """
-    snr = np.asarray(snr, dtype=float)
-    out = np.zeros(snr.shape)
-    pos = snr > 0.0
-    g = snr[pos]
-    four = 4.0 * channel.mean_snr
-    scale = four * g
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = (pdf_ht(channel.fading, h_from_snr(channel, g))
-                * (1.0 / (2.0 * np.sqrt(scale))))
-    under = scale == 0.0
-    if under.any():
-        # the change-of-variable product underflowed; this deep in the
-        # left tail the gain density is in its h^(a-1) regime, so the
-        # SNR density follows snr^(a/2 - 1) with a computable log
-        a, b = channel.fading.a, channel.fading.b
-        log_f = (a * math.log(a) - log_beta(a, b) - a * math.log(b - 1.0)
-                 - math.log(2.0) + (0.5 * a - 1.0) * np.log(g[under])
-                 - 0.5 * a * math.log(four))
-        with np.errstate(over="ignore"):
-            dens[under] = np.where(log_f > 709.0, math.inf, np.exp(log_f))
-    out[pos] = dens
-    return _scalar_or_array(snr, out)
-
-
-def snr_pdf_gform(channel, snr):
-    """SNR density via the Meijer-G route; returns (value, error)."""
-    a, b = channel.fading.a, channel.fading.b
-    if not snr > 0.0:
-        raise ValueError("G-form SNR density needs snr > 0")
-    x = a / (b - 1.0) * math.sqrt(snr / (4.0 * channel.mean_snr))
-    spec = MeijerGSpec(1, 1, 1, 1, (1.0 - b,), (a,), x)
-    log_pref = -(math.log(2.0) + log_beta(a, b) + math.lgamma(a + b)
-                 + math.log(snr))
-    return meijer_g(spec, log_scale=log_pref)
-
-
-def snr_cdf_gform(channel, snr):
-    """SNR distribution via the Meijer-G route; returns (value, error)."""
-    if not snr > 0.0:
-        raise ValueError("G-form SNR distribution needs snr > 0")
-    return cdf_ht_gform(channel.fading, h_from_snr(channel, snr))

@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import NonConvergent
 
-# quad_positive_axis: tolerances of the step halving, the relative
+# quad_positive_axis: tolerance of the step halving, the relative
 # level below which a tail is cut, and the scan grid in u = ln x
-_TOL_ABS = 0.0
 _TOL_REL = 1e-10
 _TAIL_EPS = 1e-14
 _U_LO = -690.0
@@ -145,8 +144,7 @@ def _positive_axis_steps(x_peak):
             raise NonConvergent("integrand is not finite at a quadrature node")
         # two levels that agree to the rounding of their sum, as on a
         # cancelling integral, are as converged as they can get
-        if abs(total - prev) <= max(_TOL_ABS, _TOL_REL * abs(total),
-                                    _EPS * mass):
+        if abs(total - prev) <= max(_TOL_REL * abs(total), _EPS * mass):
             break
         if 2 * count + 1 > _NODE_BUDGET:
             raise NonConvergent(
@@ -179,9 +177,8 @@ def quad_positive_axis(f, x_peak=None):
     coarse integral over that range.  The trapezoidal rule on the
     window starts from the scan's own samples at step _SCAN_STEP, and
     the step is halved, evaluating only the new midpoints, until two
-    successive levels T_h, T_2h differ by at most
-    max(_TOL_ABS, _TOL_REL * |T_h|), or by no more than the rounding of
-    their sum.
+    successive levels T_h, T_2h differ by at most _TOL_REL * |T_h|, or
+    by no more than the rounding of their sum.
 
     The error is |T_h - T_2h|, plus eps * h * sum |g| for the rounding
     of the sum, plus a bound on the truncated tails from the locally

@@ -11,11 +11,11 @@ rate (exact and as the scale-invariant lower bound), and the
 probability of strictly positive secrecy capacity (SPSC).
 
 Each metric comes in at least two independent flavours: quadrature of
-the defining integrals on the log axis, and closed forms riding on the
-Meijer-G evaluator.  The exact-outage and ASC main-channel integrals
-have no closed form here on purpose; the quadrature route is the
-reference and the G-forms cover the eavesdropper ergodic term and the
-outage lower bound.
+the defining integrals over a receiver's power gain, on the log axis,
+and closed forms riding on the Meijer-G evaluator.  The exact-outage
+and ASC main-channel integrals have no closed form here on purpose; the
+quadrature route is the reference and the G-forms cover the
+eavesdropper ergodic term and the outage lower bound.
 """
 
 import math
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonConvergent, PoleCollision
-from .fading import cdf_ht, h_from_snr, pdf_ht, snr_pdf
+from .fading import cdf_ht, pdf_ht
 from .quadrature import quad_positive_axis, quad_positive_axis_many
 from .specfun import _EPS, _LOG_GAMMA_ULPS, MeijerGSpec, log_beta, meijer_g
 
@@ -67,10 +67,11 @@ def _gain_mode(fading):
     return (fading.b - 1.0) / fading.b
 
 
-def _snr_mode(channel):
-    # the same peak in u = ln(snr), since snr = 4 * mean_snr * h^2
-    h = _gain_mode(channel.fading)
-    return 4.0 * channel.mean_snr * h * h
+def _rate_density(channel):
+    # ln(1 + snr) times the gain density, snr = 4 * mean_snr * h^2: the
+    # integrand of the channel's ergodic rate over its gain h
+    return lambda h: (np.log1p(4.0 * channel.mean_snr * h * h)
+                      * pdf_ht(channel.fading, h))
 
 
 def _check_method(method):
@@ -160,17 +161,18 @@ def _shared(terms, compute=_cdf_integrals):
 def _cdf_terms(scenario, metric, method):
     """{memo key: (weight, fading, arg, x_peak, weight_fading)} of the
     CDF-weighted integrals the route of metric by method takes, the one
-    statement of them; empty only for the lower bound's closed form,
+    statement of them, each over the power gain of the receiver whose
+    density weighs it; empty only for the lower bound's closed form,
     which takes a G-function instead.
     """
     bob, eve = scenario.bob, scenario.eve
     if metric == "asc":
-        # both methods: one receiver's rate density over SNR times the
-        # other's CDF, each way round
+        # both methods: one receiver's rate density over its gain times
+        # the other's CDF at the gain of equal SNR, each way round
         def term(own, other):
-            return (lambda g: np.log1p(g) * snr_pdf(own, g), other.fading,
-                    lambda g: h_from_snr(other, np.maximum(g, 0.0)),
-                    _snr_mode(own), own.fading)
+            ratio = math.sqrt(own.mean_snr / other.mean_snr)
+            return (_rate_density(own), other.fading, lambda h: ratio * h,
+                    _gain_mode(own.fading), own.fading)
         return {"asc_bob": term(bob, eve), "asc_eve": term(eve, bob)}
     if metric == "spsc":
         # those of the zero-rate outage route spsc subtracts from one
@@ -214,18 +216,19 @@ def asc_quadrature(scenario):
     """Average secrecy capacity by quadrature.
 
     Decomposes the positive-part expectation into three single
-    integrals over SNR: the main-channel ergodic rate weighted by the
-    probability the eavesdropper is weaker, the eavesdropper rate
-    weighted by the probability the main channel is weaker, minus the
-    unconditional eavesdropper ergodic rate.  Each error carries the
-    rounding of its integrand.  A tiny negative total is clamped to
-    zero only when it sits inside the combined error bar.
+    integrals, each over the power gain of the receiver whose rate it
+    takes: the main-channel ergodic rate weighted by the probability
+    the eavesdropper is weaker, the eavesdropper rate weighted by the
+    probability the main channel is weaker, minus the unconditional
+    eavesdropper ergodic rate.  Each error carries the rounding of its
+    integrand.  A tiny negative total is clamped to zero only when it
+    sits inside the combined error bar.
     """
     eve = scenario.eve
     cross, e_cross = _asc_cross_terms(scenario)
     rel = _rounding((eve.fading, _gain_mode(eve.fading), False))
-    v3, e3 = quad_positive_axis(
-        lambda g: np.log1p(g) * snr_pdf(eve, g), x_peak=_snr_mode(eve))
+    v3, e3 = quad_positive_axis(_rate_density(eve),
+                                x_peak=_gain_mode(eve.fading))
     return _asc_value(cross - v3, e_cross + e3 + rel * abs(v3), "quadrature")
 
 

@@ -18,7 +18,7 @@ import conftest
 from fsosec.cli import main
 from fsosec.config import build_scenario, link_state, parse_config
 from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht, pdf_ht,
-                           sample_ht, snr_pdf)
+                           sample_ht)
 from fsosec.mc import MC_METRICS, McConfig, mc_metrics
 from fsosec.quadrature import quad_positive_axis
 from fsosec.secrecy import (WiretapScenario, asc_quadrature,
@@ -97,8 +97,10 @@ def test_contour_engine_passes_identity_and_integral_suites():
     for a, b, snr in grid:
         channel = SnrChannel(FFadingParams(a, b), snr)
         closed, _ = eve_ergodic_rate_closed_form(channel)
+        # the defining integral over the gain h, gamma = 4 * snr * h^2
         direct, _ = quad_positive_axis(
-            lambda g, ch=channel: np.log1p(g) * snr_pdf(ch, g))
+            lambda h, ch=channel: (np.log1p(4.0 * ch.mean_snr * h * h)
+                                   * pdf_ht(ch.fading, h)))
         worst_rate = max(worst_rate, abs(closed - direct) / direct)
     worst_out = 0.0
     for a, b, w in itertools.product((1.5, 4.5, 9.1), (2.6, 6.0, 11.7),

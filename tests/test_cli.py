@@ -402,7 +402,8 @@ def test_bench_tracer_reaches_every_layer(cfg, capsys):
         assert missing == {"fsosec.quadrature.quad_adaptive",
                            "fsosec.quadrature.kronrod_panel",
                            "fsosec.specfun.quad_adaptive",
-                           "fsosec.secrecy.snr_cdf"}
+                           "fsosec.secrecy.snr_cdf",
+                           "fsosec.secrecy.snr_pdf"}
         assert cli.main(["metrics", "--config", cfg, "--methods",
                          "quadrature,closed_form,monte_carlo"]) == 0
     finally:

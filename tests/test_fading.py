@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht, cdf_ht_gform,
-                           h_from_snr, mean_snr_from_budget,
-                           pdf_ht, pdf_ht_gform, sample_ht,
-                           snr_cdf_gform, snr_pdf, snr_pdf_gform)
+                           mean_snr_from_budget, pdf_ht, pdf_ht_gform,
+                           sample_ht)
 from fsosec.quadrature import quad_positive_axis
 
 # (a, b) -> {h: (pdf, cdf)}
@@ -96,8 +95,9 @@ def test_cdf_array_matches_scalar():
 
 
 def test_densities_act_elementwise_with_scalar_edges():
-    # array calls keep the scalar edge values: 0 below the support and
-    # at inf, inf at h = 0 for a < 1, and the 0/1 ends of the CDFs
+    # array calls of the gain density keep the scalar edge values: 0
+    # below the support and at inf, and at h = 0 inf for a < 1, the
+    # finite limit for a = 1 and 0 for a > 1
     for a, b in SHAPES:
         params = FFadingParams(a, b)
         h = np.array([[-1.0, 0.0, 0.3], [1.0, 2.7, np.inf]])
@@ -105,12 +105,6 @@ def test_densities_act_elementwise_with_scalar_edges():
         assert pdf.shape == h.shape
         for hi, vi in zip(h.ravel(), pdf.ravel()):
             assert vi == pytest.approx(pdf_ht(params, float(hi)), rel=1e-13)
-        chan = SnrChannel(params, 48.3)
-        g = np.array([-1.0, 0.0, 0.5, 10.0, 200.0, np.inf])
-        vec = snr_pdf(chan, g)
-        for gi, vi in zip(g, vec):
-            assert vi == pytest.approx(snr_pdf(chan, float(gi)), rel=1e-13,
-                                       abs=1e-300)
     assert pdf_ht(FFadingParams(0.5, 2.6), 0.0) == math.inf
     assert pdf_ht(FFadingParams(1.0, 4.0), 0.0) == pytest.approx(4.0 / 3.0, rel=1e-13)
     assert pdf_ht(FFadingParams(2.5, 3.2), 0.0) == 0.0
@@ -158,47 +152,6 @@ def test_snr_channel_budget():
         SnrChannel(FFadingParams(2.0, 3.0), 0.0)
     with pytest.raises(ValueError):
         SnrChannel(FFadingParams(2.0, 3.0), math.inf)
-
-
-def test_snr_change_of_variable():
-    chan = SnrChannel(FFadingParams(2.5, 3.2), 48.3)
-    for g in (0.5, 10.0, 200.0):
-        h = h_from_snr(chan, g)
-        assert 4.0 * chan.mean_snr * h * h == pytest.approx(g, rel=1e-14)
-        dh = 1.0 / (2.0 * math.sqrt(4.0 * chan.mean_snr * g))
-        assert snr_pdf(chan, g) == pytest.approx(pdf_ht(chan.fading, h) * dh, rel=1e-14)
-    assert snr_pdf(chan, 0.0) == 0.0
-
-
-def test_snr_pdf_normalises():
-    chan = SnrChannel(FFadingParams(9.1, 11.7), 472.7)
-    total, _ = quad_positive_axis(lambda g: snr_pdf(chan, g))
-    assert total == pytest.approx(1.0, abs=1e-8)
-
-
-def test_snr_gform_matches_direct():
-    chan = SnrChannel(FFadingParams(2.5, 3.2), 48.3)
-    for g in (0.5, 10.0, 200.0):
-        val, _ = snr_pdf_gform(chan, g)
-        assert val == pytest.approx(snr_pdf(chan, g), rel=1e-8)
-        val, _ = snr_cdf_gform(chan, g)
-        assert val == pytest.approx(cdf_ht(chan.fading, h_from_snr(chan, g)),
-                                    rel=1e-8)
-
-
-def test_snr_pdf_underflow_branch():
-    # product 4 * mean_snr * snr underflows to zero; the log-space branch
-    # must agree with a log-space evaluation through scipy
-    a, b = 2.5, 3.2
-    chan = SnrChannel(FFadingParams(a, b), 1e-20)
-    g = 1e-310
-    assert 4.0 * chan.mean_snr * g == 0.0  # precondition for the branch
-    got = snr_pdf(chan, g)
-    h = math.sqrt(g / (4.0 * chan.mean_snr))
-    log_scale = math.log(4.0) + math.log(chan.mean_snr) + math.log(g)
-    log_want = (stats.betaprime.logpdf(h * a / (b - 1.0), a, b)
-                + math.log(a / (b - 1.0)) - math.log(2.0) - 0.5 * log_scale)
-    assert math.log(got) == pytest.approx(log_want, abs=1e-9)
 
 
 def test_sample_snr_consistency():

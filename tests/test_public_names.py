@@ -12,9 +12,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fsosec"
 
 KEPT = {
     "pdf_ht_gform": "documented Meijer-G cross-check route of pdf_ht",
-    "snr_pdf_gform": "documented Meijer-G cross-check route of snr_pdf",
-    "snr_cdf_gform": "documented Meijer-G cross-check route of the SNR "
-                     "distribution",
+    "cdf_ht_gform": "documented Meijer-G cross-check route of cdf_ht",
     "mc_asc": "imported by the benchmark smoke tests",
     "cn2_profile": "patched by name by the benchmark tracer and integrated by "
                    "the Rytov oracle test",

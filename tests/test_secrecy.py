@@ -12,8 +12,7 @@ import pytest
 from fsosec import secrecy
 from fsosec.config import build_scenario, parse_config
 from fsosec.errors import NonConvergent, PoleCollision
-from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht, h_from_snr,
-                           pdf_ht, snr_pdf)
+from fsosec.fading import FFadingParams, SnrChannel, cdf_ht, pdf_ht
 from fsosec.mc import MC_METRICS
 from fsosec.quadrature import quad_positive_axis, quad_positive_axis_many
 from fsosec.secrecy import (WiretapScenario, asc_closed_form, asc_quadrature,
@@ -26,6 +25,13 @@ BOB = SnrChannel(FFadingParams(9.1, 11.7), 472.7)
 EVE = SnrChannel(FFadingParams(9.1, 11.7), 48.3)
 PAIR = WiretapScenario(BOB, EVE, target_rate=0.5)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _ergodic_rate(chan):
+    # (value, error) of E[ln(1 + gamma)] in nats by its defining integral
+    # over the gain h, gamma = 4 * mean_snr * h^2
+    return quad_positive_axis(lambda h: np.log1p(4.0 * chan.mean_snr * h * h)
+                              * pdf_ht(chan.fading, h))
 
 
 def test_eve_ergodic_rate_frozen():
@@ -65,8 +71,7 @@ def test_eve_ergodic_rate_error_bar_covers_mpmath_oracle():
 def test_eve_ergodic_rate_matches_quadrature():
     for chan in (EVE, SnrChannel(FFadingParams(2.5, 3.2), 10.0)):
         closed, _ = eve_ergodic_rate_closed_form(chan)
-        direct, derr = quad_positive_axis(
-            lambda g: np.log1p(g) * snr_pdf(chan, g))
+        direct, _ = _ergodic_rate(chan)
         assert closed == pytest.approx(direct, rel=1e-8)
 
 
@@ -94,8 +99,7 @@ def test_coincident_integer_shapes_agree_across_routes(monkeypatch):
             snr_bob = 10.0 ** rng.uniform(-2.0, 6.0)
             eve = SnrChannel(fading, snr_bob * 10.0 ** rng.uniform(-4.0, 1.0))
             closed, c_err = eve_ergodic_rate_closed_form(eve)
-            direct, d_err = quad_positive_axis(
-                lambda g: np.log1p(g) * snr_pdf(eve, g))
+            direct, d_err = _ergodic_rate(eve)
             assert abs(closed - direct) <= c_err + d_err, (a, b, eve)
             scen = WiretapScenario(SnrChannel(fading, snr_bob), eve,
                                    float(rng.choice((0.0, 0.5, 2.0))))
@@ -130,7 +134,7 @@ def test_asc_routes_agree():
 def test_asc_weak_eavesdropper_limit():
     # as the tap vanishes the ASC tends to Bob's ergodic rate
     weak = WiretapScenario(BOB, SnrChannel(FFadingParams(9.1, 11.7), 1e-12))
-    rate, _ = quad_positive_axis(lambda g: np.log1p(g) * snr_pdf(BOB, g))
+    rate, _ = _ergodic_rate(BOB)
     assert asc_quadrature(weak).value == pytest.approx(rate / math.log(2.0), rel=1e-6)
 
 
@@ -333,15 +337,11 @@ def _grid_argmax(fn, u_lo=-60.0, u_hi=60.0, step=0.5):
 @pytest.mark.parametrize("a, b", [(0.4, 1.1), (1.0, 2.0), (2.5, 3.2),
                                   (9.1, 11.7), (50.0, 1.3), (0.8, 200.0)])
 def test_peak_hints_sit_at_the_density_mode(a, b):
-    # the hints the routes pass: the gain density h*pdf(h) peaks in
-    # ln h at (b-1)/b, the SNR density at 4*mean_snr times its square
+    # the hint the routes pass: the gain density h*pdf(h) peaks in ln h
+    # at (b-1)/b
     fading = FFadingParams(a, b)
     u = _grid_argmax(lambda h: pdf_ht(fading, h))
     assert abs(u - math.log(secrecy._gain_mode(fading))) <= 0.5
-    for mean_snr in (1e-3, 48.3, 1e9):
-        chan = SnrChannel(fading, mean_snr)
-        u = _grid_argmax(lambda g: snr_pdf(chan, g), -80.0, 80.0)
-        assert abs(u - math.log(secrecy._snr_mode(chan))) <= 0.5
 
 
 def _drawn_scenarios(seed, count):
@@ -592,26 +592,27 @@ def test_planner_values_equal_the_standalone_routes(monkeypatch):
 def test_zero_sample_at_the_hint_keeps_the_scan_local():
     # the second ASC cross term of a mismatched pair: at Eve's mode,
     # the hint, Bob's CDF has underflowed to 0, but the block around
-    # the hint still holds the mass 12 units further up
+    # the hint still holds the mass further up
     bob = SnrChannel(FFadingParams(262.7, 115.1), 4.09e9)
     eve = SnrChannel(FFadingParams(78.9, 1.235), 1.71e5)
-    hint = secrecy._snr_mode(eve)
+    hint = secrecy._gain_mode(eve.fading)
+    ratio = math.sqrt(eve.mean_snr / bob.mean_snr)
 
-    def term(g):
-        return np.log1p(g) * snr_pdf(eve, g) * cdf_ht(bob.fading,
-                                                      h_from_snr(bob, g))
+    def term(h):
+        return (np.log1p(4.0 * eve.mean_snr * h * h) * pdf_ht(eve.fading, h)
+                * cdf_ht(bob.fading, ratio * h))
 
     assert term(hint) == 0.0
-    scan_nodes = []
+    nodes = []
 
-    def counted(g):
-        # the scan samples 1-D arrays, the panels 2-D node arrays
-        if np.ndim(g) == 1:
-            scan_nodes.append(np.size(g))
-        return term(g)
+    def counted(h):
+        # every scan block and trapezoid level, all fewer than the
+        # 2761 points of the full scan grid
+        nodes.append(np.size(h))
+        return term(h)
 
     val, err = quad_positive_axis(counted, x_peak=hint)
-    assert sum(scan_nodes) < 2761
+    assert sum(nodes) < 2761
     full_val, full_err = quad_positive_axis(term)
     assert abs(val - full_val) <= err
 
