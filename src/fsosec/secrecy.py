@@ -115,17 +115,18 @@ def _rounding(*parts):
 
 def _cdf_integrals(terms):
     """[(value, error)] of the integrals over (0, inf) of
-    weight(x) * cdf_ht(fading, arg(x)), one per term (weight, fading,
-    arg, x_peak, weight_fading), run in lockstep: each round evaluates
-    weight and arg per integral and cdf_ht once per distinct fading.
-    cdf_ht acts element by element, so each value is that of the
-    integral alone.  Each error adds the rounding of the integrand: that
-    of the density of weight_fading at its mode, and of cdf_ht there.
+    weight(h) * cdf_ht(fading, arg(h)), one per term (weight, fading,
+    arg, weight_fading), run in lockstep: each round evaluates weight
+    and arg per integral and cdf_ht once per distinct fading.  cdf_ht
+    acts element by element, so each value is that of the integral
+    alone.  Each is hinted at the mode of the density of weight_fading,
+    and its error adds the rounding of the integrand there: that of the
+    density and of cdf_ht.
     """
+    peaks = [_gain_mode(own) for *_, own in terms]
     with np.errstate(all="ignore"):
-        rounding = [_rounding((own, _gain_mode(own), False),
-                              (fading, arg(x_peak), True))
-                    for _, fading, arg, x_peak, own in terms]
+        rounding = [_rounding((own, peak, False), (fading, arg(peak), True))
+                    for (_, fading, arg, own), peak in zip(terms, peaks)]
 
     def f_many(ids, xs):
         args = [terms[i][2](x) for i, x in zip(ids, xs)]
@@ -140,8 +141,7 @@ def _cdf_integrals(terms):
         return [terms[i][0](x) * cdf for i, x, cdf in zip(ids, xs, cdfs)]
 
     return [(value, err + rel * abs(value)) for (value, err), rel in zip(
-        quad_positive_axis_many(f_many, [term[3] for term in terms]),
-        rounding)]
+        quad_positive_axis_many(f_many, peaks), rounding)]
 
 
 def _shared(terms, compute=_cdf_integrals):
@@ -159,7 +159,7 @@ def _shared(terms, compute=_cdf_integrals):
 
 
 def _cdf_terms(scenario, metric, method):
-    """{memo key: (weight, fading, arg, x_peak, weight_fading)} of the
+    """{memo key: (weight, fading, arg, weight_fading)} of the
     CDF-weighted integrals the route of metric by method takes, the one
     statement of them, each over the power gain of the receiver whose
     density weighs it; empty only for the lower bound's closed form,
@@ -172,7 +172,7 @@ def _cdf_terms(scenario, metric, method):
         def term(own, other):
             ratio = math.sqrt(own.mean_snr / other.mean_snr)
             return (_rate_density(own), other.fading, lambda h: ratio * h,
-                    _gain_mode(own.fading), own.fading)
+                    own.fading)
         return {"asc_bob": term(bob, eve), "asc_eve": term(eve, bob)}
     if metric == "spsc":
         # those of the zero-rate outage route spsc subtracts from one
@@ -189,8 +189,7 @@ def _cdf_terms(scenario, metric, method):
         w = _lb_scale(scenario)
         arg = lambda h: w * h
     return {(metric, scenario.target_rate): (
-        lambda h: pdf_ht(eve.fading, h), bob.fading, arg,
-        _gain_mode(eve.fading), eve.fading)}
+        lambda h: pdf_ht(eve.fading, h), bob.fading, arg, eve.fading)}
 
 
 def _asc_cross_terms(scenario):

@@ -606,7 +606,7 @@ def test_zero_sample_at_the_hint_keeps_the_scan_local():
     nodes = []
 
     def counted(h):
-        # every scan block and trapezoid level, all fewer than the
+        # every scan block and trapezoid level: fewer in all than the
         # 2761 points of the full scan grid
         nodes.append(np.size(h))
         return term(h)
