@@ -7,9 +7,11 @@ physical-layer secrecy quantities of the resulting wiretap channel:
 average secrecy capacity, secrecy outage probability (exact and lower
 bound) and the probability of strictly positive secrecy capacity.
 
-Every metric is computable three independent ways: quadrature of the
-defining integrals, closed forms built on a numerical Meijer-G
-evaluator, and Monte Carlo simulation on a seed-determined stream.
+Every metric is computable by quadrature of the defining integrals and
+by Monte Carlo simulation on a seed-determined stream; all but the
+exact outage also by closed forms built on a numerical Meijer-G
+evaluator, though the ASC closed form shares its two cross terms with
+the quadrature.
 """
 
 from .errors import ConfigError, FsosecError, NonConvergent, PoleCollision

@@ -70,21 +70,11 @@ def _csv(header, rows):
     return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
 
 
-def _map_points(items, worker):
-    # the per-point loop, named so bench/tracer.py can span it
-    return [worker(item) for item in items]
-
-
 def _rows_over_points(rc, methods, jobs, point_rows):
     """Rows of point_rows(coord, rc_point, methods, jobs) over the sweep,
     point by point in sweep order; jobs goes to each point's Monte Carlo."""
-
-    def worker(item):
-        coord, rc_point = item
-        return point_rows(coord, rc_point, methods, jobs)
-
-    return [row for chunk in _map_points(_sweep_points(rc), worker)
-            for row in chunk]
+    return [row for coord, rc_point in _sweep_points(rc)
+            for row in point_rows(coord, rc_point, methods, jobs)]
 
 
 _STATUS = {PoleCollision: "pole_collision", NonConvergent: "non_convergent"}
@@ -159,14 +149,11 @@ def _gnuplot_table(rows):
 
 def cmd_link_budget(rc):
     """Deterministic budget table text over the sweep."""
-
-    def worker(item):
-        coord, rc_point = item
+    rows = []
+    for coord, rc_point in _sweep_points(rc):
         state = link_state(rc_point)
-        return (coord,) + tuple(
-            fmt_number(getattr(state, name)) for name in _BUDGET_COLUMNS)
-
-    rows = _map_points(_sweep_points(rc), worker)
+        rows.append((coord,) + tuple(
+            fmt_number(getattr(state, name)) for name in _BUDGET_COLUMNS))
     return _csv("sweep_value," + ",".join(_BUDGET_COLUMNS), rows)
 
 

@@ -79,7 +79,8 @@ _RULES = {
     "link.tx_power_w": _Rule(True, None, _pos, "> 0"),
     "link.noise_std_a": _Rule(True, None, _pos, "> 0"),
     "link.eve_noise_std_a": _Rule(False, None, _pos, "> 0"),
-    "link.target_rate_bits": _Rule(False, 0.5, _nonneg, ">= 0"),
+    "link.target_rate_bits": _Rule(False, 0.5, lambda x: 0.0 <= x < 1024.0,
+                                   "in [0, 1024)"),
     "link.eve_snr_ratio_db": _Rule(False, None, math.isfinite, "finite"),
 }
 

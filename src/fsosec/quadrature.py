@@ -9,7 +9,9 @@ a coarse scan finds the window that holds the mass, and the step is
 halved on it until two levels agree.  The integrand is called on
 arrays: every level is evaluated in a single call, so f must map an
 array of abscissae to an array of real values of the same shape,
-elementwise (numpy ufunc style).
+elementwise (numpy ufunc style).  Every request is a 1-D array of
+abscissae, scan grid points or the midpoints of a halved step, and the
+integrals of one group advance in lockstep, one request each per round.
 """
 
 import math
@@ -31,24 +33,6 @@ _SCAN_HALF_BLOCK = 24
 # the most trapezoid nodes one window may take
 _NODE_BUDGET = 30000
 _EPS = float(np.finfo(float).eps)
-
-
-def _lockstep(steps, answer):
-    # run step generators to their return values together: each round,
-    # answer(ids, requests) replies to every request pending, of any kind
-    out = [None] * len(steps)
-    replies = dict.fromkeys(range(len(steps)))
-    while True:
-        pending = {}
-        for i, reply in replies.items():
-            try:
-                pending[i] = steps[i].send(reply)
-            except StopIteration as stop:
-                out[i] = stop.value
-        if not pending:
-            return out
-        replies = dict(zip(pending, answer(list(pending),
-                                           list(pending.values()))))
 
 
 def _walk(vals, i, step, floor, lo, hi, n):
@@ -217,10 +201,19 @@ def quad_positive_axis_many(f_many, x_peaks):
     abscissae: scan grid points or the midpoints of a halved step.  A
     NonConvergent of any integral is raised for the group.
     """
-    def answer(ids, requests):
+    steps = [_positive_axis_steps(x_peak) for x_peak in x_peaks]
+    out = [None] * len(steps)
+    replies = dict.fromkeys(range(len(steps)))
+    while True:
+        pending = {}
+        for i, reply in replies.items():
+            try:
+                pending[i] = steps[i].send(reply)
+            except StopIteration as stop:
+                out[i] = stop.value
+        if not pending:
+            return out
+        ids = list(pending)
         with np.errstate(all="ignore"):
-            xs = [np.exp(u) for u in requests]
-            return [v * x for v, x in zip(f_many(ids, xs), xs)]
-
-    return _lockstep([_positive_axis_steps(x_peak) for x_peak in x_peaks],
-                     answer)
+            xs = [np.exp(u) for u in pending.values()]
+            replies = {i: v * x for i, v, x in zip(ids, f_many(ids, xs), xs)}

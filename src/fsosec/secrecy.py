@@ -10,12 +10,13 @@ secrecy capacity (ASC), the secrecy outage probability against a target
 rate (exact and as the scale-invariant lower bound), and the
 probability of strictly positive secrecy capacity (SPSC).
 
-Each metric comes in at least two independent flavours: quadrature of
+Each metric but the exact outage comes in two flavours: quadrature of
 the defining integrals over a receiver's power gain, on the log axis,
-and closed forms riding on the Meijer-G evaluator.  The exact-outage
-and ASC main-channel integrals have no closed form here on purpose; the
-quadrature route is the reference and the G-forms cover the
-eavesdropper ergodic term and the outage lower bound.
+and closed forms riding on the Meijer-G evaluator.  They are not fully
+independent: the exact outage and the two ASC cross terms have no
+closed form here, so the ASC closed form takes its cross terms from the
+quadrature as the same floats, and the G-forms cover only the
+eavesdropper ergodic term and the outage lower bound (hence SPSC).
 """
 
 import math
@@ -46,8 +47,9 @@ class WiretapScenario:
     target_rate: float = 0.0
 
     def __post_init__(self):
-        if not (self.target_rate >= 0.0 and math.isfinite(self.target_rate)):
-            raise ValueError(f"target rate must be finite and >= 0, "
+        # from 1024 bits on, 2^R overflows a double
+        if not 0.0 <= self.target_rate < 1024.0:
+            raise ValueError(f"target rate must be in [0, 1024) bits, "
                              f"got {self.target_rate!r}")
 
 
@@ -133,11 +135,10 @@ def _cdf_integrals(terms):
         cdfs = [None] * len(ids)
         for fading in dict.fromkeys(terms[i][1] for i in ids):
             sel = [k for k, i in enumerate(ids) if terms[i][1] == fading]
-            flat = cdf_ht(fading, np.concatenate([args[k].ravel()
-                                                  for k in sel]))
+            flat = cdf_ht(fading, np.concatenate([args[k] for k in sel]))
             cuts = np.cumsum([args[k].size for k in sel])[:-1]
             for k, part in zip(sel, np.split(flat, cuts)):
-                cdfs[k] = part.reshape(args[k].shape)
+                cdfs[k] = part
         return [terms[i][0](x) * cdf for i, x, cdf in zip(ids, xs, cdfs)]
 
     return [(value, err + rel * abs(value)) for (value, err), rel in zip(
@@ -231,6 +232,15 @@ def asc_quadrature(scenario):
     return _asc_value(cross - v3, e_cross + e3 + rel * abs(v3), "quadrature")
 
 
+def _g_argument(z, form):
+    # the argument of a G-form, which has no value here once it has left
+    # the range of a double
+    if not 0.0 < z < math.inf:
+        raise NonConvergent(f"the G argument {z:g} of the {form} is "
+                            f"outside the range of a double")
+    return z
+
+
 def eve_ergodic_rate_closed_form(channel):
     """Eavesdropper ergodic rate E[ln(1+gamma)] via the G-form.
 
@@ -240,7 +250,8 @@ def eve_ergodic_rate_closed_form(channel):
     z = a * a / (4.0 * (b - 1.0) ** 2 * channel.mean_snr)
     spec = MeijerGSpec(4, 3, 4, 4,
                        ((1.0 - b) / 2.0, (2.0 - b) / 2.0, 0.0, 1.0),
-                       (a / 2.0, (a + 1.0) / 2.0, 0.0, 0.0), z)
+                       (a / 2.0, (a + 1.0) / 2.0, 0.0, 0.0),
+                       _g_argument(z, "Eve ergodic rate"))
     log_pref = ((a + b) * _LN2 - math.log(4.0 * math.pi)
                 - log_beta(a, b) - math.lgamma(a + b))
     return meijer_g(spec, log_scale=log_pref)
@@ -300,7 +311,8 @@ def sop_lower_bound(scenario, method="closed_form"):
         z = _lb_scale(scenario) * (bob.a * (eve.b - 1.0)
                                    / ((bob.b - 1.0) * eve.a))
         spec = MeijerGSpec(2, 3, 3, 3, (1.0 - bob.b, 1.0, 1.0 - eve.a),
-                           (bob.a, eve.b, 0.0), z)
+                           (bob.a, eve.b, 0.0),
+                           _g_argument(z, "outage lower bound"))
         log_pref = -((log_beta(bob.a, bob.b) + math.lgamma(bob.a + bob.b))
                      + (log_beta(eve.a, eve.b) + math.lgamma(eve.a + eve.b)))
         (value, err), = _shared({("sop_lb_g", scenario.target_rate): spec},

@@ -399,7 +399,8 @@ def test_bench_tracer_reaches_every_layer(cfg, capsys):
         missing = {line.split()[1]
                    for line in capsys.readouterr().err.splitlines()
                    if "not found" in line}
-        assert missing == {"fsosec.quadrature.quad_adaptive",
+        assert missing == {"fsosec.cli._map_points",
+                           "fsosec.quadrature.quad_adaptive",
                            "fsosec.quadrature.kronrod_panel",
                            "fsosec.specfun.quad_adaptive",
                            "fsosec.secrecy.snr_cdf",
@@ -484,6 +485,46 @@ def test_swept_db_overflow_is_a_config_error(tmp_path, capsys):
     assert main(["link-budget", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "config error: sweep: link.eve_snr_ratio_db:" in err
+
+
+def _rate_cfg(tmp_path, rate_lines):
+    # zenith-sweep.cfg with its target rate line, or its sweep, replaced
+    text = (CONFIGS / "zenith-sweep.cfg").read_text()
+    if rate_lines.startswith("[sweep]"):
+        text = text[:text.index("[sweep]")] + rate_lines
+    else:
+        text = text.replace("target_rate_bits = 0.5\n", rate_lines)
+    path = tmp_path / "rate.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+# from 1024 bits on, 2^R overflows a double: refused where the rate
+# enters, as a fixed key and as a swept one
+@pytest.mark.parametrize("rate_lines", [
+    "target_rate_bits = 1100\n",
+    "[sweep]\nvariable = link.target_rate_bits\n"
+    "start = 1000\nstop = 1100\ncount = 3\n",
+], ids=["fixed", "swept"])
+def test_target_rate_from_1024_bits_is_a_config_error(tmp_path, capsys,
+                                                      rate_lines):
+    assert main(["metrics", "--config", _rate_cfg(tmp_path, rate_lines),
+                 "--methods", "quadrature,closed_form"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and "link.target_rate_bits" in err
+    assert "[0, 1024)" in err
+
+
+def test_target_rate_of_1023_bits_gives_finite_rows(tmp_path, capsys):
+    cfg = _rate_cfg(tmp_path, "target_rate_bits = 1023\n")
+    assert main(["metrics", "--config", cfg, "--methods",
+                 "quadrature,closed_form"]) == 0
+    rows = [line.split(",")
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 11 * 7
+    assert all(row[-1] == "ok" for row in rows)
+    assert all(math.isfinite(float(row[3])) and math.isfinite(float(row[4]))
+               for row in rows)
 
 
 # a mean SNR that leaves the float range names the receiver and the key

@@ -176,13 +176,22 @@ def _lognormal(x_mode, sigma):
     return lambda x: np.exp(-0.5 * ((np.log(x) - mu) / sigma) ** 2) / x
 
 
+def _on_grid(x):
+    # whether the abscissae x are scan grid points e^(-690 + 0.5 k), not
+    # midpoints of a halved step
+    k = (np.log(x) + 690.0) / 0.5
+    return bool(np.all(np.abs(k - np.round(k)) < 1e-6))
+
+
 def _lockstep(fs):
-    # f_many of the integrands fs, recording the 1-D (scan) requests
+    # f_many of the integrands fs, asserting that every request is a
+    # 1-D array of abscissae, and counting the scan requests
     scans = [0] * len(fs)
 
     def f_many(ids, xs):
         for i, x in zip(ids, xs):
-            scans[i] += np.ndim(x) == 1
+            assert isinstance(x, np.ndarray) and x.ndim == 1 and x.size
+            scans[i] += _on_grid(x)
         return [fs[i](x) for i, x in zip(ids, xs)]
     return f_many, scans
 
@@ -216,13 +225,6 @@ def test_lockstep_group_raises_a_member_failure():
     with pytest.raises(NonConvergent) as group:
         quad_positive_axis_many(f_many, (0.7, 0.7))
     assert str(group.value) == str(alone.value)
-
-
-def _on_grid(x):
-    # whether the abscissae x are scan grid points e^(-690 + 0.5 k), not
-    # midpoints of a halved step
-    k = (np.log(x) + 690.0) / 0.5
-    return bool(np.all(np.abs(k - np.round(k)) < 1e-6))
 
 
 def test_lockstep_round_serves_scans_and_panels_together():

@@ -323,10 +323,59 @@ def test_sop_lower_bound_rejects_unknown_method(method):
 
 
 def test_target_rate_validation():
-    with pytest.raises(ValueError):
-        WiretapScenario(BOB, EVE, target_rate=-0.5)
-    with pytest.raises(ValueError):
-        WiretapScenario(BOB, EVE, target_rate=math.inf)
+    # from 1024 bits on, 2^R overflows a double
+    for rate in (-0.5, math.inf, math.nan, 1024.0, 1100.0):
+        with pytest.raises(ValueError, match=r"\[0, 1024\)"):
+            WiretapScenario(BOB, EVE, target_rate=rate)
+    top = WiretapScenario(BOB, EVE, target_rate=math.nextafter(1024.0, 0.0))
+    for rows in evaluate_scenario(top).values():
+        assert all(math.isfinite(row.value) and math.isfinite(row.error)
+                   for row in rows)
+
+
+def test_lower_bound_argument_out_of_range_is_non_convergent():
+    # Eve/Bob mean-SNR ratio 1e330: the G argument overflows to inf, and
+    # the tail beyond the largest double is not known to be below the bar
+    fading = FFadingParams(2.5, 4.0)
+    scen = WiretapScenario(SnrChannel(fading, 1e-300),
+                           SnrChannel(fading, 1e30), 0.5)
+    with pytest.raises(NonConvergent, match="G argument inf"):
+        sop_lower_bound(scen, "closed_form")
+    report = evaluate_scenario(scen)
+    assert isinstance(report["closed_form"], NonConvergent)
+    assert all(math.isfinite(row.value) for row in report["quadrature"])
+
+
+def _wide_scenarios(seed, count):
+    # a 0.05-1e6 and b - 1 1e-3-1e6, every second draw with shapes of
+    # Eve's own, mean SNRs 1e-300-1e300, all log-uniform; rates 0, 0.5,
+    # 20 and 1023 bits
+    rng = np.random.default_rng(seed)
+
+    def fading():
+        a, b1 = np.exp(rng.uniform(np.log([0.05, 1e-3]), np.log([1e6, 1e6])))
+        return FFadingParams(float(a), 1.0 + float(b1))
+
+    out = []
+    for k in range(count):
+        bob = fading()
+        eve = fading() if k % 2 else bob
+        snr_bob, snr_eve = 10.0 ** rng.uniform(-300.0, 300.0, 2)
+        out.append(WiretapScenario(SnrChannel(bob, float(snr_bob)),
+                                   SnrChannel(eve, float(snr_eve)),
+                                   (0.0, 0.5, 20.0, 1023.0)[k % 4]))
+    return out
+
+
+def test_wide_domain_gives_values_or_a_status():
+    # every method gives finite values and errors, or a PoleCollision or
+    # NonConvergent; no other exception escapes
+    for scen in _wide_scenarios(21, 40):
+        for method, rows in evaluate_scenario(scen).items():
+            if isinstance(rows, (PoleCollision, NonConvergent)):
+                continue
+            assert all(math.isfinite(row.value) and math.isfinite(row.error)
+                       for row in rows), (scen, method, rows)
 
 
 def _grid_argmax(fn, u_lo=-60.0, u_hi=60.0, step=0.5):
@@ -717,9 +766,10 @@ def _mp_asc(scenario):
                                   + _mp_breaks(scenario.eve, True))) / mp.log(2)
 
 
-def _mp_sop(scenario):
+def _mp_sop(scenario, offset=True):
     # P(g_B < 2^R (1 + g_E) - 1) over t = ln h_E: Eve's gain density
-    # times h_E, times Bob's SNR distribution at that threshold
+    # times h_E, times Bob's SNR distribution at that threshold; without
+    # offset the lower bound's P(g_B < 2^R g_E)
     a, b = mp.mpf(scenario.eve.fading.a), mp.mpf(scenario.eve.fading.b)
     log_norm = a * mp.log(a) + b * mp.log(b - 1) - mp.log(mp.beta(a, b))
     factor = mp.mpf(2) ** scenario.target_rate
@@ -727,7 +777,7 @@ def _mp_sop(scenario):
 
     def f(t):
         h = mp.exp(t)
-        threshold = (factor - 1) + factor * 4 * snr_eve * h * h
+        threshold = (factor - 1) * offset + factor * 4 * snr_eve * h * h
         return (mp.exp(log_norm + a * t - (a + b) * mp.log(a * h + b - 1))
                 * _mp_snr_cdf(scenario.bob, threshold))
     return _mp_integral(f, _mp_breaks(scenario.eve, False))
@@ -751,10 +801,14 @@ def test_quadrature_routes_sit_within_their_error_of_the_oracles():
             sop = _mp_sop(scen)
             got = sop_exact(scen)
             assert abs(got.value - sop) <= got.error, (scen, got)
-            if scen.target_rate:
-                sop = _mp_sop(replace(scen, target_rate=0.0))
-            got = spsc(scen, "quadrature")
-            assert abs(got.value - (1 - sop)) <= got.error, (scen, got)
+            lower = _mp_sop(scen, offset=False) if scen.target_rate else sop
+            got = sop_lower_bound(scen, "closed_form")
+            assert abs(got.value - lower) <= got.error, (scen, got)
             got = sop_lower_bound(scen, "quadrature")
             assert abs(got.value - _betaprime_sop_lb(scen)) <= got.error, \
                 (scen, got)
+            if scen.target_rate:
+                sop = _mp_sop(replace(scen, target_rate=0.0))
+            for method in ("quadrature", "closed_form"):
+                got = spsc(scen, method)
+                assert abs(got.value - (1 - sop)) <= got.error, (scen, got)
