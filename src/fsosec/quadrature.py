@@ -78,8 +78,8 @@ def _positive_axis_steps(x_peak):
         lo, hi = max(i - _SCAN_HALF_BLOCK, 0), min(i + _SCAN_HALF_BLOCK, n)
     yield from sample(np.arange(lo, hi + 1))
     if not vals.any() and hi - lo < n:
+        yield from sample(np.delete(np.arange(n + 1), np.s_[lo:hi + 1]))
         lo, hi = 0, n
-        yield from sample(np.arange(lo, hi + 1))
 
     while True:
         top = lo + int(np.argmax(vals[lo:hi + 1]))
@@ -90,19 +90,12 @@ def _positive_axis_steps(x_peak):
                 raise NonConvergent(f"mass at the hint {x_peak:g} is "
                                     "between scan grid samples")
             return 0.0, 0.0
-        stop = 1e-3 * _TAIL_EPS * best
-        left = _walk(vals, top, -1, stop, lo, hi, n)
-        right = _walk(vals, top, +1, stop, lo, hi, n)
-        ends = (None, None)
-        if left is not None and right is not None:
-            coarse = float(np.sum(vals[left[0]:right[0] + 1])) * _SCAN_STEP
-            floor = _TAIL_EPS * max(coarse, best)
-            ends = (_walk(vals, top, -2, floor, lo, hi, n),
-                    _walk(vals, top, +2, floor, lo, hi, n))
-            if None not in ends:
-                break
-        # grow each side whose walk ran out of samples (both, for a step
-        # of one) by as many whole blocks as are known, in one request
+        ends = (_walk(vals, top, -2, _TAIL_EPS * best, lo, hi, n),
+                _walk(vals, top, +2, _TAIL_EPS * best, lo, hi, n))
+        if None not in ends:
+            break
+        # grow each side whose walk ran out of samples by as many whole
+        # blocks as are known, in one request
         width = hi - lo + 1
         new_lo = max(lo - width, 0) if ends[0] is None else lo
         new_hi = min(hi + width, n) if ends[1] is None else hi
@@ -119,32 +112,32 @@ def _positive_axis_steps(x_peak):
     # the step halved (only the midpoints are new) until two levels agree
     u_left = _U_LO + left * _SCAN_STEP
     g = grid[left:right + 1]
+    if not np.isfinite(g).all():
+        raise NonConvergent("integrand is not finite at a quadrature node")
     h = _SCAN_STEP
     total = h * (g.sum() - 0.5 * (g[0] + g[-1]))
     mass = h * (np.abs(g).sum() - 0.5 * (abs(g[0]) + abs(g[-1])))
     count, prev = right - left, math.inf
-    while True:
-        if not np.isfinite(g).all():
-            raise NonConvergent("integrand is not finite at a quadrature node")
-        # two levels that agree to the rounding of their sum, as on a
-        # cancelling integral, are as converged as they can get
-        if abs(total - prev) <= max(_TOL_REL * abs(total), _EPS * mass):
-            break
+    # two levels that agree to the rounding of their sum, as on a
+    # cancelling integral, are as converged as they can get
+    while abs(total - prev) > max(_TOL_REL * abs(total), _EPS * mass):
         if 2 * count + 1 > _NODE_BUDGET:
             raise NonConvergent(
                 f"trapezoid step {0.5 * h:.3g} on [{u_left:g}, "
                 f"{u_left + count * h:g}] in ln x needs {2 * count + 1} "
                 f"nodes, over the budget")
         g = yield u_left + h * (0.5 + np.arange(count))
+        if not np.isfinite(g).all():
+            raise NonConvergent("integrand is not finite at a quadrature node")
         prev, h = total, 0.5 * h
         total = 0.5 * total + h * g.sum()
         mass = 0.5 * mass + h * np.abs(g).sum()
         count *= 2
     err = abs(total - prev) + _EPS * mass
     for j, i in ends:
-        # geometric tail bound from the last observed decay ratio
+        # geometric tail bound from the last observed decay rate (>= 0.05)
         rate = math.log(max(vals[i], 1e-300) / max(vals[j], 1e-300))
-        err += vals[j] / rate if rate > 0.1 else vals[j] * 10.0
+        err += vals[j] / max(rate, 0.05)
     return float(total), float(err)
 
 
@@ -154,36 +147,38 @@ def quad_positive_axis(f, x_peak=None):
     f is called on arrays of abscissae and must act elementwise.  The
     transformed integrand g(u) = f(e^u) e^u is sampled on the grid
     _U_LO, _U_LO + _SCAN_STEP, ..., _U_HI, in as few array calls as
-    possible.  From the largest |g| sample the range is walked out each
-    way until |g| has dropped to 1e-3 * _TAIL_EPS of that maximum and
-    is not rising; the integration window is then widened in steps of
-    two grid points until |g| falls below _TAIL_EPS relative to the
-    coarse integral over that range.  The trapezoidal rule on the
-    window starts from the scan's own samples at step _SCAN_STEP, and
-    the step is halved, evaluating only the new midpoints, until two
-    successive levels T_h, T_2h differ by at most _TOL_REL * |T_h|, or
-    by no more than the rounding of their sum.
+    possible.  From the largest |g| sample the integration window is
+    walked out each way in steps of two grid points until |g| has
+    dropped to _TAIL_EPS of that maximum and is not rising.  The
+    trapezoidal rule on the window starts from the scan's own samples
+    at step _SCAN_STEP, and the step is halved, evaluating only the new
+    midpoints, until two successive levels T_h, T_2h differ by at most
+    _TOL_REL * |T_h|, or by no more than the rounding of their sum.
 
     The error is |T_h - T_2h|, plus eps * h * sum |g| for the rounding
-    of the sum, plus a bound on the truncated tails from the locally
-    observed geometric decay.  It does not cover the rounding of f
-    itself; a caller that knows it adds it.  A scan sample that is nan,
-    inf or overflows counts as empty, but such a value at any node of
-    the window raises NonConvergent, as does a window that would need
-    more than _NODE_BUDGET nodes.  When the window reaches a grid end
-    before |g| has fallen below its floor, the mass beyond it is not
-    seen, and NonConvergent is raised.
+    of the sum, plus a bound on each cut tail from the geometric decay
+    over the walk's last step: |g| at the cut over its decay rate per
+    unit of u, taken as at least 0.05, the rate of x^0.05 near 0.  It
+    does not cover the rounding of f itself; a caller that knows it
+    adds it.  A scan sample that is nan, inf or overflows counts as
+    empty, but such a value at any node of the window raises
+    NonConvergent, as does a window that would need more than
+    _NODE_BUDGET nodes.  When the window reaches a grid end before |g|
+    has fallen below its floor, the mass beyond it is not seen, and
+    NonConvergent is raised.
 
     x_peak, when given, is a guess of where g peaks (in x, not u).  The
     grid is then sampled in a block of 49 points around ln(x_peak),
-    grown by whole blocks until the walked-out range and the window lie
-    inside it, instead of over the whole grid.  This assumes g is
-    unimodal in ln x: the block then holds the same peak as the full
-    grid, every decision reads the same samples, and the result is the
-    same as without the hint.  A hint that is None, not finite or not
-    positive, or whose block holds only zeros, falls back to one call
-    on the whole grid.  A grid of only zeros gives (0, 0), or raises
-    NonConvergent if g is nonzero at the hint, between grid samples.
+    grown by whole blocks until the window lies inside it, instead of
+    over the whole grid.  This assumes g is unimodal in ln x: the block
+    then holds the same peak as the full grid, the floor depends on
+    that peak alone, the walks read the same samples, and the result is
+    the same as without the hint.  A hint that is None, not finite or
+    not positive falls back to one call on the whole grid; a block that
+    holds only zeros, to one call on the rest of the grid, so no grid
+    point is asked for twice.  A grid of only zeros gives (0, 0), or
+    raises NonConvergent if g is nonzero at the hint, between grid
+    samples.
 
     Returns (value, error_estimate).
     """

@@ -147,6 +147,14 @@ def test_pole_collision_empty_strip():
         g1111(2.0, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("width", [5e-10, 2e-9])
+def test_strip_narrower_than_the_node_budget_is_non_convergent(width):
+    # a - 1 just below b: the strip is not empty, but too narrow for the
+    # contour's node budget, whether or not a - b is within 1e-9 of 1
+    with pytest.raises(NonConvergent, match="over the budget"):
+        g1111(1.5 - width, 0.5, 1.0)
+
+
 def test_unsupported_order_rejected():
     spec = MeijerGSpec(2, 0, 0, 2, (), (0.5, -0.5), 1.0)
     with pytest.raises(ValueError):

@@ -93,18 +93,36 @@ def test_positive_axis_zero_integrand():
     assert val == 0.0 and err == 0.0
 
 
-def test_mass_between_grid_samples_at_the_hint_raises():
+def _bump(x):
     # a bump in u = ln x centred between the grid nodes 0 and 0.5, too
     # narrow to leave a nonzero sample on the grid: g(u) = f(e^u) e^u
-    def bump(x):
-        return np.exp(-((np.log(x) - 0.25) / 0.005) ** 2) / x
+    return np.exp(-((np.log(x) - 0.25) / 0.005) ** 2) / x
 
+
+def test_mass_between_grid_samples_at_the_hint_raises():
     grid = -690.0 + 0.5 * np.arange(2761)
-    assert not bump(np.exp(grid)).any()
+    assert not _bump(np.exp(grid)).any()
     with pytest.raises(NonConvergent, match="between scan grid samples"):
-        quad_positive_axis(bump, x_peak=math.exp(0.25))
+        quad_positive_axis(_bump, x_peak=math.exp(0.25))
     # without a hint nothing points at the mass
-    assert quad_positive_axis(bump) == (0.0, 0.0)
+    assert quad_positive_axis(_bump) == (0.0, 0.0)
+
+
+def test_the_scan_asks_for_each_grid_sample_once():
+    # the hinted block reads only zeros, so the scan falls back to the
+    # rest of the grid: the block's points are not asked for again
+    asked = []
+
+    def f(x):
+        asked.append(x)
+        return _bump(x)
+
+    with pytest.raises(NonConvergent):
+        quad_positive_axis(f, x_peak=math.exp(0.25))
+    k = (np.log(np.concatenate(asked)) + 690.0) / 0.5
+    on_grid = np.round(k[np.abs(k - np.round(k)) < 1e-6]).astype(int)
+    assert on_grid.size == 2761
+    assert np.unique(on_grid).size == on_grid.size
 
 
 @pytest.mark.parametrize("f, x_peak", [

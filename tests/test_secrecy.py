@@ -2,6 +2,7 @@
 references (mpmath, 50 digits), and degenerate branches."""
 import importlib.util
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -812,3 +813,32 @@ def test_quadrature_routes_sit_within_their_error_of_the_oracles():
             for method in ("quadrature", "closed_form"):
                 got = spsc(scen, method)
                 assert abs(got.value - (1 - sop)) <= got.error, (scen, got)
+
+
+@pytest.mark.parametrize("shapes, snrs, rate", [
+    ((0.05, 2.0000001), (1e-8, 1e-9), 0.5),
+    ((0.05, 1.05), (1.0, 0.1), 20.0),
+], ids=["b-near-2", "b-near-1"])
+def test_sop_error_covers_the_oracle_at_small_a(shapes, snrs, rate):
+    # at a = 0.05 Eve's gain density decays like h^0.05 towards 0, so the
+    # left tail of the SOP integrand is the slowest the window cuts
+    fading = FFadingParams(*shapes)
+    scen = WiretapScenario(SnrChannel(fading, snrs[0]),
+                           SnrChannel(fading, snrs[1]), rate)
+    with mp.workdps(20):
+        want = _mp_sop(scen)
+    got = sop_exact(scen)
+    assert abs(got.value - want) <= got.error, (got, want)
+
+
+def test_non_finite_window_raises_without_a_warning():
+    # Eve's mean SNR 2.77e288 overflows the integrand inside the window:
+    # the route fails before the level-0 trapezoid sums that inf
+    fading = FFadingParams(15045.4, 1.3339)
+    scen = WiretapScenario(SnrChannel(fading, 1.3e-9),
+                           SnrChannel(fading, 2.77e288), 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonConvergent, match="integrand is not finite"):
+            asc_quadrature(scen)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
