@@ -71,9 +71,15 @@ def _gain_mode(fading):
 
 def _rate_density(channel):
     # ln(1 + snr) times the gain density, snr = 4 * mean_snr * h^2: the
-    # integrand of the channel's ergodic rate over its gain h
-    return lambda h: (np.log1p(4.0 * channel.mean_snr * h * h)
-                      * pdf_ht(channel.fading, h))
+    # integrand of the channel's ergodic rate over its gain h.  Where snr
+    # overflows, ln(1 + snr) is ln(4 mean_snr) + 2 ln h to the last bit
+    def density(h):
+        rate = np.log1p(4.0 * channel.mean_snr * h * h)
+        big = np.isinf(rate)
+        if big.any():
+            rate[big] = math.log(4.0 * channel.mean_snr) + 2.0 * np.log(h[big])
+        return rate * pdf_ht(channel.fading, h)
+    return density
 
 
 def _check_method(method):
@@ -288,10 +294,16 @@ def _lb_scale(scenario):
             * math.sqrt(scenario.eve.mean_snr / scenario.bob.mean_snr))
 
 
+def _probability(value):
+    # value clamped to [0, 1]; + 0.0 turns a -0.0 into 0.0, and a nan
+    # stays nan
+    return min(max(value, 0.0), 1.0) + 0.0
+
+
 def sop_exact(scenario):
     """Secrecy outage probability by quadrature over the Eve gain."""
     (value, err), = _shared(_cdf_terms(scenario, "sop", "quadrature"))
-    return MetricValue("sop", "quadrature", min(max(value, 0.0), 1.0), err)
+    return MetricValue("sop", "quadrature", _probability(value), err)
 
 
 def sop_lower_bound(scenario, method="closed_form"):
@@ -317,7 +329,7 @@ def sop_lower_bound(scenario, method="closed_form"):
                      + (log_beta(eve.a, eve.b) + math.lgamma(eve.a + eve.b)))
         (value, err), = _shared({("sop_lb_g", scenario.target_rate): spec},
                                 lambda s: [meijer_g(*s, log_scale=log_pref)])
-    return MetricValue("sop_lb", method, min(max(value, 0.0), 1.0), err)
+    return MetricValue("sop_lb", method, _probability(value), err)
 
 
 def spsc(scenario, method="quadrature"):

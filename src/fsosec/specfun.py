@@ -61,11 +61,14 @@ _LANCZOS_C = (
 _LOG_HALF_I = cmath.log(0.5j)
 _LOG_2I = cmath.log(2j)
 
-# continued fraction of the incomplete beta: iteration budget, the
-# convergence threshold on |delta - 1| and the Lentz guard
+# continued fraction of the incomplete beta: the first and the deepest
+# contracted depth a try cuts it at, the threshold on the relative gap
+# between the values at depths K and K - 2, and the most levels whose
+# coefficient rows are held at once
+_CF_START_DEPTH = 16
 _CF_MAX_ITER = 400
 _CF_EPS = 1e-15
-_CF_TINY = 1e-300
+_CF_BLOCK = 16
 
 # meijer_g: contour points per block of the tail walk, the error the
 # trapezoid step is sized for, the rounding of a node's log terms in eps
@@ -86,57 +89,67 @@ def log_beta(a, b):
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+def _contracted(x, flip, a, b, depth):
+    # the fraction of _betacf cut at contracted depths depth and depth - 2,
+    # rows 0 and 1 of the result, evaluated backward: t_k = B_k +
+    # A_{k+1}/t_{k+1} from t_depth = B_depth, then 1/(1 + A_1/t_1).  Row 1
+    # restarts from t = inf after level depth - 1.  The coefficients of
+    # each shape order, (a, b) then (b, a), are tabled per level k as
+    # A_{k+1}/x^2 (0 past depth) and (B_k - 1)/x, and picked per element
+    # for at most _CF_BLOCK levels at a time.
+    p = np.array([[a], [b]])
+    m = np.arange(1.0, depth + 1.0)
+    pm = p + 2.0 * m
+    e = m * (a + b - p - m) / ((pm - 1.0) * pm)
+    o = (1.0 - p - m) * (a + b - 1.0 + m) / ((pm - 2.0) * (pm - 1.0))
+    rows = np.zeros((2, 2, depth))
+    rows[:, 0, :-1] = e[:, :-1] * -o[:, 1:]
+    rows[:, 1] = e + o
+    rows[:, 1, 0] = e[:, 0]
+    x2 = x * x
+    t = np.ones((2,) + x.shape)
+    for hi in range(depth, 0, -_CF_BLOCK):
+        lo = max(hi - _CF_BLOCK, 0)
+        block = np.where(flip, rows[1, :, lo:hi, None], rows[0, :, lo:hi, None])
+        block[0] *= x2
+        block[1] *= x
+        block[1] += 1.0
+        for j in range(hi - lo - 1, -1, -1):
+            np.divide(block[0, j], t, out=t)
+            t += block[1, j]
+            if lo + j == depth - 2:
+                t[1] = np.inf
+    return t / (t + np.where(flip, o[1, 0], o[0, 0]) * x)
+
+
 def _betacf(x, flip, a, b):
-    # Continued fraction for the incomplete beta, modified Lentz scheme,
-    # on a whole array at once: shapes (a, b), or the swapped pair
-    # (b, a) where flip is set.  All elements iterate together until
-    # each has converged (checked every 4th iteration).
-    num = (a + b) * x / np.where(flip, b + 1.0, a + 1.0)
-    # d and c as the two rows of one buffer, so one Lentz guard covers
-    # both: a denominator that came out (near) zero is replaced by a
-    # tiny positive number
-    dc = np.ones((2,) + x.shape)
-    absdc = np.empty_like(dc)
-    d, c = dc
-    np.subtract(1.0, num, out=d)
-    np.abs(dc, out=absdc)
-    if absdc.min() < _CF_TINY:
-        dc[absdc < _CF_TINY] = _CF_TINY
-    np.divide(1.0, d, out=d)
-    h = d.copy()
-    scratch = np.empty_like(x)
+    # 1/(1 + d_1/(1 + d_2/(1 + ...))), the continued fraction of the
+    # incomplete beta, on a 1-D array at once: shapes (a, b), or the
+    # swapped pair (b, a) where flip is set.  With e_m = m (b - m) /
+    # ((a - 1 + 2m)(a + 2m)) and o_m = -(a + m)(a + b + m) / ((a + 2m)
+    # (a + 1 + 2m)), d_{2m} = e_m x and d_{2m+1} = o_m x.  It is evaluated
+    # as its even contraction 1 + A_1/(B_1 + A_2/(B_2 + ...)), whose
+    # depth-k value is the 2k-th of the fraction: A_1 = o_0 x,
+    # B_1 = 1 + e_1 x, A_k = -e_{k-1} o_{k-1} x^2 and
+    # B_k = 1 + (o_{k-1} + e_k) x.  Each try cuts it at the depths K and
+    # K - 2, K = _CF_START_DEPTH, twice that, ... and last _CF_MAX_ITER;
+    # an element keeps the f_K of the first try where
+    # |f_{K-2} / f_K - 1| < _CF_EPS, and only the pending elements go
+    # deeper, so its value does not depend on the rest of the array.
     out = np.empty_like(x)
-    pending = np.ones(x.shape, dtype=bool)
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        # the even and the odd numerator of step m, coefficient * x; each
-        # pair of coefficients is for the shapes (b, a), then (a, b)
-        for coef in ((m * (a - m) / ((b - 1.0 + m2) * (b + m2)),
-                      m * (b - m) / ((a - 1.0 + m2) * (a + m2))),
-                     (-(b + m) * (b + a + m) / ((b + m2) * (b + 1.0 + m2)),
-                      -(a + m) * (a + b + m) / ((a + m2) * (a + 1.0 + m2)))):
-            np.multiply(x, np.where(flip, *coef), out=num)
-            np.multiply(num, d, out=d)
-            np.divide(num, c, out=c)
-            dc += 1.0
-            np.abs(dc, out=absdc)
-            if absdc.min() < _CF_TINY:
-                dc[absdc < _CF_TINY] = _CF_TINY
-            np.divide(1.0, d, out=d)
-            np.multiply(d, c, out=scratch)
-            h *= scratch
-        # scratch now holds the last delta = d * c.  Past convergence it
-        # wanders by a few ulps, so each element keeps the h of the first
-        # check it passes
-        if m % 4 == 0:
-            done = np.abs(scratch - 1.0) < _CF_EPS
-            done &= pending
-            out[done] = h[done]
-            pending &= ~done
-            if not pending.any():
-                return out
-    raise NonConvergent(
-        f"incomplete beta continued fraction stalled at a={a!r} b={b!r}")
+    todo = np.arange(x.size)
+    depth = _CF_START_DEPTH
+    while todo.size:
+        depth = min(depth, _CF_MAX_ITER)
+        f = _contracted(x[todo], flip[todo], a, b, depth)
+        done = np.abs(f[1] / f[0] - 1.0) < _CF_EPS
+        out[todo[done]] = f[0, done]
+        todo = todo[~done]
+        if todo.size and depth == _CF_MAX_ITER:
+            raise NonConvergent(
+                f"incomplete beta continued fraction stalled at a={a!r} b={b!r}")
+        depth *= 2
+    return out
 
 
 def reg_inc_beta(x, a, b):
@@ -159,8 +172,15 @@ def reg_inc_beta(x, a, b):
     -----
     Uses the continued fraction directly where x < (a+1)/(a+b+2) and
     the complement identity I_x(a, b) = 1 - I_{1-x}(b, a) elsewhere,
-    where the fraction converges fastest.  Both halves run in one array loop,
-    so a call costs about the same for one point as for a few hundred.
+    where the fraction converges fastest.  The fraction is evaluated
+    backward, as its even contraction cut at a fixed depth K = 16, 32,
+    64, ... and last 400.  Each try evaluates the depths K and K - 2 in
+    one pass, and a point keeps the depth-K value of the first try where
+    the two agree to 1e-15; only the points still pending go deeper, so
+    a value does not depend on the other points of the call.  Both
+    halves run in one array pass, so a call costs about the same for
+    one point as for a few hundred.  A point still pending at depth 400
+    raises NonConvergent.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a!r} b={b!r}")

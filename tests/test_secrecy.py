@@ -831,9 +831,12 @@ def test_sop_error_covers_the_oracle_at_small_a(shapes, snrs, rate):
     assert abs(got.value - want) <= got.error, (got, want)
 
 
-def test_non_finite_window_raises_without_a_warning():
-    # Eve's mean SNR 2.77e288 overflows the integrand inside the window:
-    # the route fails before the level-0 trapezoid sums that inf
+def test_non_finite_window_raises_without_a_warning(monkeypatch):
+    # a rate density left to overflow, as a plain log1p does at Eve's
+    # mean SNR 2.77e288, is inf inside the window: the route fails
+    # before the level-0 trapezoid sums that inf
+    monkeypatch.setattr(secrecy, "_rate_density", lambda channel: lambda h: (
+        np.log1p(4.0 * channel.mean_snr * h * h) * pdf_ht(channel.fading, h)))
     fading = FFadingParams(15045.4, 1.3339)
     scen = WiretapScenario(SnrChannel(fading, 1.3e-9),
                            SnrChannel(fading, 2.77e288), 0.0)
@@ -842,3 +845,33 @@ def test_non_finite_window_raises_without_a_warning():
         with pytest.raises(NonConvergent, match="integrand is not finite"):
             asc_quadrature(scen)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_huge_mean_snrs_give_quadrature_rows():
+    # at mean SNRs of 1e248-1e285, 4 mean_snr h^2 overflows a double at
+    # the far gains of the rate integrals
+    scenarios = _wide_scenarios(1, 400)
+    for k in (149, 273, 340):
+        rows = evaluate_scenario(scenarios[k], methods=("quadrature",))
+        assert isinstance(rows["quadrature"], tuple), (k, rows)
+    # Eve's mean SNR is 6e-159 in draw 273, so the ASC is Bob's ergodic
+    # rate
+    scen = scenarios[273]
+    got = asc_quadrature(scen)
+    value, error = eve_ergodic_rate_closed_form(scen.bob)
+    assert abs(got.value - value / math.log(2.0)) <= got.error + error / math.log(2.0)
+
+
+@pytest.mark.parametrize("route, args", [(sop_exact, ()),
+                                         (sop_lower_bound, ("quadrature",)),
+                                         (sop_lower_bound, ("closed_form",))])
+@pytest.mark.parametrize("raw", [-0.0, math.nan])
+def test_outage_clamp_gives_no_negative_zero(monkeypatch, route, args, raw):
+    # a -0.0 from the terms is reported as 0.0, and a nan stays nan
+    monkeypatch.setattr(secrecy, "_shared",
+                        lambda terms, compute=None: [(raw, 1e-12)])
+    value = route(PAIR, *args).value
+    if math.isnan(raw):
+        assert math.isnan(value)
+    else:
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fsosec import specfun
+from fsosec.errors import NonConvergent
 from fsosec.specfun import log_beta, log_gamma_complex, reg_inc_beta
 
 
@@ -111,6 +113,48 @@ def test_reg_inc_beta_small_a_large_b_below_the_switch_point():
         for x in (1e-4, 2e-4, 5e-4, 3.4e-3):
             want = mp.betainc(a, b, 0, x, regularized=True)
             assert abs(reg_inc_beta(x, a, b) - want) <= _rounding_bound(x, a, b, want), x
+
+
+# shapes of about 1e4: next to the switch point (a+1)/(a+b+2) the
+# fraction needs a contracted depth above 64 there
+_LARGE_A, _LARGE_B = 1.0e4, 1.2e4
+_SLOW_X = (1.0 - 1e-9) * (_LARGE_A + 1.0) / (_LARGE_A + _LARGE_B + 2.0)
+
+
+def test_reg_inc_beta_value_does_not_depend_on_the_rest_of_the_call():
+    # elements that converge at different depths, the slow one among
+    # them, give the bits each gives alone
+    x = _SLOW_X * np.array([0.9, 0.98, 1.0, 1.02, 1.1])
+    together = reg_inc_beta(x, _LARGE_A, _LARGE_B)
+    for xi, vi in zip(x.tolist(), together.tolist()):
+        assert vi.hex() == reg_inc_beta(xi, _LARGE_A, _LARGE_B).hex(), xi
+
+
+def _betainc_series(x, a, b):
+    # I_x(a, b) = x^a (1-x)^b / (a B(a, b)) 2F1(a+b, 1; a+1; x), a series
+    # of positive terms, which mpmath sums at large shapes where its
+    # betainc does not converge
+    x = mp.mpf(x)
+    return (x ** a * (1 - x) ** b / (a * mp.beta(a, b))
+            * mp.hyp2f1(a + b, 1, a + 1, x))
+
+
+@pytest.mark.parametrize("a, b", [(_LARGE_A, _LARGE_B), (9.5e3, 3.1e3),
+                                  (2.2e3, 2.0e4)])
+def test_reg_inc_beta_large_shapes_within_their_rounding_bound_of_mpmath(a, b):
+    switch = (a + 1.0) / (a + b + 2.0)
+    with mp.workdps(30):
+        for x in (switch * np.array([0.97, 0.999, 1.0 - 1e-9, 1.0 + 1e-9,
+                                     1.001, 1.03])).tolist():
+            want = _betainc_series(x, a, b)
+            assert abs(reg_inc_beta(x, a, b) - want) <= _rounding_bound(x, a, b, want), x
+
+
+def test_reg_inc_beta_stalls_past_the_depth_cap(monkeypatch):
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 64)
+    with pytest.raises(NonConvergent, match=r"^incomplete beta continued "
+                       r"fraction stalled at a=10000\.0 b=12000\.0$"):
+        reg_inc_beta(_SLOW_X, _LARGE_A, _LARGE_B)
 
 
 def test_reg_inc_beta_array_edge_values():
