@@ -122,9 +122,11 @@ _SLOW_X = (1.0 - 1e-9) * (_LARGE_A + 1.0) / (_LARGE_A + _LARGE_B + 2.0)
 
 
 def test_reg_inc_beta_value_does_not_depend_on_the_rest_of_the_call():
-    # elements that converge at different depths, the slow one among
-    # them, give the bits each gives alone
-    x = _SLOW_X * np.array([0.9, 0.98, 1.0, 1.02, 1.1])
+    # elements that converge at depths 16, 32 and 64 to other bits than
+    # the slow element's depth gives them, and the slow one itself, give
+    # the bits each gives alone
+    x = np.array([0.42936619807453125, 0.4422287283073698,
+                  0.4501927807708075, _SLOW_X])
     together = reg_inc_beta(x, _LARGE_A, _LARGE_B)
     for xi, vi in zip(x.tolist(), together.tolist()):
         assert vi.hex() == reg_inc_beta(xi, _LARGE_A, _LARGE_B).hex(), xi
