@@ -16,7 +16,9 @@ and closed forms riding on the Meijer-G evaluator.  They are not fully
 independent: the exact outage and the two ASC cross terms have no
 closed form here, so the ASC closed form takes its cross terms from the
 quadrature as the same floats, and the G-forms cover only the
-eavesdropper ergodic term and the outage lower bound (hence SPSC).
+eavesdropper ergodic term and the outage lower bound (hence SPSC).  The
+lower bound at the target rate and at rate 0, the one SPSC takes, are
+one G-family on one contour.
 """
 
 import math
@@ -306,29 +308,41 @@ def sop_exact(scenario):
     return MetricValue("sop", "quadrature", _probability(value), err)
 
 
+def _lb_closed_form(scenario, rate):
+    # (value, error) of the lower bound's G-form at rate, 0 or the target
+    # rate R: both from one G-family of z(0) and z(R), kept under the
+    # keys ("sop_lb_g", rate), so a scenario computes it once.  A member
+    # whose argument leaves the double range fails only its own route
+    bob, eve = scenario.bob.fading, scenario.eve.fading
+    shape = bob.a * (eve.b - 1.0) / ((bob.b - 1.0) * eve.a)
+    zs = {("sop_lb_g", r): _lb_scale(replace(scenario, target_rate=r)) * shape
+          for r in (0.0, scenario.target_rate)}
+    _g_argument(zs["sop_lb_g", rate], "outage lower bound")
+    family = {key: z for key, z in zs.items() if 0.0 < z < math.inf}
+    log_pref = -((log_beta(bob.a, bob.b) + math.lgamma(bob.a + bob.b))
+                 + (log_beta(eve.a, eve.b) + math.lgamma(eve.a + eve.b)))
+    results = _shared(family, lambda args: meijer_g(
+        MeijerGSpec(2, 3, 3, 3, (1.0 - bob.b, 1.0, 1.0 - eve.a),
+                    (bob.a, eve.b, 0.0), tuple(args)),
+        log_scale=log_pref))
+    return results[list(family).index(("sop_lb_g", rate))]
+
+
 def sop_lower_bound(scenario, method="closed_form"):
     """Scale-invariant lower bound on the outage probability.
 
     Drops the +1 SNR offsets, so only the gain ratio and the target
     rate enter.  Coincides with sop_exact at target rate zero.  The
     closed form, a G^{2,3}_{3,3}, is P(U < z) for U = X_B Y_E / (Y_B X_E)
-    with X ~ Gamma(a), Y ~ Gamma(b) of each branch's own shapes.
+    with X ~ Gamma(a), Y ~ Gamma(b) of each branch's own shapes; it is
+    evaluated on one contour with the zero-rate G-form spsc takes.
     """
     _check_method(method)
     terms = _cdf_terms(scenario, "sop_lb", method)
     if terms:
         (value, err), = _shared(terms)
     else:
-        bob, eve = scenario.bob.fading, scenario.eve.fading
-        z = _lb_scale(scenario) * (bob.a * (eve.b - 1.0)
-                                   / ((bob.b - 1.0) * eve.a))
-        spec = MeijerGSpec(2, 3, 3, 3, (1.0 - bob.b, 1.0, 1.0 - eve.a),
-                           (bob.a, eve.b, 0.0),
-                           _g_argument(z, "outage lower bound"))
-        log_pref = -((log_beta(bob.a, bob.b) + math.lgamma(bob.a + bob.b))
-                     + (log_beta(eve.a, eve.b) + math.lgamma(eve.a + eve.b)))
-        (value, err), = _shared({("sop_lb_g", scenario.target_rate): spec},
-                                lambda s: [meijer_g(*s, log_scale=log_pref)])
+        value, err = _lb_closed_form(scenario, scenario.target_rate)
     return MetricValue("sop_lb", method, _probability(value), err)
 
 
@@ -336,17 +350,18 @@ def spsc(scenario, method="quadrature"):
     """Probability of strictly positive secrecy capacity.
 
     One minus the outage probability at target rate zero; the closed
-    form goes through the outage lower bound, which is exact there.
-    The error adds half an ulp of the value for the subtraction.
+    form goes through the outage lower bound, which is exact there, as
+    a member of the G-family of the scenario's lower bound.  The error
+    adds half an ulp of the value for the subtraction.
     """
     _check_method(method)
-    zero_rate = replace(scenario, target_rate=0.0)
     if method == "closed_form":
-        base = sop_lower_bound(zero_rate, method="closed_form")
+        value, err = _lb_closed_form(scenario, 0.0)
     else:
-        base = sop_exact(zero_rate)
-    return MetricValue("spsc", method, 1.0 - base.value,
-                       base.error + 0.5 * math.ulp(1.0 - base.value))
+        base = sop_exact(replace(scenario, target_rate=0.0))
+        value, err = base.value, base.error
+    value = 1.0 - _probability(value)
+    return MetricValue("spsc", method, value, err + 0.5 * math.ulp(value))
 
 
 def _routes(method, metrics):

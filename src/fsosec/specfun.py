@@ -32,6 +32,7 @@ half-supported.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,14 +90,11 @@ def log_beta(a, b):
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _contracted(x, flip, a, b, depth):
-    # the fraction of _betacf cut at contracted depths depth and depth - 2,
-    # rows 0 and 1 of the result, evaluated backward: t_k = B_k +
-    # A_{k+1}/t_{k+1} from t_depth = B_depth, then 1/(1 + A_1/t_1).  Row 1
-    # restarts from t = inf after level depth - 1.  The coefficients of
-    # each shape order, (a, b) then (b, a), are tabled per level k as
-    # A_{k+1}/x^2 (0 past depth) and (B_k - 1)/x, and picked per element
-    # for at most _CF_BLOCK levels at a time.
+@functools.lru_cache(maxsize=32)
+def _cf_table(a, b, depth):
+    # the coefficients of _contracted at depth, read-only: per shape
+    # order, (a, b) then (b, a), and level k, A_{k+1}/x^2 (0 past depth)
+    # and (B_k - 1)/x, and o_0 of each order
     p = np.array([[a], [b]])
     m = np.arange(1.0, depth + 1.0)
     pm = p + 2.0 * m
@@ -106,6 +104,18 @@ def _contracted(x, flip, a, b, depth):
     rows[:, 0, :-1] = e[:, :-1] * -o[:, 1:]
     rows[:, 1] = e + o
     rows[:, 1, 0] = e[:, 0]
+    rows.flags.writeable = o.flags.writeable = False
+    return rows, o[:, 0]
+
+
+def _contracted(x, flip, a, b, depth):
+    # the fraction of _betacf cut at contracted depths depth and depth - 2,
+    # rows 0 and 1 of the result, evaluated backward: t_k = B_k +
+    # A_{k+1}/t_{k+1} from t_depth = B_depth, then 1/(1 + A_1/t_1).  Row 1
+    # restarts from t = inf after level depth - 1.  The tabled
+    # coefficients of each shape order are picked per element for at
+    # most _CF_BLOCK levels at a time.
+    rows, o0 = _cf_table(a, b, depth)
     x2 = x * x
     t = np.ones((2,) + x.shape)
     for hi in range(depth, 0, -_CF_BLOCK):
@@ -114,12 +124,13 @@ def _contracted(x, flip, a, b, depth):
         block[0] *= x2
         block[1] *= x
         block[1] += 1.0
-        for j in range(hi - lo - 1, -1, -1):
-            np.divide(block[0, j], t, out=t)
-            t += block[1, j]
-            if lo + j == depth - 2:
+        for k, num, add in zip(range(hi - 1, lo - 1, -1),
+                               list(block[0, ::-1]), list(block[1, ::-1])):
+            np.divide(num, t, out=t)
+            t += add
+            if k == depth - 2:
                 t[1] = np.inf
-    return t / (t + np.where(flip, o[1, 0], o[0, 0]) * x)
+    return t / (t + np.where(flip, o0[1], o0[0]) * x)
 
 
 def _betacf(x, flip, a, b):
@@ -256,7 +267,8 @@ class MeijerGSpec:
 
     a_params holds the p upper parameters (first n belong to the
     numerator), b_params the q lower parameters (first m belong to the
-    numerator).  z is the positive real argument.
+    numerator).  z is the positive real argument, or a tuple of them
+    for a family of G-values that share the parameters.
     """
 
     m: int
@@ -265,7 +277,7 @@ class MeijerGSpec:
     q: int
     a_params: tuple
     b_params: tuple
-    z: float
+    z: float | tuple
 
     def __post_init__(self):
         if not (0 <= self.n <= self.p and 0 <= self.m <= self.q):
@@ -276,8 +288,10 @@ class MeijerGSpec:
         for v in (*self.a_params, *self.b_params):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite G parameter {v!r}")
-        if not (self.z > 0.0 and math.isfinite(self.z)):
-            raise ValueError(f"argument must be finite and positive, got {self.z!r}")
+        zs = self.z if isinstance(self.z, tuple) else (self.z,)
+        if not zs or not all(z > 0.0 and math.isfinite(z) for z in zs):
+            raise ValueError(
+                f"arguments must be finite and positive, got {self.z!r}")
 
 
 def _gamma_factors(spec):
@@ -339,37 +353,25 @@ def _log_phi_complex(factors, s):
     return total
 
 
-def _contour_abscissa(spec, factors):
-    # Strip separating the pole families: poles of Gamma(b_j - s) sit at
-    # b_j, b_j+1, ...; poles of Gamma(1 - a_j + s) at a_j - 1, a_j - 2,
-    # ...  Every supported order has m >= 1 and n >= 1, so both ends are
-    # finite.  An offset a_j - b_i >= 1, as a positive integer one that
-    # puts poles of both families on one point, leaves the strip empty.
-    lo = max(a - 1.0 for a in spec.a_params[:spec.n])
-    hi = min(spec.b_params[:spec.m])
-    if lo >= hi:
-        raise PoleCollision(
-            f"no vertical contour separates the pole families "
-            f"(strip [{lo:g}, {hi:g}] is empty)")
+def _energy(factors, lnz, c):
+    # log |Phi(c) z^c|; +inf marks a pole of a factor
+    try:
+        return sum(_log_phi_terms(factors, c)) + c * lnz
+    except ValueError:
+        return math.inf
 
+
+def _contour_abscissa(factors, lo, hi, lnz):
     # Saddle placement: golden-section search for the minimum of
     # log |Phi(c) z^c| over the whole open strip.  With only positive
     # Gamma powers and negative linear powers, as in production calls,
     # that energy is convex and has one minimum there.  Otherwise the
     # search may settle on a local minimum: the integral does not depend
     # on c inside the strip, only its cancellation does.
-    lnz = math.log(spec.z)
+    energy = functools.partial(_energy, factors, lnz)
     pad = 1e-3 * (hi - lo)
     a0 = lo + pad
     b0 = hi - pad
-
-    def energy(c):
-        # log |Phi(c) z^c|; +inf marks a pole of a factor
-        try:
-            return sum(_log_phi_terms(factors, c)) + c * lnz
-        except ValueError:
-            return math.inf
-
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b0 - invphi * (b0 - a0)
     x2 = a0 + invphi * (b0 - a0)
@@ -384,8 +386,7 @@ def _contour_abscissa(spec, factors):
             a0, x1, e1 = x1, x2, e2
             x2 = a0 + invphi * (b0 - a0)
             e2 = energy(x2)
-    c = 0.5 * (a0 + b0)
-    return c, min(c - lo, hi - c)
+    return 0.5 * (a0 + b0)
 
 
 def meijer_g(spec, log_scale=0.0):
@@ -396,7 +397,8 @@ def meijer_g(spec, log_scale=0.0):
     spec : MeijerGSpec
         Order, parameters and argument.  Only the four orders used in
         this package are accepted: (1,1,1,1), (1,2,2,2), (4,3,4,4) and
-        (2,3,3,3).
+        (2,3,3,3).  A tuple of arguments asks for the family of G-values
+        of one parameter set.
     log_scale : float
         Optional log-space prefactor folded into the integrand, so
         expressions of the form exp(log_scale) * G(z) stay finite when
@@ -404,12 +406,23 @@ def meijer_g(spec, log_scale=0.0):
 
     Returns
     -------
-    (value, error) : tuple of float
+    (value, error) : tuple of float, or a list of them
         The (scaled) function value and an absolute error estimate
         summing the trapezoid bound of Trefethen & Weideman (Theorem
         5.1), the truncated contour tails, the rounding of the nodes
         and of their sum, and the rounding of the log-space factor
         exp(log Phi(c) + c ln z + log_scale) in front of the integral.
+        For a tuple of arguments, one pair per argument, in order.
+
+    Notes
+    -----
+    A family shares the first member's contour, at its saddle c, when
+    every member's log |Phi(c) z^c| there is within 1 nat of its value
+    at the member's own saddle; otherwise each member takes its own
+    contour.  A shared contour takes one log-Phi batch per tail-walk
+    block and one on the nodes, and each member reads the nodes at a
+    step within its own trapezoid bound.  The first member, as a family
+    of one, is the scalar call bit for bit.
 
     Raises
     ------
@@ -424,20 +437,45 @@ def meijer_g(spec, log_scale=0.0):
     if order not in _SUPPORTED_ORDERS:
         raise ValueError(f"unsupported G order {order}; "
                          f"supported: {sorted(_SUPPORTED_ORDERS)}")
+    # Strip separating the pole families: poles of Gamma(b_j - s) sit at
+    # b_j, b_j+1, ...; poles of Gamma(1 - a_j + s) at a_j - 1, a_j - 2,
+    # ...  Every supported order has m >= 1 and n >= 1, so both ends are
+    # finite.  An offset a_j - b_i >= 1, as a positive integer one that
+    # puts poles of both families on one point, leaves the strip empty.
+    lo = max(a - 1.0 for a in spec.a_params[:spec.n])
+    hi = min(spec.b_params[:spec.m])
+    if lo >= hi:
+        raise PoleCollision(
+            f"no vertical contour separates the pole families "
+            f"(strip [{lo:g}, {hi:g}] is empty)")
     factors = _reduce_factors(_gamma_factors(spec))
-    c, d = _contour_abscissa(spec, factors)
-    lnz = math.log(spec.z)
-    terms = _log_phi_terms(factors, c)
-    log_peak = sum(terms) + c * lnz
+    family = isinstance(spec.z, tuple)
+    lnzs = [math.log(z) for z in (spec.z if family else (spec.z,))]
+    saddles = [_contour_abscissa(factors, lo, hi, lnz) for lnz in lnzs]
+    c = saddles[0]
+    if all(_energy(factors, lnz, c) <= _energy(factors, lnz, own) + 1.0
+           for own, lnz in zip(saddles[1:], lnzs[1:])):
+        out = _contour(factors, c, min(c - lo, hi - c), lnzs, log_scale)
+    else:
+        out = [pair for own, lnz in zip(saddles, lnzs) for pair in
+               _contour(factors, own, min(own - lo, hi - own), [lnz],
+                        log_scale)]
+    return out if family else out[0]
 
-    def log_w(s):
-        # log of the contour integrand at s over its value at c
-        return _log_phi_complex(factors, s) + s * lnz - log_peak
+
+def _contour(factors, c, d, lnzs, log_scale):
+    # [(value, error)] of the G-family with arguments exp(lnzs) on the
+    # contour Re s = c, at distance d from the nearest pole
+    terms = _log_phi_terms(factors, c)
+    log_peaks = [sum(terms) + c * lnz for lnz in lnzs]
 
     # Walk outward in blocks of t until the integrand modulus on the
     # contour has dropped far below the peak, then bound the remaining
     # tail by the observed geometric decay.  The same batches sample the
     # lines Re s = c -+ d' that bound the strip of the trapezoid rule.
+    # Relative to its peak, the modulus on the contour is that of any
+    # member, and on those lines that of the first shifted by -+ d'
+    # times the gap of ln z, so the first member's walk serves them all.
     edge = 0.9 * d
     rows = np.array([[0.0], [edge], [-edge]])
     drop_target = math.log(1e-18)
@@ -445,7 +483,8 @@ def meijer_g(spec, log_scale=0.0):
     for start in range(0, 600, _TAIL_BLOCK):
         # one extra point past the block, the decay rate needs it
         ts = np.arange(start, start + _TAIL_BLOCK + 1, dtype=float)
-        mags = log_w(c + rows + 1j * ts).real
+        s = c + rows + 1j * ts
+        mags = (_log_phi_complex(factors, s) + s * lnzs[0] - log_peaks[0]).real
         log_sums = np.logaddexp(log_sums,
                                 np.logaddexp.reduce(mags[:, :-1], axis=1))
         hit = np.nonzero(mags[0, :-1] <= drop_target)[0]
@@ -463,27 +502,42 @@ def meijer_g(spec, log_scale=0.0):
     # |Im t| < d' the trapezoid sum of step h misses the integral by at
     # most 2M / (e^(2 pi d' / h) - 1), M the largest integral of |w|
     # along a line of the strip, here at most twice a line's unit-step
-    # sum over t >= 0.  This h sets the bound to _TRAPEZOID_TOL.
-    h = 2.0 * math.pi * edge / float(np.logaddexp(
-        0.0, math.log(4.0 / _TRAPEZOID_TOL) + log_sums.max()))
-    nodes = math.ceil(t_end / h) + 1
+    # sum over t >= 0.  These steps set each member's bound to
+    # _TRAPEZOID_TOL.  The nodes are spaced by the first member's step
+    # over the least power of 2 fine enough for all; the first member
+    # reads every stride-th node, its own nodes, and the rest read all.
+    steps = [2.0 * math.pi * edge / float(np.logaddexp(
+        0.0, math.log(4.0 / _TRAPEZOID_TOL)
+        + float((log_sums + rows[:, 0] * (lnz - lnzs[0])).max())))
+        for lnz in lnzs]
+    stride = 1
+    while steps[0] / stride > min(steps):
+        stride *= 2
+    h = steps[0] / stride
+    nodes = stride * math.ceil(t_end / steps[0]) + 1
     if nodes > _CONTOUR_NODE_BUDGET:
         raise NonConvergent(f"contour strip half-width {d:.3g} needs step "
                             f"{h:.3g}, {nodes} nodes, over the budget")
-    w = np.exp(log_w(c + 1j * h * np.arange(nodes)))
-    w[0] *= 0.5
-    val = h * float(w.real.sum())
-    # the trapezoid bound, the tails, and the rounding of the nodes, of
-    # their sum and of the factor in front: a log term is good to about
-    # _LOG_GAMMA_ULPS eps times its size, and those at c stand for the
-    # nodes that carry the mass
-    ulps = (1.0 + _LOG_GAMMA_ULPS * (len(terms) + sum(map(abs, terms))
-                                     + abs(c * lnz)) + abs(log_scale))
-    err = (_TRAPEZOID_TOL + tail_bound
-           + _EPS * ulps * h * float(np.abs(w).sum()))
-
-    scale = log_peak + log_scale
-    if scale > 700.0:
-        raise NonConvergent(f"G value overflows double precision (log {scale:.1f})")
-    factor = math.exp(scale) / math.pi
-    return val * factor, err * abs(factor)
+    s = c + 1j * h * np.arange(nodes)
+    log_phi = _log_phi_complex(factors, s)
+    out = []
+    for lnz, log_peak, sub in zip(lnzs, log_peaks,
+                                  [stride] + [1] * (len(lnzs) - 1)):
+        w = np.exp(log_phi[::sub] + s[::sub] * lnz - log_peak)
+        w[0] *= 0.5
+        val = h * sub * float(w.real.sum())
+        # the trapezoid bound, the tails, and the rounding of the nodes,
+        # of their sum and of the factor in front: a log term is good to
+        # about _LOG_GAMMA_ULPS eps times its size, and those at c stand
+        # for the nodes that carry the mass
+        ulps = (1.0 + _LOG_GAMMA_ULPS * (len(terms) + sum(map(abs, terms))
+                                         + abs(c * lnz)) + abs(log_scale))
+        err = (_TRAPEZOID_TOL + tail_bound
+               + _EPS * ulps * h * sub * float(np.abs(w).sum()))
+        scale = log_peak + log_scale
+        if scale > 700.0:
+            raise NonConvergent(
+                f"G value overflows double precision (log {scale:.1f})")
+        factor = math.exp(scale) / math.pi
+        out.append((val * factor, err * abs(factor)))
+    return out

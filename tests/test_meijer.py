@@ -1,6 +1,7 @@
 """Mellin-Barnes G-function engine against analytic identities and
 frozen mpmath references (50 digits)."""
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -10,7 +11,8 @@ import pytest
 from fsosec import secrecy, specfun
 from fsosec.config import build_scenario, parse_config
 from fsosec.errors import NonConvergent, PoleCollision
-from fsosec.secrecy import evaluate_scenario
+from fsosec.fading import FFadingParams, SnrChannel
+from fsosec.secrecy import WiretapScenario, evaluate_scenario
 from fsosec.specfun import (MeijerGSpec, _gamma_factors, _log_phi_complex,
                             _reduce_factors, log_beta, log_gamma_complex,
                             meijer_g)
@@ -267,7 +269,8 @@ def test_narrow_strip_gives_a_value_within_error_or_raises(offset):
 def test_contour_takes_one_walk_and_one_trapezoid_batch(make, monkeypatch):
     # the tail walk samples the contour and both strip edges in one
     # log-Phi batch per block; when the tail fits one block, the
-    # trapezoid rule then takes exactly one more
+    # trapezoid rule then takes exactly one more, for one argument or
+    # for a family that shares the contour
     batches = []
     real = specfun._log_phi_complex
 
@@ -278,10 +281,12 @@ def test_contour_takes_one_walk_and_one_trapezoid_batch(make, monkeypatch):
     monkeypatch.setattr(specfun, "_log_phi_complex", spy)
     for a, b, z in ((9.1, 11.7, 0.0037), (2.5, 3.2, 0.7), (5.0, 6.5, 1.8)):
         spec, log_pref = make(a, b, z)
-        batches.clear()
-        meijer_g(spec, log_scale=log_pref)
-        assert batches[0] == (3, specfun._TAIL_BLOCK + 1)
-        assert len(batches) == 2, (a, b, z, batches)
+        # a family of two on one contour takes the same two batches
+        for zs in (z, (z, 2.0 ** 0.25 * z)):
+            batches.clear()
+            meijer_g(replace(spec, z=zs), log_scale=log_pref)
+            assert batches[0] == (3, specfun._TAIL_BLOCK + 1)
+            assert len(batches) == 2, (a, b, zs, batches)
 
 
 def test_largest_node_shapes_of_the_shipped_configs_within_error(monkeypatch):
@@ -315,9 +320,13 @@ def test_largest_node_shapes_of_the_shipped_configs_within_error(monkeypatch):
     monkeypatch.setattr(specfun, "_log_phi_complex", count)
     with mp.workdps(30):
         for spec, kwargs in calls:
-            val, err = meijer_g(spec, **kwargs)
+            # the lower bound's spec is the family of its two rates
+            zs = spec.z if isinstance(spec.z, tuple) else (spec.z,)
+            pairs = meijer_g(replace(spec, z=zs), **kwargs)
             assert sizes[-1] > 3000, spec
-            assert abs(val - _mpmath_g(spec, **kwargs)) <= err, spec
+            for z, (val, err) in zip(zs, pairs, strict=True):
+                member = replace(spec, z=z)
+                assert abs(val - _mpmath_g(member, **kwargs)) <= err, member
 
 
 def test_coincident_integer_shapes_within_error_of_mpmath():
@@ -335,3 +344,94 @@ def test_coincident_integer_shapes_within_error_of_mpmath():
                 val, err = meijer_g(spec, log_scale=log_pref)
                 assert abs(val - _mpmath_g(spec, log_pref)) <= err, (
                     spec.m, a, b, z)
+
+
+def _family_spec(bob, eve, zs):
+    # the outage lower bound's (2,3,3,3) family and prefactor at Bob's
+    # and Eve's (a, b)
+    spec = MeijerGSpec(2, 3, 3, 3, (1.0 - bob[1], 1.0, 1.0 - eve[0]),
+                       (bob[0], eve[1], 0.0), zs)
+    return spec, -sum(log_beta(a, b) + math.lgamma(a + b)
+                      for a, b in (bob, eve))
+
+
+def _contours(monkeypatch):
+    # the members of each contour meijer_g takes, appended as it goes
+    contours = []
+    real = specfun._contour
+
+    def spy(factors, c, d, lnzs, log_scale):
+        contours.append(len(lnzs))
+        return real(factors, c, d, lnzs, log_scale)
+
+    monkeypatch.setattr(specfun, "_contour", spy)
+    return contours
+
+
+def test_zero_rate_family_is_one_member_and_the_scalar_call(monkeypatch):
+    # at target rate 0 the lower bound's family has one member: the
+    # scalar call, with the bits the scalar call had before families
+    specs = []
+    real = secrecy.meijer_g
+
+    def spy(spec, **kwargs):
+        specs.append((spec, kwargs))
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(secrecy, "meijer_g", spy)
+    for eve, want in (((9.1, 11.7), ("0x1.34344ab10b291p-5",
+                                     "0x1.8c3cc3a42f19dp-49")),
+                      ((2.5, 3.2), ("0x1.2efe44dd5912ep-4",
+                                    "0x1.c2f3136ce994ep-49"))):
+        scen = WiretapScenario(SnrChannel(FFadingParams(9.1, 11.7), 472.7),
+                               SnrChannel(FFadingParams(*eve), 48.3))
+        secrecy.sop_lower_bound(scen, "closed_form")
+        spec, kwargs = specs[-1]
+        (pair,) = real(spec, **kwargs)
+        assert len(spec.z) == 1
+        assert pair == real(replace(spec, z=spec.z[0]), **kwargs)
+        assert tuple(map(float.hex, pair)) == want
+
+
+def test_family_members_within_error_of_mpmath(monkeypatch):
+    # seeded production shapes of each receiver, a in [0.3, 30] and b in
+    # [1.05, 40], and the lower bound's arguments w and 2^(R/2) w: every
+    # member sits within its error of mpmath, and the first is its
+    # scalar call bit for bit.  The draws skip members near 1, where
+    # mpmath's series are slow
+    contours = _contours(monkeypatch)
+    rng = np.random.default_rng(20261020)
+
+    def shape():
+        return (math.exp(rng.uniform(math.log(0.3), math.log(30.0))),
+                math.exp(rng.uniform(math.log(1.05), math.log(40.0))))
+
+    families = 0
+    with mp.workdps(30):
+        while families < 30:
+            bob, eve = shape(), shape()
+            w = math.exp(rng.uniform(math.log(1e-2), math.log(10.0)))
+            zs = (w, 2.0 ** ((0.5, 2.0, 8.0)[families % 3] / 2.0) * w)
+            if any(0.8 < z < 1.25 for z in zs):
+                continue
+            spec, log_pref = _family_spec(bob, eve, zs)
+            pairs = meijer_g(spec, log_scale=log_pref)
+            assert pairs[0] == meijer_g(replace(spec, z=w), log_scale=log_pref)
+            for z, (val, err) in zip(zs, pairs, strict=True):
+                member = replace(spec, z=z)
+                assert abs(val - _mpmath_g(member, log_pref)) <= err, member
+            families += 1
+    # the seeded draws reach both a shared contour and a split family
+    assert contours.count(2) and contours.count(1)
+
+
+def test_far_family_takes_one_contour_per_member(monkeypatch):
+    # at a = b = 300 and R = 2 bits the second member's log |Phi(c) z^c|
+    # at the first member's saddle is 3.7 nats above its own minimum:
+    # the family splits, and each member is its scalar call
+    contours = _contours(monkeypatch)
+    spec, log_pref = _family_spec((300.0, 300.0), (300.0, 300.0), (1.0, 2.0))
+    pairs = meijer_g(spec, log_scale=log_pref)
+    assert contours == [1, 1]
+    assert pairs == [meijer_g(replace(spec, z=z), log_scale=log_pref)
+                     for z in spec.z]

@@ -250,15 +250,34 @@ def test_own_shapes_take_the_closed_form():
 
 def test_shared_shapes_keep_the_closed_form_floats():
     # at shared shapes the gain-ratio G-form reduces to the shared-shape
-    # spec, argument and prefactor, float for float
+    # spec, argument and prefactor, float for float: the last member of
+    # the family of the zero and the target rate
     for scen in _drawn_scenarios(20261019, 8)[::2]:
         a, b = scen.bob.fading.a, scen.bob.fading.b
+        zs = dict.fromkeys(secrecy._lb_scale(replace(scen, target_rate=r))
+                           for r in (0.0, scen.target_rate))
         spec = MeijerGSpec(2, 3, 3, 3, (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0),
-                           secrecy._lb_scale(scen))
+                           tuple(zs))
         value, err = meijer_g(
-            spec, log_scale=-2.0 * (log_beta(a, b) + math.lgamma(a + b)))
+            spec, log_scale=-2.0 * (log_beta(a, b) + math.lgamma(a + b)))[-1]
         assert sop_lower_bound(scen, "closed_form") == secrecy.MetricValue(
             "sop_lb", "closed_form", min(max(value, 0.0), 1.0), err)
+
+
+def test_overflowing_rate_member_fails_only_its_own_route():
+    # at 1023 bits the lower bound's argument 2^(R/2) z(0) leaves the
+    # double range while z(0) does not: the closed-form lower bound
+    # fails, and SPSC takes the zero-rate member of its family alone,
+    # standalone and in the planner
+    scen = WiretapScenario(SnrChannel(FFadingParams(9.1, 11.7), 1e-158),
+                           SnrChannel(FFadingParams(1.2, 40.0), 1e150),
+                           1023.0)
+    with pytest.raises(NonConvergent, match="outside the range of a double"):
+        sop_lower_bound(scen, "closed_form")
+    alone = spsc(scen, "closed_form")
+    assert alone == spsc(replace(scen, target_rate=0.0), "closed_form")
+    assert evaluate_scenario(scen, ("closed_form",), ("spsc",)) == {
+        "closed_form": (alone,)}
 
 
 def test_evaluate_scenario_report():
@@ -496,17 +515,18 @@ def _shipped_scenario(rate, own_shapes=False):
 
 
 @pytest.mark.parametrize("rate, integrals, g_calls, own_shapes", [
-    pytest.param(0.5, 6, 3, False, id="0.5-6-3"),
+    pytest.param(0.5, 6, 2, False, id="0.5-6-2"),
     pytest.param(0.0, 5, 2, False, id="0.0-5-2"),
-    pytest.param(0.5, 6, 3, True, id="0.5-6-3-own-shapes"),
+    pytest.param(0.5, 6, 2, True, id="0.5-6-2-own-shapes"),
     pytest.param(0.0, 5, 2, True, id="0.0-5-2-own-shapes"),
 ])
 def test_planner_computes_each_distinct_integral_once(
         monkeypatch, rate, integrals, g_calls, own_shapes):
     # both methods make 8 integrals and 3 G-functions when every route
     # computes its own: the ASC cross terms are shared, and at rate 0
-    # SPSC reuses the outage integral and the lower-bound G-function;
-    # the lower bound's closed form is a G-function for any shapes
+    # SPSC reuses the outage integral; the lower bound's closed form is
+    # a G-function for any shapes, and one family call gives it at the
+    # zero and the target rate, so SPSC reuses it at every rate
     calls = []
 
     def counted(name, fn):
@@ -869,7 +889,8 @@ def test_huge_mean_snrs_give_quadrature_rows():
 def test_outage_clamp_gives_no_negative_zero(monkeypatch, route, args, raw):
     # a -0.0 from the terms is reported as 0.0, and a nan stays nan
     monkeypatch.setattr(secrecy, "_shared",
-                        lambda terms, compute=None: [(raw, 1e-12)])
+                        lambda terms, compute=None:
+                        [(raw, 1e-12)] * len(terms))
     value = route(PAIR, *args).value
     if math.isnan(raw):
         assert math.isnan(value)

@@ -152,6 +152,22 @@ def test_reg_inc_beta_large_shapes_within_their_rounding_bound_of_mpmath(a, b):
             assert abs(reg_inc_beta(x, a, b) - want) <= _rounding_bound(x, a, b, want), x
 
 
+def test_coefficient_table_is_built_once_and_read_only():
+    # a cold call builds the fraction's table of the shapes and depth, a
+    # warm one reads it back: same bits, and nobody can write into it
+    x = np.linspace(0.0, 1.0, 75)
+    specfun._cf_table.cache_clear()
+    cold = reg_inc_beta(x, 9.8, 12.3)
+    built = specfun._cf_table.cache_info().misses
+    warm = reg_inc_beta(x, 9.8, 12.3)
+    assert cold.tobytes() == warm.tobytes()
+    assert specfun._cf_table.cache_info().misses == built > 0
+    for table in specfun._cf_table(9.8, 12.3, specfun._CF_START_DEPTH):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
 def test_reg_inc_beta_stalls_past_the_depth_cap(monkeypatch):
     monkeypatch.setattr(specfun, "_CF_MAX_ITER", 64)
     with pytest.raises(NonConvergent, match=r"^incomplete beta continued "
