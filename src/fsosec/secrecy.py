@@ -335,7 +335,7 @@ def sop_lower_bound(scenario, method="closed_form"):
     rate enter.  Coincides with sop_exact at target rate zero.  The
     closed form, a G^{2,3}_{3,3}, is P(U < z) for U = X_B Y_E / (Y_B X_E)
     with X ~ Gamma(a), Y ~ Gamma(b) of each branch's own shapes; it is
-    evaluated on one contour with the zero-rate G-form spsc takes.
+    evaluated as one G-family with the zero-rate G-form spsc takes.
     """
     _check_method(method)
     terms = _cdf_terms(scenario, "sop_lb", method)
