@@ -16,9 +16,10 @@ and closed forms riding on the Meijer-G evaluator.  They are not fully
 independent: the exact outage and the two ASC cross terms have no
 closed form here, so the ASC closed form takes its cross terms from the
 quadrature as the same floats, and the G-forms cover only the
-eavesdropper ergodic term and the outage lower bound (hence SPSC).  The
-lower bound at the target rate and at rate 0, the one SPSC takes, are
-one G-family on one contour.
+eavesdropper ergodic term and the outage lower bound.  The outage, its
+lower bound (no +1 offsets) and one minus SPSC (the lower bound at rate
+0, where it is exact) are one integrand, at rate 0 one integral, and
+the lower bound at the target rate and at 0 is one G-family.
 """
 
 import math
@@ -31,7 +32,8 @@ import numpy as np
 from .errors import NonConvergent, PoleCollision
 from .fading import cdf_ht, pdf_ht
 from .quadrature import quad_positive_axis, quad_positive_axis_many
-from .specfun import _EPS, _LOG_GAMMA_ULPS, MeijerGSpec, log_beta, meijer_g
+from .specfun import (_EPS, _LOG_GAMMA_ULPS, _TINY, MeijerGSpec, log_beta,
+                      meijer_g)
 
 _LN2 = math.log(2.0)
 _METHODS = ("quadrature", "closed_form")
@@ -172,7 +174,9 @@ def _cdf_terms(scenario, metric, method):
     CDF-weighted integrals the route of metric by method takes, the one
     statement of them, each over the power gain of the receiver whose
     density weighs it; empty only for the lower bound's closed form,
-    which takes a G-function instead.
+    which takes a G-function instead.  An outage term is keyed
+    ("outage", off, w), so at rate 0 the exact outage and the lower
+    bound are one integral.
     """
     bob, eve = scenario.bob, scenario.eve
     if metric == "asc":
@@ -184,20 +188,19 @@ def _cdf_terms(scenario, metric, method):
                     own.fading)
         return {"asc_bob": term(bob, eve), "asc_eve": term(eve, bob)}
     if metric == "spsc":
-        # those of the zero-rate outage route spsc subtracts from one
-        return _cdf_terms(replace(scenario, target_rate=0.0),
-                          "sop" if method == "quadrature" else "sop_lb",
-                          method)
-    # outage: Eve's gain density times Bob's CDF at the threshold gain,
-    # or at the lower bound's scaled gain
-    if metric == "sop":
-        arg = lambda h: _outage_gain_threshold(scenario, h)
-    elif method == "closed_form":
+        # those of the zero-rate lower bound spsc subtracts from one
+        metric, scenario = "sop_lb", replace(scenario, target_rate=0.0)
+    if metric == "sop_lb" and method == "closed_form":
         return {}
-    else:
-        w = _lb_scale(scenario)
-        arg = lambda h: w * h
-    return {(metric, scenario.target_rate): (
+    # outage: Eve's gain density times Bob's CDF at the gain below which
+    # Bob is in outage, sqrt(off + (w h)^2), off = 0 for the lower bound;
+    # (w*h)*(w*h), as a ** raises on a Python float that overflows
+    w = _lb_scale(scenario)
+    off = (math.expm1(scenario.target_rate * _LN2) / (4.0 * bob.mean_snr)
+           if metric == "sop" else 0.0)
+    arg = ((lambda h: np.sqrt(off + (w * h) * (w * h))) if off
+           else (lambda h: w * h))
+    return {("outage", off, w): (
         lambda h: pdf_ht(eve.fading, h), bob.fading, arg, eve.fading)}
 
 
@@ -278,22 +281,13 @@ def asc_closed_form(scenario):
     return _asc_value(cross - v3, e_cross + e3, "closed_form")
 
 
-def _outage_gain_threshold(scenario, h_eve):
-    # Bob power gain below which the target rate is in outage, given
-    # Eve's gain.  Arranged so the target_rate = 0 case suffers no
-    # cancellation for small gains.
-    bob, eve = scenario.bob, scenario.eve
-    rate_factor = 2.0 ** scenario.target_rate
-    offset = math.expm1(scenario.target_rate * _LN2)
-    t2 = (offset + rate_factor * 4.0 * eve.mean_snr * h_eve * h_eve) \
-        / (4.0 * bob.mean_snr)
-    return np.sqrt(t2)
-
-
 def _lb_scale(scenario):
-    # argument of the outage lower bound: the rate-scaled rms gain ratio
-    return (2.0 ** (0.5 * scenario.target_rate)
-            * math.sqrt(scenario.eve.mean_snr / scenario.bob.mean_snr))
+    # argument of the outage lower bound: the rate-scaled rms gain ratio,
+    # of the roots where the mean SNRs' ratio leaves the normal range
+    eve, bob = scenario.eve.mean_snr, scenario.bob.mean_snr
+    root = (math.sqrt(eve / bob) if _TINY <= eve / bob < math.inf
+            else math.sqrt(eve) / math.sqrt(bob))
+    return 2.0 ** (0.5 * scenario.target_rate) * root
 
 
 def _probability(value):
@@ -303,65 +297,55 @@ def _probability(value):
 
 
 def sop_exact(scenario):
-    """Secrecy outage probability by quadrature over the Eve gain."""
+    """Secrecy outage probability by quadrature over the Eve gain: the
+    lower bound's integrand with the +1 offsets, at rate 0 its integral."""
     (value, err), = _shared(_cdf_terms(scenario, "sop", "quadrature"))
     return MetricValue("sop", "quadrature", _probability(value), err)
-
-
-def _lb_closed_form(scenario, rate):
-    # (value, error) of the lower bound's G-form at rate, 0 or the target
-    # rate R: both from one G-family of z(0) and z(R), kept under the
-    # keys ("sop_lb_g", rate), so a scenario computes it once.  A member
-    # whose argument leaves the double range fails only its own route
-    bob, eve = scenario.bob.fading, scenario.eve.fading
-    shape = bob.a * (eve.b - 1.0) / ((bob.b - 1.0) * eve.a)
-    zs = {("sop_lb_g", r): _lb_scale(replace(scenario, target_rate=r)) * shape
-          for r in (0.0, scenario.target_rate)}
-    _g_argument(zs["sop_lb_g", rate], "outage lower bound")
-    family = {key: z for key, z in zs.items() if 0.0 < z < math.inf}
-    log_pref = -((log_beta(bob.a, bob.b) + math.lgamma(bob.a + bob.b))
-                 + (log_beta(eve.a, eve.b) + math.lgamma(eve.a + eve.b)))
-    results = _shared(family, lambda args: meijer_g(
-        MeijerGSpec(2, 3, 3, 3, (1.0 - bob.b, 1.0, 1.0 - eve.a),
-                    (bob.a, eve.b, 0.0), tuple(args)),
-        log_scale=log_pref))
-    return results[list(family).index(("sop_lb_g", rate))]
 
 
 def sop_lower_bound(scenario, method="closed_form"):
     """Scale-invariant lower bound on the outage probability.
 
     Drops the +1 SNR offsets, so only the gain ratio and the target
-    rate enter.  Coincides with sop_exact at target rate zero.  The
+    rate enter; at target rate zero it is sop_exact's integral.  The
     closed form, a G^{2,3}_{3,3}, is P(U < z) for U = X_B Y_E / (Y_B X_E)
     with X ~ Gamma(a), Y ~ Gamma(b) of each branch's own shapes; it is
-    evaluated as one G-family with the zero-rate G-form spsc takes.
+    one G-family with the zero-rate member spsc takes, and a member
+    whose argument leaves the double range fails only its own route.
     """
     _check_method(method)
     terms = _cdf_terms(scenario, "sop_lb", method)
     if terms:
         (value, err), = _shared(terms)
-    else:
-        value, err = _lb_closed_form(scenario, scenario.target_rate)
+        return MetricValue("sop_lb", method, _probability(value), err)
+    bob, eve = scenario.bob.fading, scenario.eve.fading
+    shape = bob.a * (eve.b - 1.0) / ((bob.b - 1.0) * eve.a)
+    zs = {("sop_lb_g", r): _lb_scale(replace(scenario, target_rate=r)) * shape
+          for r in (0.0, scenario.target_rate)}
+    _g_argument(zs["sop_lb_g", scenario.target_rate], "outage lower bound")
+    family = {key: z for key, z in zs.items() if 0.0 < z < math.inf}
+    log_pref = -((log_beta(bob.a, bob.b) + math.lgamma(bob.a + bob.b))
+                 + (log_beta(eve.a, eve.b) + math.lgamma(eve.a + eve.b)))
+    # the target rate's member is the family's last
+    value, err = _shared(family, lambda args: meijer_g(
+        MeijerGSpec(2, 3, 3, 3, (1.0 - bob.b, 1.0, 1.0 - eve.a),
+                    (bob.a, eve.b, 0.0), tuple(args)),
+        log_scale=log_pref))[-1]
     return MetricValue("sop_lb", method, _probability(value), err)
 
 
 def spsc(scenario, method="quadrature"):
     """Probability of strictly positive secrecy capacity.
 
-    One minus the outage probability at target rate zero; the closed
-    form goes through the outage lower bound, which is exact there, as
-    a member of the G-family of the scenario's lower bound.  The error
-    adds half an ulp of the value for the subtraction.
+    One minus the outage lower bound at target rate zero, where it is
+    exact, by either method: the closed form is the zero-rate member of
+    the G-family of the scenario's lower bound.  The error adds half an
+    ulp of the value for the subtraction.
     """
-    _check_method(method)
-    if method == "closed_form":
-        value, err = _lb_closed_form(scenario, 0.0)
-    else:
-        base = sop_exact(replace(scenario, target_rate=0.0))
-        value, err = base.value, base.error
-    value = 1.0 - _probability(value)
-    return MetricValue("spsc", method, value, err + 0.5 * math.ulp(value))
+    base = sop_lower_bound(replace(scenario, target_rate=0.0), method)
+    value = 1.0 - base.value
+    return MetricValue("spsc", method, value,
+                       base.error + 0.5 * math.ulp(value))
 
 
 def _routes(method, metrics):

@@ -79,6 +79,7 @@ _TRAPEZOID_TOL = 1e-15
 _LOG_GAMMA_ULPS = 4.0
 _CONTOUR_NODE_BUDGET = 4000 * 15
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 _SUPPORTED_ORDERS = frozenset({(1, 1, 1, 1), (1, 2, 2, 2), (4, 3, 4, 4), (2, 3, 3, 3)})
 
@@ -539,5 +540,9 @@ def _contour(factors, c, d, lnzs, log_scale):
             raise NonConvergent(
                 f"G value overflows double precision (log {scale:.1f})")
         factor = math.exp(scale) / math.pi
-        out.append((val * factor, err * abs(factor)))
+        value = val * factor
+        # a subnormal value is rounded to its ulp, which the error scaled
+        # from the peak can have underflowed below
+        out.append((value, err * abs(factor)
+                    + (math.ulp(value) if abs(value) < _TINY else 0.0)))
     return out

@@ -114,6 +114,25 @@ def test_zero_rate_partition_is_exact():
     assert outage.mean + positive.mean == 1.0
 
 
+def test_overflowing_snr_keeps_every_capacity_finite():
+    # at mean SNR 1e306 the SNR 4 mean_snr h^2 of a large gain overflows
+    # a double, and its capacity is log2(4 mean_snr) + 2 log2(h)
+    fading = FFadingParams(2.5, 3.2)
+    cfg = McConfig(samples=100_000, seed=3)
+    scen = WiretapScenario(SnrChannel(fading, 1e306),
+                           SnrChannel(fading, 10.0), 0.5)
+    asc, _, _ = mc_metrics(scen, cfg)
+    assert math.isfinite(asc.std_error)
+    assert abs(asc.mean - asc_quadrature(scen).value) <= 3.0 * asc.std_error
+    # with both branches at 1e306, a nan difference of two overflowed
+    # capacities would fall in neither event
+    equal = WiretapScenario(SnrChannel(fading, 1e306),
+                            SnrChannel(fading, 1e306), 0.0)
+    asc, outage, positive = mc_metrics(equal, cfg)
+    assert math.isfinite(asc.mean) and math.isfinite(asc.std_error)
+    assert outage.mean + positive.mean == 1.0
+
+
 def test_single_sample_has_no_error_bar():
     for est in mc_metrics(PAIR, McConfig(samples=1, seed=5)):
         assert est.n == 1

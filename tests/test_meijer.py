@@ -1,6 +1,7 @@
 """Mellin-Barnes G-function engine against analytic identities and
 frozen mpmath references (50 digits)."""
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -353,6 +354,20 @@ def _family_spec(bob, eve, zs):
                        (bob[0], eve[1], 0.0), zs)
     return spec, -sum(log_beta(a, b) + math.lgamma(a + b)
                       for a, b in (bob, eve))
+
+
+def test_subnormal_values_carry_their_rounding():
+    # a lower-bound value below the normal range is rounded to a
+    # subnormal ulp, which the error scaled from the contour's peak
+    # underflows below: the error still covers mpmath's value
+    for z in (0.0257, 0.02):
+        spec, log_pref = _family_spec((273.0, 46.4), (7.72, 189.4), z)
+        val, err = meijer_g(spec, log_scale=log_pref)
+        with mp.workdps(40):
+            want = _mpmath_g(spec, log_pref)
+        assert abs(val) < sys.float_info.min
+        assert err >= math.ulp(val) > 0.0
+        assert abs(val - want) <= err
 
 
 def _contours(monkeypatch):

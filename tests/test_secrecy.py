@@ -139,13 +139,36 @@ def test_asc_weak_eavesdropper_limit():
     assert asc_quadrature(weak).value == pytest.approx(rate / math.log(2.0), rel=1e-6)
 
 
-def test_sop_zero_rate_equals_lower_bound():
+def test_sop_zero_rate_equals_lower_bound(monkeypatch):
     zero = WiretapScenario(BOB, EVE, target_rate=0.0)
     exact = sop_exact(zero)
     lb_q = sop_lower_bound(zero, method="quadrature")
     lb_c = sop_lower_bound(zero, method="closed_form")
     assert exact.value == pytest.approx(lb_q.value, abs=1e-8)
     assert exact.value == pytest.approx(lb_c.value, abs=1e-8)
+    # at rate 0 the exact outage is the lower bound's integral, float
+    # for float, and the planner integrates it once for both and SPSC
+    groups = []
+
+    def recorded_many(f_many, x_peaks):
+        groups.append(len(x_peaks))
+        return quad_positive_axis_many(f_many, x_peaks)
+
+    monkeypatch.setattr(secrecy, "quad_positive_axis_many", recorded_many)
+    for scen in [zero] + _drawn_scenarios(20261019, 8):
+        scen = replace(scen, target_rate=0.0)
+        try:
+            want = sop_exact(scen)
+        except NonConvergent:
+            continue
+        lb = sop_lower_bound(scen, method="quadrature")
+        assert (lb.value, lb.error) == (want.value, want.error)
+        groups.clear()
+        report = evaluate_scenario(scen, ("quadrature",),
+                                   ("sop", "sop_lb", "spsc"))
+        assert [row.value for row in report["quadrature"][:2]] == [
+            want.value] * 2
+        assert groups == [1]
 
 
 def test_sop_lower_bound_frozen():
@@ -264,6 +287,25 @@ def test_shared_shapes_keep_the_closed_form_floats():
             "sop_lb", "closed_form", min(max(value, 0.0), 1.0), err)
 
 
+def test_standalone_spsc_takes_a_family_of_one(monkeypatch):
+    # SPSC alone evaluates only the zero-rate member of the family, the
+    # first member of the planner's, so both give the same floats
+    specs = []
+    real = secrecy.meijer_g
+
+    def spy(spec, **kwargs):
+        specs.append(spec)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(secrecy, "meijer_g", spy)
+    alone = spsc(PAIR, "closed_form")
+    assert [len(spec.z) for spec in specs] == [1]
+    assert specs[0].z[0] == secrecy._lb_scale(replace(PAIR, target_rate=0.0))
+    assert evaluate_scenario(PAIR, ("closed_form",),
+                             ("sop_lb", "spsc"))["closed_form"][1] == alone
+    assert [len(spec.z) for spec in specs] == [1, 2]
+
+
 def test_overflowing_rate_member_fails_only_its_own_route():
     # at 1023 bits the lower bound's argument 2^(R/2) z(0) leaves the
     # double range while z(0) does not: the closed-form lower bound
@@ -354,16 +396,29 @@ def test_target_rate_validation():
 
 
 def test_lower_bound_argument_out_of_range_is_non_convergent():
-    # Eve/Bob mean-SNR ratio 1e330: the G argument overflows to inf, and
-    # the tail beyond the largest double is not known to be below the bar
+    # Eve/Bob mean-SNR ratio 1e600 at 1023 bits: the G argument
+    # 2^511.5 * 1e300 overflows to inf, and the tail beyond the largest
+    # double is not known to be below the bar
     fading = FFadingParams(2.5, 4.0)
     scen = WiretapScenario(SnrChannel(fading, 1e-300),
-                           SnrChannel(fading, 1e30), 0.5)
+                           SnrChannel(fading, 1e300), 1023.0)
     with pytest.raises(NonConvergent, match="G argument inf"):
         sop_lower_bound(scen, "closed_form")
     report = evaluate_scenario(scen)
     assert isinstance(report["closed_form"], NonConvergent)
     assert all(math.isfinite(row.value) for row in report["quadrature"])
+
+
+def test_mean_snr_ratio_beyond_the_double_range_takes_the_closed_form():
+    # Eve/Bob mean-SNR ratio 1e330 leaves the double range, its root
+    # 1e165 does not: the G argument is finite, and the closed form
+    # agrees with the quadrature
+    fading = FFadingParams(2.5, 4.0)
+    scen = WiretapScenario(SnrChannel(fading, 1e-300),
+                           SnrChannel(fading, 1e30), 0.5)
+    got = sop_lower_bound(scen, "closed_form")
+    quad = sop_lower_bound(scen, "quadrature")
+    assert abs(got.value - quad.value) <= got.error + quad.error
 
 
 def _wide_scenarios(seed, count):
@@ -516,17 +571,18 @@ def _shipped_scenario(rate, own_shapes=False):
 
 @pytest.mark.parametrize("rate, integrals, g_calls, own_shapes", [
     pytest.param(0.5, 6, 2, False, id="0.5-6-2"),
-    pytest.param(0.0, 5, 2, False, id="0.0-5-2"),
+    pytest.param(0.0, 4, 2, False, id="0.0-4-2"),
     pytest.param(0.5, 6, 2, True, id="0.5-6-2-own-shapes"),
-    pytest.param(0.0, 5, 2, True, id="0.0-5-2-own-shapes"),
+    pytest.param(0.0, 4, 2, True, id="0.0-4-2-own-shapes"),
 ])
 def test_planner_computes_each_distinct_integral_once(
         monkeypatch, rate, integrals, g_calls, own_shapes):
     # both methods make 8 integrals and 3 G-functions when every route
-    # computes its own: the ASC cross terms are shared, and at rate 0
-    # SPSC reuses the outage integral; the lower bound's closed form is
-    # a G-function for any shapes, and one family call gives it at the
-    # zero and the target rate, so SPSC reuses it at every rate
+    # computes its own: the ASC cross terms are shared, SPSC reuses the
+    # zero-rate lower bound's integral, and at rate 0 so does the exact
+    # outage; the lower bound's closed form is a G-function for any
+    # shapes, and one family call gives it at the zero and the target
+    # rate, so SPSC reuses it at every rate
     calls = []
 
     def counted(name, fn):
@@ -880,6 +936,21 @@ def test_huge_mean_snrs_give_quadrature_rows():
     got = asc_quadrature(scen)
     value, error = eve_ergodic_rate_closed_form(scen.bob)
     assert abs(got.value - value / math.log(2.0)) <= got.error + error / math.log(2.0)
+
+
+def test_tiny_eavesdropper_snrs_give_quadrature_rows_that_agree():
+    # Eve's mean SNRs of 1e-298 to 1e-119, where 4 mean_E h^2 underflows
+    # into a staircase in h, and at draw 196 a mean-SNR ratio of 1.6e-337
+    # below the normal range: the quadrature rows agree with the closed
+    # form's within the summed errors
+    scenarios = _wide_scenarios(1, 400)
+    for k in (196, 310, 362):
+        report = evaluate_scenario(scenarios[k])
+        quad = {row.metric: row for row in report["quadrature"]}
+        for row in report["closed_form"]:
+            other = quad[row.metric]
+            assert abs(row.value - other.value) <= row.error + other.error, (
+                k, row, other)
 
 
 @pytest.mark.parametrize("route, args", [(sop_exact, ()),
