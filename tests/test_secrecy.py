@@ -939,10 +939,10 @@ def test_huge_mean_snrs_give_quadrature_rows():
 
 
 def test_tiny_eavesdropper_snrs_give_quadrature_rows_that_agree():
-    # Eve's mean SNRs of 1e-298 to 1e-119, where 4 mean_E h^2 underflows
-    # into a staircase in h, and at draw 196 a mean-SNR ratio of 1.6e-337
-    # below the normal range: the quadrature rows agree with the closed
-    # form's within the summed errors
+    # Eve's mean SNRs of 1e-298 to 1e-119, where 4 mean_E h^2 would
+    # underflow, and at draw 196 a mean-SNR ratio of 1.6e-337 below the
+    # normal range: the quadrature rows agree with the closed form's
+    # within the summed errors
     scenarios = _wide_scenarios(1, 400)
     for k in (196, 310, 362):
         report = evaluate_scenario(scenarios[k])
