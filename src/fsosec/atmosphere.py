@@ -119,8 +119,12 @@ def equivalent_beam_width_sq(geom):
     """Squared equivalent beam width of the offset Gaussian model, m^2."""
     v = aperture_ratio(geom)
     wl = beam_radius(geom)
-    return (wl * wl * math.sqrt(math.pi) * math.erf(v)
-            / (2.0 * v * math.exp(-v * v)))
+    gauss = math.exp(-v * v)
+    if gauss == 0.0:
+        # from v of about 27.3, e^(-v^2) underflows: the aperture is
+        # tens of beam radii wide and an offset loses no power
+        return math.inf
+    return wl * wl * math.sqrt(math.pi) * math.erf(v) / (2.0 * v * gauss)
 
 
 def collection_fraction(geom, radial_offset_m, separation_m=0.0):

@@ -7,10 +7,12 @@ against Monte Carlo and fails on any z-score above three.
 
 Output is CSV with a header row; numbers below 1e-3 in magnitude are
 forced to scientific notation so spreadsheet locale guessing never
-bites.  A run manifest (config digest, seed, versions) goes next to
-every file written, named ``<out>.manifest.json``.  All output is a
-pure function of configuration plus seed: the same invocation gives
-byte-identical files.
+bites.  A metric by a route that fails at a point gives a status row,
+``non_convergent`` or ``pole_collision``, in place of its numbers.  A
+run manifest (config digest, seed, versions) goes next to every file
+written, named ``<out>.manifest.json``.  All output is a pure function
+of configuration plus seed: the same invocation gives byte-identical
+files.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical non-convergence.
@@ -32,7 +34,7 @@ from . import __version__
 from .config import build_scenario, link_state, parse_config, parse_methods
 from .errors import ConfigError, NonConvergent, PoleCollision
 from .mc import MC_METRICS, McConfig, mc_metrics
-from .secrecy import MetricValue, evaluate_scenario
+from .secrecy import MetricValue, _routes, evaluate_scenario
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
@@ -81,15 +83,20 @@ _STATUS = {PoleCollision: "pole_collision", NonConvergent: "non_convergent"}
 
 
 def _evaluate_point(rc, methods, jobs, metrics=None):
-    """(method, outcome) pairs of one sweep point, in the order of methods.
+    """(metric, method, outcome) of each row of one sweep point, method
+    by method in the order of methods.
 
-    The outcome is the method's MetricValues, or the status string that
-    replaces them on failure; metrics limits the analytic ones.
+    The outcome is the route's MetricValue, or the status string that
+    replaces it on failure; metrics limits the analytic ones.
     """
+    names = {method: MC_METRICS if method == "monte_carlo" else
+             [metric for metric, _, _ in _routes(method, metrics)]
+             for method in methods}
     try:
         scenario = build_scenario(rc)
     except NonConvergent:
-        return [(method, "non_convergent") for method in methods]
+        return [(metric, method, "non_convergent")
+                for method in methods for metric in names[method]]
     outcomes = evaluate_scenario(
         scenario, [m for m in methods if m != "monte_carlo"], metrics)
     if "monte_carlo" in methods:
@@ -97,20 +104,18 @@ def _evaluate_point(rc, methods, jobs, metrics=None):
         outcomes["monte_carlo"] = [
             MetricValue(name, "monte_carlo", est.mean, est.std_error)
             for name, est in zip(MC_METRICS, mc_metrics(scenario, cfg))]
-    return [(method, _STATUS.get(type(outcomes[method]), outcomes[method]))
-            for method in methods]
+    return [(metric, method, _STATUS.get(type(outcome), outcome))
+            for method in methods
+            for metric, outcome in zip(names[method], outcomes[method])]
 
 
 def _metric_rows_for_point(coord, rc, methods, jobs):
-    """All CSV rows of one sweep point; failures become status rows."""
+    """All CSV rows of one sweep point; a failed route is a status row."""
     rows = []
-    for method, outcome in _evaluate_point(rc, methods, jobs):
-        if isinstance(outcome, str):
-            rows.append((coord, "all", method, "", "", outcome))
-            continue
-        for mv in outcome:
-            rows.append((coord, mv.metric, mv.method, fmt_number(mv.value),
-                         fmt_number(mv.error), "ok"))
+    for metric, method, outcome in _evaluate_point(rc, methods, jobs):
+        cells = (("", "", outcome) if isinstance(outcome, str) else
+                 (fmt_number(outcome.value), fmt_number(outcome.error), "ok"))
+        rows.append((coord, metric, method) + cells)
     return rows
 
 
@@ -127,23 +132,16 @@ def cmd_metrics(rc, methods, jobs, gnuplot=False):
 
 def _gnuplot_table(rows):
     """Wide whitespace-separated layout, one column per metric/method."""
-    columns = []
-    for _, metric, method, _, _, _ in rows:
-        name = f"{metric}:{method}"
-        if metric != "all" and name not in columns:
-            columns.append(name)
-    coords = []
+    columns = list(dict.fromkeys(f"{row[1]}:{row[2]}" for row in rows))
     table = {}
     for coord, metric, method, value, _, status in rows:
-        if coord not in table:
-            coords.append(coord)
-            table[coord] = {}
-        if metric != "all" and status == "ok":
-            table[coord][f"{metric}:{method}"] = value
+        cells = table.setdefault(coord, {})
+        if status == "ok":
+            cells[f"{metric}:{method}"] = value
     lines = ["# sweep_value " + " ".join(columns)]
-    for coord in coords:
-        cells = [table[coord].get(name, "nan") for name in columns]
-        lines.append(" ".join([coord if coord else "0"] + cells))
+    for coord, cells in table.items():
+        lines.append(" ".join([coord or "0"] + [cells.get(name, "nan")
+                                                for name in columns]))
     return "\n".join(lines) + "\n"
 
 
@@ -158,31 +156,30 @@ def cmd_link_budget(rc):
 
 
 def _validate_rows_for_point(coord, rc, methods, jobs):
-    """z-score rows of one sweep point; failures become status rows."""
+    """z-score rows of one sweep point; a failed route is a status row."""
     outcomes = _evaluate_point(rc, methods, jobs, MC_METRICS)
-    mc = dict(outcomes)["monte_carlo"]
-    reference = {} if isinstance(mc, str) else {e.metric: e for e in mc}
+    reference = {metric: est for metric, method, est in outcomes
+                 if method == "monte_carlo"}
     rows = []
-    for method, outcome in outcomes:
-        if isinstance(outcome, str):
-            rows.append((coord, "all", method, "", "", "", "", outcome))
+    for metric, method, mv in outcomes:
+        if isinstance(mv, str):
+            rows.append((coord, metric, method, "", "", "", "", mv))
             continue
-        for mv in outcome:
-            est = reference.get(mv.metric)
-            if method == "monte_carlo" or est is None:
-                continue
-            diff = mv.value - est.value
-            if est.error > 0.0:
-                z = diff / est.error
-            else:
-                # a degenerate sample (all batches identical, e.g. zero
-                # outage events) has no usable std error; score against
-                # the rule-of-three bound 3/n instead
-                z = diff * rc.mc_samples
-            verdict = "pass" if abs(z) <= 3.0 else "fail"
-            rows.append((coord, mv.metric, mv.method, fmt_number(mv.value),
-                         fmt_number(est.value), fmt_number(est.error),
-                         fmt_number(z), verdict))
+        if method == "monte_carlo":
+            continue
+        est = reference[metric]
+        diff = mv.value - est.value
+        if est.error > 0.0:
+            z = diff / est.error
+        else:
+            # a degenerate sample (all batches identical, e.g. zero
+            # outage events) has no usable std error; score against
+            # the rule-of-three bound 3/n instead
+            z = diff * rc.mc_samples
+        verdict = "pass" if abs(z) <= 3.0 else "fail"
+        rows.append((coord, metric, method, fmt_number(mv.value),
+                     fmt_number(est.value), fmt_number(est.error),
+                     fmt_number(z), verdict))
     return rows
 
 
@@ -193,8 +190,8 @@ def cmd_validate(rc, methods, jobs):
     same metric.  The outage lower bound has no Monte Carlo
     counterpart (the sampler estimates the true outage), so it is
     skipped; at zero target rate the bound is exact and enters
-    through spsc anyway.  A method that fails gives one status row
-    per point, with the status string of ``metrics``.
+    through spsc anyway.  A route that fails gives its status row,
+    with the status string of ``metrics``.
     """
     rows = _rows_over_points(rc, methods, jobs, _validate_rows_for_point)
     text = _csv("sweep_value,metric,method,analytic,mc_mean,mc_std_error,"

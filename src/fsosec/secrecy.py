@@ -360,10 +360,11 @@ def _routes(method, metrics):
 
 
 def evaluate_scenario(scenario, methods=_METHODS, metrics=None):
-    """{method: its MetricValues in the CLI's row order (those among
-    metrics, if given), or the PoleCollision or NonConvergent it raised}
-    of one scenario; a term two routes share is computed once per call,
-    the CDF-weighted integrals all together, and each value equals that
+    """{method: a tuple of one outcome per route in the CLI's row order
+    (those among metrics, if given)} of one scenario, an outcome being
+    the route's MetricValue or the PoleCollision or NonConvergent it
+    raised; a term two routes share is computed once per call, the
+    CDF-weighted integrals all together, and each outcome equals that
     of the standalone route.
     """
     if isinstance(methods, str):
@@ -386,11 +387,13 @@ def evaluate_scenario(scenario, methods=_METHODS, metrics=None):
             with suppress(NonConvergent):
                 _shared(group)
         for method, rows in routes.items():
-            try:
-                out[method] = tuple(route(scenario, *args)
-                                    for _, route, args in rows)
-            except (PoleCollision, NonConvergent) as exc:
-                out[method] = exc
+            outcomes = []
+            for _, route, args in rows:
+                try:
+                    outcomes.append(route(scenario, *args))
+                except (PoleCollision, NonConvergent) as exc:
+                    outcomes.append(exc)
+            out[method] = tuple(outcomes)
     finally:
         _SHARED.reset(token)
     return out

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import fsosec.cli as cli
+from fsosec.atmosphere import peak_collection
 from fsosec.cli import fmt_number, main
+from fsosec.config import build_geometry, parse_config
 from fsosec.errors import NonConvergent, PoleCollision
 from fsosec.mc import McEstimate, mc_metrics
 
@@ -193,6 +195,28 @@ def test_metrics_gnuplot_layout(sweep_cfg, capsys):
         float(cells[0])  # coordinate parses
 
 
+def test_gnuplot_keeps_the_columns_of_a_failed_route(sweep_cfg, monkeypatch,
+                                                     capsys):
+    # a failed route reads nan in its own column; the other routes of
+    # its method keep their columns and values
+    def collides(scenario):
+        raise PoleCollision("synthetic")
+    monkeypatch.setattr("fsosec.secrecy.asc_closed_form", collides)
+    assert main(["metrics", "--config", sweep_cfg, "--gnuplot"]) == 3
+    lines = capsys.readouterr().out.strip().split("\n")
+    columns = lines[0].split()[1:]
+    assert columns == ["sweep_value", "asc:quadrature", "sop:quadrature",
+                       "sop_lb:quadrature", "spsc:quadrature",
+                       "asc:closed_form", "sop_lb:closed_form",
+                       "spsc:closed_form"]
+    assert len(lines) == 4
+    for line in lines[1:]:
+        cells = dict(zip(columns, line.split()))
+        assert cells["asc:closed_form"] == "nan"
+        assert all(math.isfinite(float(cells[name]))
+                   for name in columns if name != "asc:closed_form")
+
+
 def test_link_budget(sweep_cfg, capsys):
     assert main(["link-budget", "--config", sweep_cfg]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -251,32 +275,63 @@ def test_metrics_nonconvergence_exit(cfg, monkeypatch, capsys):
         raise NonConvergent("synthetic")
     monkeypatch.setattr("fsosec.secrecy.asc_quadrature", blows_up)
     code = main(["metrics", "--config", cfg])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert code == 3
-    # one status row replaces the whole failed method at that point
-    assert ",all,quadrature,,,non_convergent" in out
-    # the untouched method still reports
-    assert ",asc,closed_form," in out
+    # one status row replaces the failed route alone at that point
+    assert [line for line in lines if not line.endswith(",ok")] == [
+        "sweep_value,metric,method,value,error,status",
+        ",asc,quadrature,,,non_convergent"]
+    # the other routes of the method and the other method still report
+    assert any(line.startswith(",sop,quadrature,") for line in lines)
+    assert any(line.startswith(",asc,closed_form,") for line in lines)
 
 
 def test_saturated_turbulence_gives_status_rows(tmp_path, capsys):
     # at cn2_ground = 1e-6 the gain densities are too narrow for the
-    # quadrature's scan grid: such points are status rows, never ok
-    # rows of 0 with error 0
+    # quadrature's scan grid: every ASC row of both analytic methods is
+    # a status, never an ok row of 0 with error 0 where Monte Carlo
+    # reads 6-10 bits; the outage rows that remain agree with Monte
+    # Carlo and with the closed form wherever it has rows
     text = (CONFIGS / "zenith-sweep.cfg").read_text()
     saturated = re.sub(r"(?m)^cn2_ground = .*$", "cn2_ground = 1e-6", text)
     assert saturated != text
     path = tmp_path / "saturated.cfg"
     path.write_text(saturated)
     assert main(["metrics", "--config", str(path), "--methods",
-                 "quadrature,closed_form"]) == 3
-    rows = [line.split(",")
-            for line in capsys.readouterr().out.splitlines()[1:]]
-    quadrature = [row for row in rows if row[2] == "quadrature"]
-    assert len(quadrature) >= 11
-    zero = fmt_number(0.0)
-    assert not [row for row in quadrature
-                if row[3:] == [zero, zero, "ok"]]
+                 "quadrature,closed_form,monte_carlo"]) == 3
+    rows = {tuple(row[:3]): row[3:]
+            for row in _rows(capsys.readouterr().out)}
+    coords = list(dict.fromkeys(coord for coord, _, _ in rows))
+    assert len(coords) == 11
+    samples = parse_config(str(path)).mc_samples
+    closed_rows = 0
+    for coord in coords:
+        for method in ("quadrature", "closed_form"):
+            assert rows[coord, "asc", method] == ["", "", "non_convergent"]
+        mc = {metric: (float(rows[coord, metric, "monte_carlo"][0]),
+                       float(rows[coord, metric, "monte_carlo"][1]))
+              for metric in ("sop", "spsc")}
+        quad = {}
+        for metric in ("sop", "sop_lb", "spsc"):
+            value, error, status = rows[coord, metric, "quadrature"]
+            assert status == "ok"
+            quad[metric] = float(value), float(error)
+        # validate's pass rule: three standard errors, or three over the
+        # draws where the sample has none; the lower bound may sit below
+        # the outage
+        for metric, ref in (("sop", "sop"), ("sop_lb", "sop"),
+                            ("spsc", "spsc")):
+            diff = quad[metric][0] - mc[ref][0]
+            allow = 3.0 * (mc[ref][1] or 1.0 / samples)
+            assert (diff if metric == "sop_lb" else abs(diff)) <= allow, (
+                coord, metric, quad[metric], mc[ref])
+        for metric in ("sop_lb", "spsc"):
+            value, error, status = rows[coord, metric, "closed_form"]
+            if status == "ok":
+                closed_rows += 1
+                assert abs(float(value) - quad[metric][0]) <= (
+                    float(error) + quad[metric][1]), (coord, metric)
+    assert closed_rows > 0
 
 
 def _zenith_sweep_with(tmp_path, **values):
@@ -292,6 +347,12 @@ def _zenith_sweep_with(tmp_path, **values):
 
 def _rows(out):
     return [line.split(",") for line in out.splitlines()[1:]]
+
+
+_ANALYTIC_ROUTES = {("asc", "quadrature"), ("sop", "quadrature"),
+                    ("sop_lb", "quadrature"), ("spsc", "quadrature"),
+                    ("asc", "closed_form"), ("sop_lb", "closed_form"),
+                    ("spsc", "closed_form")}
 
 
 @pytest.mark.parametrize("edits", [
@@ -311,9 +372,10 @@ def test_no_finite_shapes_exit_numerics(tmp_path, capsys, command, edits):
         assert "no finite F-law shape pair" in captured.err
     else:
         rows = _rows(captured.out)
-        assert len(rows) == 22
-        assert all(row[1:] == ["all", row[2], "", "", "non_convergent"]
-                   for row in rows)
+        # one per point and metric x route of the config's two methods
+        assert len(rows) == 11 * 7
+        assert {(row[1], row[2]) for row in rows} == _ANALYTIC_ROUTES
+        assert all(row[3:] == ["", "", "non_convergent"] for row in rows)
 
 
 def test_huge_shapes_exit_numerics(tmp_path, capsys):
@@ -324,8 +386,8 @@ def test_huge_shapes_exit_numerics(tmp_path, capsys):
     assert main(["metrics", "--config", path]) == 3
     closed = [row for row in _rows(capsys.readouterr().out)
               if row[2] == "closed_form"]
-    assert len(closed) == 11
-    assert all(row[5] == "non_convergent" for row in closed)
+    assert len(closed) == 11 * 3
+    assert all(row[3:] == ["", "", "non_convergent"] for row in closed)
 
 
 def test_metrics_pole_collision_row(cfg, monkeypatch, capsys):
@@ -333,10 +395,14 @@ def test_metrics_pole_collision_row(cfg, monkeypatch, capsys):
         raise PoleCollision("synthetic")
     monkeypatch.setattr("fsosec.secrecy.asc_closed_form", collides)
     code = main(["metrics", "--config", cfg])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert code == 3
-    assert ",all,closed_form,,,pole_collision" in out
-    assert ",asc,quadrature," in out  # quadrature rows unaffected
+    assert [line for line in lines if not line.endswith(",ok")] == [
+        "sweep_value,metric,method,value,error,status",
+        ",asc,closed_form,,,pole_collision"]
+    # the method's other routes and the quadrature rows are unaffected
+    assert any(line.startswith(",spsc,closed_form,") for line in lines)
+    assert any(line.startswith(",asc,quadrature,") for line in lines)
 
 
 @pytest.mark.parametrize("error, status", [(NonConvergent, "non_convergent"),
@@ -351,24 +417,34 @@ def test_validate_failed_route_gives_status_row(cfg, monkeypatch, capsys,
     lines = capsys.readouterr().out.strip().split("\n")
     assert code == 3
     # the status string is the one metrics writes for the same failure
-    assert ",all,closed_form,,,,," + status in lines
-    assert sum(",closed_form," in line for line in lines) == 1
-    # the untouched method is still scored
+    assert ",asc,closed_form,,,,," + status in lines
+    # the method's other route and the untouched method are still scored
+    closed = [line for line in lines if ",closed_form," in line]
+    assert len(closed) == 2 and closed[1].startswith(",spsc,closed_form,")
+    assert closed[1].endswith((",pass", ",fail"))
     assert any(line.startswith(",asc,quadrature,") for line in lines)
 
 
-def test_failed_scenario_gives_one_status_row_per_method(cfg, monkeypatch,
-                                                         capsys):
+def test_failed_scenario_gives_one_status_row_per_route(cfg, monkeypatch,
+                                                        capsys):
     def fails(rc):
         raise NonConvergent("synthetic")
     monkeypatch.setattr(cli, "build_scenario", fails)
     methods = "quadrature,closed_form,monte_carlo"
     assert main(["metrics", "--config", cfg, "--methods", methods]) == 3
+    metrics = capsys.readouterr().out.splitlines()[1:]
     assert main(["validate", "--config", cfg, "--methods", methods]) == 3
-    lines = capsys.readouterr().out.strip().split("\n")
-    for method in methods.split(","):
-        assert f",all,{method},,,non_convergent" in lines
-        assert f",all,{method},,,,,non_convergent" in lines
+    validate = capsys.readouterr().out.splitlines()[1:]
+    # every metric x route in row order; validate scores no lower bound
+    routes = {"quadrature": ("asc", "sop", "sop_lb", "spsc"),
+              "closed_form": ("asc", "sop_lb", "spsc"),
+              "monte_carlo": ("asc", "sop", "spsc")}
+    assert metrics == [f",{metric},{method},,,non_convergent"
+                       for method, names in routes.items()
+                       for metric in names]
+    assert validate == [f",{metric},{method},,,,,non_convergent"
+                        for method, names in routes.items()
+                        for metric in names if metric != "sop_lb"]
 
 
 def test_manifest_closes_the_config_file(cfg, tmp_path):
@@ -458,8 +534,28 @@ def test_huge_shapes_give_status_rows(tmp_path):
     assert main(["metrics", "--config", str(cfg), "--methods",
                  "quadrature,closed_form", "--out", str(out)]) == 3
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert len(rows) == 22
-    assert {row[-1] for row in rows} == {"non_convergent"}
+    assert len(rows) == 11 * 7
+    assert {(row[1], row[2]) for row in rows} == _ANALYTIC_ROUTES
+    assert {tuple(row[3:]) for row in rows} == {("", "", "non_convergent")}
+
+
+def test_aperture_of_many_beam_radii_collects_the_peak(tmp_path, capsys):
+    # at 200 m the aperture is about 44 beam radii wide and e^(-v^2)
+    # underflows in the equivalent beam width: no offset loses power,
+    # so both pointing gains are the peak collection erf(v)^2
+    path = _zenith_sweep_with(tmp_path, aperture_diameter_cm="20000")
+    assert main(["link-budget", "--config", path]) == 0
+    rows = _rows(capsys.readouterr().out)
+    points = cli._sweep_points(parse_config(path))
+    assert len(rows) == len(points) == 11
+    for row, (_, rc_point) in zip(rows, points):
+        peak = fmt_number(peak_collection(build_geometry(rc_point)))
+        assert row[3] == row[4] == peak
+    assert main(["metrics", "--config", path]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 11 * 7
+    assert all(row[5] == "ok" and math.isfinite(float(row[3]))
+               and math.isfinite(float(row[4])) for row in rows)
 
 
 # 4000 dB overflows the power itself; 3080 dB gives a finite ratio

@@ -16,9 +16,10 @@ from fsosec.errors import NonConvergent, PoleCollision
 from fsosec.fading import FFadingParams, SnrChannel, cdf_ht, pdf_ht
 from fsosec.mc import MC_METRICS
 from fsosec.quadrature import quad_positive_axis, quad_positive_axis_many
-from fsosec.secrecy import (WiretapScenario, asc_closed_form, asc_quadrature,
-                            eve_ergodic_rate_closed_form, evaluate_scenario,
-                            sop_exact, sop_lower_bound, spsc)
+from fsosec.secrecy import (MetricValue, WiretapScenario, asc_closed_form,
+                            asc_quadrature, eve_ergodic_rate_closed_form,
+                            evaluate_scenario, sop_exact, sop_lower_bound,
+                            spsc)
 from fsosec.specfun import (MeijerGSpec, _gamma_factors, _reduce_factors,
                             log_beta, meijer_g, reg_inc_beta)
 
@@ -26,6 +27,13 @@ BOB = SnrChannel(FFadingParams(9.1, 11.7), 472.7)
 EVE = SnrChannel(FFadingParams(9.1, 11.7), 48.3)
 PAIR = WiretapScenario(BOB, EVE, target_rate=0.5)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _all_values(report):
+    # every route of every method of an evaluate_scenario report gave
+    # a MetricValue: one that raised would sit in its tuple instead
+    return all(isinstance(mv, MetricValue)
+               for rows in report.values() for mv in rows)
 
 
 def _ergodic_rate(chan):
@@ -405,7 +413,12 @@ def test_lower_bound_argument_out_of_range_is_non_convergent():
     with pytest.raises(NonConvergent, match="G argument inf"):
         sop_lower_bound(scen, "closed_form")
     report = evaluate_scenario(scen)
-    assert isinstance(report["closed_form"], NonConvergent)
+    # the lower bound alone fails; ASC and the zero-rate SPSC of the
+    # method give rows
+    asc, lower, positive = report["closed_form"]
+    assert isinstance(lower, NonConvergent)
+    assert "G argument inf" in str(lower)
+    assert (asc, positive) == (asc_closed_form(scen), spsc(scen, "closed_form"))
     assert all(math.isfinite(row.value) for row in report["quadrature"])
 
 
@@ -443,14 +456,15 @@ def _wide_scenarios(seed, count):
 
 
 def test_wide_domain_gives_values_or_a_status():
-    # every method gives finite values and errors, or a PoleCollision or
+    # every route gives a finite value and error, or a PoleCollision or
     # NonConvergent; no other exception escapes
     for scen in _wide_scenarios(21, 40):
         for method, rows in evaluate_scenario(scen).items():
-            if isinstance(rows, (PoleCollision, NonConvergent)):
-                continue
-            assert all(math.isfinite(row.value) and math.isfinite(row.error)
-                       for row in rows), (scen, method, rows)
+            for row in rows:
+                if isinstance(row, (PoleCollision, NonConvergent)):
+                    continue
+                assert math.isfinite(row.value) and math.isfinite(
+                    row.error), (scen, method, row)
 
 
 def _grid_argmax(fn, u_lo=-60.0, u_hi=60.0, step=0.5):
@@ -551,8 +565,7 @@ def test_shipped_configs_never_take_the_full_scan(monkeypatch):
                 before = len(counts)
                 report = evaluate_scenario(scenario, methods)
                 # a route that raised would hide behind a status value
-                assert all(isinstance(rows, tuple)
-                           for rows in report.values())
+                assert _all_values(report)
                 assert len(counts) > before
     assert max(counts) < 1000
 
@@ -605,7 +618,7 @@ def test_planner_computes_each_distinct_integral_once(
     for runs in (1, 2):
         # nothing is kept from one call to the next
         report = evaluate_scenario(scenario)
-        assert all(isinstance(rows, tuple) for rows in report.values())
+        assert _all_values(report)
         assert calls.count("integral") == runs * integrals
         assert calls.count("g") == runs * g_calls
     assert secrecy._SHARED.get() is None
@@ -624,13 +637,16 @@ def test_cdf_integrals_share_each_incomplete_beta_call(monkeypatch):
     monkeypatch.setattr("fsosec.fading.reg_inc_beta", counted)
     report = evaluate_scenario(_shipped_scenario(0.5),
                                ("quadrature", "closed_form"))
-    assert all(isinstance(rows, tuple) for rows in report.values())
+    assert _all_values(report)
     assert 0 < len(calls) <= 3
 
 
 def test_shared_term_failure_fails_both_routes(monkeypatch):
     # a failed shared term is not kept: the scenario's group meets it
-    # once, then each ASC route meets it itself
+    # once, then each ASC route meets it itself; the routes without it
+    # give the rows they give when nothing fails
+    scenario = _shipped_scenario(0.5)
+    healthy = evaluate_scenario(scenario)
     attempts = []
     real = secrecy._cdf_terms
 
@@ -646,9 +662,10 @@ def test_shared_term_failure_fails_both_routes(monkeypatch):
         return terms
 
     monkeypatch.setattr(secrecy, "_cdf_terms", failing_terms)
-    report = evaluate_scenario(_shipped_scenario(0.5))
-    assert isinstance(report["quadrature"], NonConvergent)
-    assert isinstance(report["closed_form"], NonConvergent)
+    report = evaluate_scenario(scenario)
+    for method in ("quadrature", "closed_form"):
+        assert isinstance(report[method][0], NonConvergent)
+        assert report[method][1:] == healthy[method][1:]
     assert len(attempts) == 3
 
 
@@ -657,11 +674,13 @@ def test_pole_collision_leaves_the_other_method(monkeypatch):
         raise PoleCollision("synthetic")
 
     scenario = _shipped_scenario(0.5)
-    alone = evaluate_scenario(scenario, ("quadrature",))["quadrature"]
+    alone = evaluate_scenario(scenario)
     monkeypatch.setattr(secrecy, "asc_closed_form", collides)
     report = evaluate_scenario(scenario)
-    assert isinstance(report["closed_form"], PoleCollision)
-    assert report["quadrature"] == alone
+    # the failed route alone: its method's other routes keep their rows
+    assert isinstance(report["closed_form"][0], PoleCollision)
+    assert report["closed_form"][1:] == alone["closed_form"][1:]
+    assert report["quadrature"] == alone["quadrature"]
 
 
 _STANDALONE = {
@@ -676,9 +695,18 @@ _STANDALONE = {
 
 def test_planner_values_equal_the_standalone_routes(monkeypatch):
     # library callers reach the routes directly, the cli through
-    # evaluate_scenario: both must see the same floats, whatever the
-    # methods and metrics asked for, and no route of a scenario may
-    # integrate a CDF term outside its one lockstep group
+    # evaluate_scenario: both must see the same floats or exception
+    # types, route by route, whatever the methods and metrics asked
+    # for, and no route of a scenario that fails nowhere may integrate
+    # a CDF term outside its one lockstep group.  At a = b = 1e6 the
+    # ASC window is over its node budget and the closed-form contours
+    # do not decay, while the outage quadratures give rows
+    def outcome(result):
+        if isinstance(result, (NonConvergent, PoleCollision)):
+            return type(result)
+        return (result.metric, result.method, result.value.hex(),
+                result.error.hex())
+
     groups = []
 
     def recorded_many(f_many, x_peaks):
@@ -686,16 +714,18 @@ def test_planner_values_equal_the_standalone_routes(monkeypatch):
         return quad_positive_axis_many(f_many, x_peaks)
 
     monkeypatch.setattr(secrecy, "quad_positive_axis_many", recorded_many)
-    for base in _drawn_scenarios(20261019, 8):
+    huge = FFadingParams(1e6, 1e6)
+    hidden = WiretapScenario(SnrChannel(huge, 1e4), SnrChannel(huge, 1e2))
+    for base in _drawn_scenarios(20261019, 8) + [hidden]:
         for rate in (0.0, 0.5):
             scenario = replace(base, target_rate=rate)
             alone = {}
             for method, routes in _STANDALONE.items():
                 for metric, route in routes:
                     try:
-                        alone[method, metric] = route(scenario)
+                        alone[method, metric] = outcome(route(scenario))
                     except (NonConvergent, PoleCollision) as exc:
-                        alone[method, metric] = type(exc)
+                        alone[method, metric] = outcome(exc)
             for methods in (("quadrature",), ("closed_form",),
                             ("quadrature", "closed_form")):
                 for metrics in (None, MC_METRICS):
@@ -705,13 +735,8 @@ def test_planner_values_equal_the_standalone_routes(monkeypatch):
                         want = [alone[method, metric]
                                 for metric, _ in _STANDALONE[method]
                                 if metrics is None or metric in metrics]
-                        failed = [w for w in want if isinstance(w, type)]
-                        if failed:
-                            assert type(report[method]) is failed[0]
-                        else:
-                            assert report[method] == tuple(want)
-                    if all(isinstance(rows, tuple)
-                           for rows in report.values()):
+                        assert list(map(outcome, report[method])) == want
+                    if _all_values(report):
                         assert not any(groups[1:])
 
 
@@ -782,7 +807,7 @@ def test_huge_shapes_give_a_status_row():
             route(scen)
     report = evaluate_scenario(scen)
     assert all(isinstance(result, NonConvergent)
-               for result in report.values())
+               for rows in report.values() for result in rows)
 
 
 def _identity_draws(indices):
@@ -929,7 +954,7 @@ def test_huge_mean_snrs_give_quadrature_rows():
     scenarios = _wide_scenarios(1, 400)
     for k in (149, 273, 340):
         rows = evaluate_scenario(scenarios[k], methods=("quadrature",))
-        assert isinstance(rows["quadrature"], tuple), (k, rows)
+        assert _all_values(rows), (k, rows)
     # Eve's mean SNR is 6e-159 in draw 273, so the ASC is Bob's ergodic
     # rate
     scen = scenarios[273]

@@ -10,8 +10,12 @@ draws 300 wiretap scenarios from a domain seeded with 0: shapes a in
 log-uniform), Eve's mean SNR -60 to +20 dB from Bob's, target rate 0,
 0.5, 2 or 8 bits, and every second scenario with shapes of Eve's own.
 Per scenario it records float.hex of value and error, or the type of
-the exception raised, of the seven standalone routes and of
-evaluate_scenario over both analytic methods.  It also records a digest
+the exception raised, of the seven standalone routes and of the seven
+metric x route outcomes of evaluate_scenario over both analytic
+methods.  A checkout whose evaluate_scenario gives one exception for a
+whole method counts it for each of the method's rows, so comparing it
+with one whose outcome is per route lists exactly the routes that
+gained or lost rows.  It also records a digest
 of reg_inc_beta on 300 seeded point sets of up to 1500 points (with
 0, 1 and nan among them).  Then each checkout runs ``fsosec
 link-budget``, ``fsosec metrics`` and ``fsosec validate``, the last two
@@ -23,8 +27,8 @@ Every difference is printed, then one line that sizes them: how many
 value records differ, how many changed kind (a value against an
 exception, or one exception type against another), and the worst shift
 |value_after - value_before| / (error_before + error_after) with its
-key, over an evaluate_scenario record's rows the worst of them.  The
-exit status is 1 if there is any difference.  Needs numpy only.
+key.  The exit status is 1 if there is any difference.  Needs numpy
+only.
 """
 
 import argparse
@@ -106,11 +110,18 @@ def _records():
         try:
             shared = secrecy.evaluate_scenario(scenario)
         except Exception as exc:
-            shared = {"all": exc}
+            shared = {method: exc for _, method, _, _ in _ROUTES}
         for method, result in shared.items():
-            key = f"scenario {index} evaluate_scenario {method}"
-            out[key] = (type(result).__name__ if isinstance(result, Exception)
-                        else [_hex(mv) for mv in result])
+            metrics = [metric for metric, own, _, _ in _ROUTES
+                       if own == method]
+            if isinstance(result, Exception):
+                # one outcome for the whole method
+                result = [result] * len(metrics)
+            for metric, outcome in zip(metrics, result):
+                key = f"scenario {index} evaluate_scenario {metric}/{method}"
+                out[key] = (type(outcome).__name__
+                            if isinstance(outcome, Exception)
+                            else _hex(outcome))
 
     for index in range(_COUNT):
         a, b = _log_uniform(rng, 0.3, 300.0), _log_uniform(rng, 1.05, 300.0)
@@ -126,18 +137,12 @@ def _records():
 
 
 def _shift(before, after):
-    # worst |value change| / (summed errors) of two value records, each
-    # one [value, error] pair or a list of them (evaluate_scenario)
-    if isinstance(before[0], str):
-        before, after = [before], [after]
-    worst = 0.0
-    for pairs in zip(before, after):
-        (v0, e0), (v1, e1) = ([float.fromhex(x) for x in pair]
-                              for pair in pairs)
-        if v0 != v1:
-            worst = max(worst, abs(v1 - v0) / (e0 + e1) if e0 + e1 > 0.0
-                        else float("inf"))
-    return worst
+    # |value change| / (summed errors) of two [value, error] records
+    (v0, e0), (v1, e1) = ([float.fromhex(x) for x in pair]
+                          for pair in (before, after))
+    if v0 == v1:
+        return 0.0
+    return abs(v1 - v0) / (e0 + e1) if e0 + e1 > 0.0 else float("inf")
 
 
 def _summary(changed):
@@ -147,8 +152,7 @@ def _summary(changed):
     for key, (before, after) in changed.items():
         if key.endswith(" draw") or key.startswith("reg_inc_beta"):
             others += 1
-        elif isinstance(before, list) and isinstance(after, list) \
-                and len(before) == len(after):
+        elif isinstance(before, list) and isinstance(after, list):
             values += 1
             shift = _shift(before, after)
             if shift > worst:
