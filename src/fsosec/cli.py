@@ -82,15 +82,15 @@ def _rows_over_points(rc, methods, jobs, point_rows):
 _STATUS = {PoleCollision: "pole_collision", NonConvergent: "non_convergent"}
 
 
-def _evaluate_point(rc, methods, jobs, metrics=None):
+def _evaluate_point(rc, methods, jobs):
     """(metric, method, outcome) of each row of one sweep point, method
-    by method in the order of methods.
+    by method in the order of methods, every metric of each.
 
     The outcome is the route's MetricValue, or the status string that
-    replaces it on failure; metrics limits the analytic ones.
+    replaces it on failure.
     """
     names = {method: MC_METRICS if method == "monte_carlo" else
-             [metric for metric, _, _ in _routes(method, metrics)]
+             [metric for metric, _, _ in _routes(method)]
              for method in methods}
     try:
         scenario = build_scenario(rc)
@@ -98,7 +98,7 @@ def _evaluate_point(rc, methods, jobs, metrics=None):
         return [(metric, method, "non_convergent")
                 for method in methods for metric in names[method]]
     outcomes = evaluate_scenario(
-        scenario, [m for m in methods if m != "monte_carlo"], metrics)
+        scenario, [m for m in methods if m != "monte_carlo"])
     if "monte_carlo" in methods:
         cfg = McConfig(samples=rc.mc_samples, seed=rc.mc_seed, jobs=jobs)
         outcomes["monte_carlo"] = [
@@ -156,12 +156,15 @@ def cmd_link_budget(rc):
 
 
 def _validate_rows_for_point(coord, rc, methods, jobs):
-    """z-score rows of one sweep point; a failed route is a status row."""
-    outcomes = _evaluate_point(rc, methods, jobs, MC_METRICS)
+    """z-score rows of one sweep point; a failed route is a status row,
+    and a metric Monte Carlo does not estimate gives no row."""
+    outcomes = _evaluate_point(rc, methods, jobs)
     reference = {metric: est for metric, method, est in outcomes
                  if method == "monte_carlo"}
     rows = []
     for metric, method, mv in outcomes:
+        if metric not in MC_METRICS:
+            continue
         if isinstance(mv, str):
             rows.append((coord, metric, method, "", "", "", "", mv))
             continue
@@ -188,10 +191,11 @@ def cmd_validate(rc, methods, jobs):
 
     Pairs each analytic estimate with the Monte Carlo estimate of the
     same metric.  The outage lower bound has no Monte Carlo
-    counterpart (the sampler estimates the true outage), so it is
-    skipped; at zero target rate the bound is exact and enters
-    through spsc anyway.  A route that fails gives its status row,
-    with the status string of ``metrics``.
+    counterpart (the sampler estimates the true outage), so its rows
+    are skipped, a failed one too; at zero target rate the bound is
+    exact and enters through spsc anyway.  A route of another metric
+    that fails gives its status row, with the status string of
+    ``metrics``.
     """
     rows = _rows_over_points(rc, methods, jobs, _validate_rows_for_point)
     text = _csv("sweep_value,metric,method,analytic,mc_mean,mc_std_error,"

@@ -294,22 +294,28 @@ def _parse_sweep(cp, values):
     return spec
 
 
+def _in_section(section, build):
+    # build(), with the ValueError of a model's own check given as the
+    # ConfigError of the config section it came from
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 def build_geometry(rc):
     """Geometry dataclass from the raw leaves, SI units."""
-    try:
-        return LinkGeometry(
-            wavelength_m=rc.value("geometry.wavelength_nm") * 1e-9,
-            satellite_altitude_m=rc.value("geometry.satellite_altitude_km") * 1e3,
-            ground_height_m=rc.value("geometry.ground_height_m"),
-            zenith_angle_rad=math.radians(rc.value("geometry.zenith_angle_deg")),
-            divergence_rad=rc.value("geometry.divergence_urad") * 1e-6,
-            aperture_diameter_m=rc.value("geometry.aperture_diameter_cm") * 1e-2,
-            pointing_offset_m=rc.value("geometry.pointing_offset_m"),
-            eve_separation_m=rc.value("geometry.eve_separation_m"),
-            beam_quality=rc.value("geometry.beam_quality"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from None
+    return _in_section("geometry", lambda: LinkGeometry(
+        wavelength_m=rc.value("geometry.wavelength_nm") * 1e-9,
+        satellite_altitude_m=rc.value("geometry.satellite_altitude_km") * 1e3,
+        ground_height_m=rc.value("geometry.ground_height_m"),
+        zenith_angle_rad=math.radians(rc.value("geometry.zenith_angle_deg")),
+        divergence_rad=rc.value("geometry.divergence_urad") * 1e-6,
+        aperture_diameter_m=rc.value("geometry.aperture_diameter_cm") * 1e-2,
+        pointing_offset_m=rc.value("geometry.pointing_offset_m"),
+        eve_separation_m=rc.value("geometry.eve_separation_m"),
+        beam_quality=rc.value("geometry.beam_quality"),
+    ))
 
 
 def _extinction(rc, natural_key, db_key):
@@ -326,29 +332,23 @@ def _extinction(rc, natural_key, db_key):
 
 def build_atmosphere(rc):
     """Atmosphere dataclass with both extinction spellings normalised."""
-    try:
-        return AtmosphereConfig(
-            troposphere_per_km=_extinction(rc, "atmosphere.troposphere_per_km",
-                                           "atmosphere.troposphere_db_per_km"),
-            stratosphere_per_km=_extinction(rc, "atmosphere.stratosphere_per_km",
-                                            "atmosphere.stratosphere_db_per_km"),
-            stratosphere_extent_km=rc.value("atmosphere.stratosphere_extent_km"),
-            cloud_lwc_mg_m3=rc.value("atmosphere.cloud_lwc_mg_m3"),
-            cloud_droplets_cm3=rc.value("atmosphere.cloud_droplets_cm3"),
-            cloud_path_km=rc.value("atmosphere.cloud_path_km"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"atmosphere: {exc}") from None
+    return _in_section("atmosphere", lambda: AtmosphereConfig(
+        troposphere_per_km=_extinction(rc, "atmosphere.troposphere_per_km",
+                                       "atmosphere.troposphere_db_per_km"),
+        stratosphere_per_km=_extinction(rc, "atmosphere.stratosphere_per_km",
+                                        "atmosphere.stratosphere_db_per_km"),
+        stratosphere_extent_km=rc.value("atmosphere.stratosphere_extent_km"),
+        cloud_lwc_mg_m3=rc.value("atmosphere.cloud_lwc_mg_m3"),
+        cloud_droplets_cm3=rc.value("atmosphere.cloud_droplets_cm3"),
+        cloud_path_km=rc.value("atmosphere.cloud_path_km"),
+    ))
 
 
 def build_turbulence(rc):
-    try:
-        return TurbulenceProfile(
-            wind_speed_m_s=rc.value("turbulence.wind_speed_m_s"),
-            cn2_ground=rc.value("turbulence.cn2_ground"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"turbulence: {exc}") from None
+    return _in_section("turbulence", lambda: TurbulenceProfile(
+        wind_speed_m_s=rc.value("turbulence.wind_speed_m_s"),
+        cn2_ground=rc.value("turbulence.cn2_ground"),
+    ))
 
 
 @dataclass(frozen=True)
@@ -446,11 +446,8 @@ def build_scenario(rc):
     """
     state = link_state(rc)
     fading = FFadingParams(state.shape_a, state.shape_b)
-    try:
-        return WiretapScenario(
-            bob=SnrChannel(fading, state.mean_snr_bob),
-            eve=SnrChannel(fading, state.mean_snr_eve),
-            target_rate=state.target_rate_bits,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"link: {exc}") from None
+    return _in_section("link", lambda: WiretapScenario(
+        bob=SnrChannel(fading, state.mean_snr_bob),
+        eve=SnrChannel(fading, state.mean_snr_eve),
+        target_rate=state.target_rate_bits,
+    ))

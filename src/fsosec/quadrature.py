@@ -36,25 +36,19 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _walk(vals, i, step, floor, lo, hi, n):
-    # walk from grid index i in steps of step indices, the last one
-    # clipped to the grid, until a sample is <= floor and not above the
-    # one before it: (its index, the index before it), or (end, end) at
-    # the grid end without a hit (a walk from a grid end stays there);
-    # None when the known range vals[lo..hi] ends first
-    if not 0 < i < n:
-        return i, i
-    end, edge = (n, hi) if step > 0 else (0, lo)
-    path = np.arange(i, edge + step, step)
-    if edge == end:
-        path[-1] = end  # the last step, clipped to the grid
-    elif path[-1] != edge:
-        path = path[:-1]  # a step past the known range
-    cur, prev = vals[path[1:]], vals[path[:-1]]
-    hit = (cur <= floor) & (cur <= prev)
-    if hit.any():
-        k = int(hit.argmax())
-        return int(path[k + 1]), int(path[k])
-    return (end, end) if edge == end else None
+    # walk from grid index i in steps of step indices, each clipped to
+    # the grid, until a sample is <= floor and not above the one before
+    # it: (its index, the index before it), or (end, end) at a grid end
+    # without a hit (a walk from a grid end stays there); None when the
+    # known range vals[lo..hi] ends first
+    while 0 < i < n:
+        j = min(max(i + step, 0), n)
+        if not lo <= j <= hi:
+            return None
+        if vals[j] <= floor and vals[j] <= vals[i]:
+            return j, i
+        i = j
+    return i, i
 
 
 def _positive_axis_steps(x_peak):

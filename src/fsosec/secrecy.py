@@ -37,7 +37,6 @@ from .specfun import (_EPS, _LOG_GAMMA_ULPS, _TINY, MeijerGSpec, log_beta,
 
 _LN2 = math.log(2.0)
 _METHODS = ("quadrature", "closed_form")
-_METRICS = ("asc", "sop", "sop_lb", "spsc")
 # the terms the running evaluate_scenario call has computed so far
 _SHARED = ContextVar("fsosec_secrecy_shared", default=None)
 
@@ -348,20 +347,18 @@ def spsc(scenario, method="quadrature"):
                        base.error + 0.5 * math.ulp(value))
 
 
-def _routes(method, metrics):
+def _routes(method):
     # the (metric, route, args) calls of one method in the CLI's row
-    # order, those among metrics if given; routes by module attribute,
-    # so a patched one takes effect
+    # order; routes by module attribute, so a patched one takes effect
     table = ((("asc", asc_quadrature, ()), ("sop", sop_exact, ()))
              if method == "quadrature" else (("asc", asc_closed_form, ()),))
-    table += (("sop_lb", sop_lower_bound, (method,)),
-              ("spsc", spsc, (method,)))
-    return [row for row in table if metrics is None or row[0] in metrics]
+    return table + (("sop_lb", sop_lower_bound, (method,)),
+                    ("spsc", spsc, (method,)))
 
 
-def evaluate_scenario(scenario, methods=_METHODS, metrics=None):
-    """{method: a tuple of one outcome per route in the CLI's row order
-    (those among metrics, if given)} of one scenario, an outcome being
+def evaluate_scenario(scenario, methods=_METHODS):
+    """{method: a tuple of one outcome per route of every metric of the
+    method, in the CLI's row order} of one scenario, an outcome being
     the route's MetricValue or the PoleCollision or NonConvergent it
     raised; a term two routes share is computed once per call, the
     CDF-weighted integrals all together, and each outcome equals that
@@ -371,9 +368,7 @@ def evaluate_scenario(scenario, methods=_METHODS, metrics=None):
         raise TypeError(f"methods is a tuple of names: ({methods!r},)")
     for method in methods:
         _check_method(method)
-    if not set(metrics or ()) <= set(_METRICS):
-        raise ValueError(f"unknown metric name in {metrics!r}")
-    routes = {method: _routes(method, metrics) for method in methods}
+    routes = {method: _routes(method) for method in methods}
     out = {}
     token = _SHARED.set({})
     try:

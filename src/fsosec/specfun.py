@@ -419,11 +419,11 @@ def meijer_g(spec, log_scale=0.0):
     -----
     A family shares the first member's contour, at its saddle c, when
     every member's log |Phi(c) z^c| there is within 1 nat of its value
-    at the member's own saddle; otherwise each member takes its own
-    contour.  A shared contour takes one log-Phi batch per tail-walk
-    block and one on the nodes, and each member reads the nodes at a
-    step within its own trapezoid bound.  The first member, as a family
-    of one, is the scalar call bit for bit.
+    at the member's own saddle; otherwise, or when that contour raises
+    NonConvergent, each member takes its own.  A shared contour takes
+    one log-Phi batch per tail-walk block and one on the nodes, and each
+    member reads the nodes at a step within its own trapezoid bound.
+    The first member, as a family of one, is the scalar call bit for bit.
 
     Raises
     ------
@@ -454,10 +454,15 @@ def meijer_g(spec, log_scale=0.0):
     lnzs = [math.log(z) for z in (spec.z if family else (spec.z,))]
     saddles = [_contour_abscissa(factors, lo, hi, lnz) for lnz in lnzs]
     c = saddles[0]
+    out = None
     if all(_energy(factors, lnz, c) <= _energy(factors, lnz, own) + 1.0
            for own, lnz in zip(saddles[1:], lnzs[1:])):
-        out = _contour(factors, c, min(c - lo, hi - c), lnzs, log_scale)
-    else:
+        try:
+            out = _contour(factors, c, min(c - lo, hi - c), lnzs, log_scale)
+        except NonConvergent:
+            if len(lnzs) == 1:
+                raise
+    if out is None:
         out = [pair for own, lnz in zip(saddles, lnzs) for pair in
                _contour(factors, own, min(own - lo, hi - own), [lnz],
                         log_scale)]

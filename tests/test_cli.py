@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fsosec.cli as cli
+from fsosec import secrecy
 from fsosec.atmosphere import peak_collection
 from fsosec.cli import fmt_number, main
 from fsosec.config import build_geometry, parse_config
@@ -423,6 +424,30 @@ def test_validate_failed_route_gives_status_row(cfg, monkeypatch, capsys,
     assert len(closed) == 2 and closed[1].startswith(",spsc,closed_form,")
     assert closed[1].endswith((",pass", ",fail"))
     assert any(line.startswith(",asc,quadrature,") for line in lines)
+
+
+def test_validate_scores_only_what_monte_carlo_estimates(tmp_path,
+                                                        monkeypatch, capsys):
+    # the lower bound at the target rate fails on both routes; SPSC takes
+    # the bound at rate 0, which still succeeds.  Monte Carlo estimates
+    # no lower bound, so validate writes neither a row nor a status for
+    # it: the same text and exit code as a run where it succeeds
+    path = _zenith_sweep_with(tmp_path, samples="20000", count="3")
+    methods = ["--methods", "quadrature,closed_form,monte_carlo"]
+    code = main(["validate", "--config", path] + methods)
+    healthy = capsys.readouterr().out
+    real = secrecy.sop_lower_bound
+
+    def fails_above_rate_zero(scenario, method="closed_form"):
+        if scenario.target_rate > 0.0:
+            raise NonConvergent("synthetic")
+        return real(scenario, method)
+
+    monkeypatch.setattr(secrecy, "sop_lower_bound", fails_above_rate_zero)
+    assert main(["validate", "--config", path] + methods) == code
+    assert capsys.readouterr().out == healthy
+    rows = _rows(healthy)
+    assert len(rows) == 3 * 5 and all(row[1] != "sop_lb" for row in rows)
 
 
 def test_failed_scenario_gives_one_status_row_per_route(cfg, monkeypatch,

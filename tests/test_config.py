@@ -1,8 +1,11 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from fsosec.atmosphere import db_per_km_to_natural
+from fsosec.cli import main
 from fsosec.config import (RunConfig, SweepSpec, build_atmosphere,
                            build_geometry, build_scenario, build_turbulence,
                            link_state, parse_config, parse_methods)
@@ -56,6 +59,9 @@ def variant(extra=None, drop=None):
         section, key = path.split(".", 1)
         del cfg[section][key]
     return cfg
+
+
+_SHIPPED = Path(__file__).parent.parent / "configs" / "eve-offset-sweep.cfg"
 
 
 def test_parse_minimal(tmp_path):
@@ -318,3 +324,34 @@ def test_shipped_fixture_configs_parse():
         state = link_state(rc)
         assert state.mean_snr_bob > 0.0
         assert rc.sweep is not None
+
+
+@pytest.mark.parametrize("path, value, in_file, message", [
+    ("atmosphere.cloud_lwc_mg_m3", 0.0, True,
+     "atmosphere: cloud layer with positive path needs positive liquid "
+     "water content and droplet concentration"),
+    ("turbulence.wind_speed_m_s", -1.0, False,
+     "turbulence: wind speed must be >= 0"),
+    ("link.target_rate_bits", 2000.0, False,
+     "link: target rate must be in [0, 1024) bits, got 2000.0"),
+    ("geometry.ground_height_m", 7e5, True,
+     "geometry: satellite must sit above the ground station"),
+])
+def test_model_checks_are_config_errors_of_their_section(
+        tmp_path, capsys, path, value, in_file, message):
+    # a check of the physical model fails the build as a ConfigError
+    # named by its section, without the ValueError chained to it
+    rc = parse_config(str(_SHIPPED)).with_value(path, value)
+    with pytest.raises(ConfigError) as info:
+        build_scenario(rc)
+    assert str(info.value) == message
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+    if in_file:
+        # the key's own rule lets the value through, so the cli meets
+        # the model's check: a configuration error, exit code 2
+        key = path.split(".")[1]
+        edited = tmp_path / "edited.cfg"
+        edited.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value!r}",
+                                 _SHIPPED.read_text()))
+        assert main(["link-budget", "--config", str(edited)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"

@@ -440,13 +440,24 @@ def test_family_members_within_error_of_mpmath(monkeypatch):
     assert contours.count(2) and contours.count(1)
 
 
-def test_far_family_takes_one_contour_per_member(monkeypatch):
+@pytest.mark.parametrize("bob, eve, zs, want", [
     # at a = b = 300 and R = 2 bits the second member's log |Phi(c) z^c|
     # at the first member's saddle is 3.7 nats above its own minimum:
-    # the family splits, and each member is its scalar call
+    # the family splits
+    ((300.0, 300.0), (300.0, 300.0), (1.0, 2.0), [1, 1]),
+    # a lower bound of the wide domain whose members share a saddle, but
+    # whose strip is so narrow that the shared contour needs more nodes
+    # than its budget, while each member alone converges
+    ((97074.21879178933, 3902.643062544821), (1238.514366048436,
+                                              1.3877398337565048),
+     (2.7773384907394823e-162, 3.302830693958311e-162), [2, 1, 1]),
+])
+def test_far_family_takes_one_contour_per_member(monkeypatch, bob, eve, zs,
+                                                 want):
+    # each member is then its scalar call
     contours = _contours(monkeypatch)
-    spec, log_pref = _family_spec((300.0, 300.0), (300.0, 300.0), (1.0, 2.0))
+    spec, log_pref = _family_spec(bob, eve, zs)
     pairs = meijer_g(spec, log_scale=log_pref)
-    assert contours == [1, 1]
+    assert contours == want
     assert pairs == [meijer_g(replace(spec, z=z), log_scale=log_pref)
                      for z in spec.z]

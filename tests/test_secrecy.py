@@ -14,7 +14,6 @@ from fsosec import secrecy
 from fsosec.config import build_scenario, parse_config
 from fsosec.errors import NonConvergent, PoleCollision
 from fsosec.fading import FFadingParams, SnrChannel, cdf_ht, pdf_ht
-from fsosec.mc import MC_METRICS
 from fsosec.quadrature import quad_positive_axis, quad_positive_axis_many
 from fsosec.secrecy import (MetricValue, WiretapScenario, asc_closed_form,
                             asc_quadrature, eve_ergodic_rate_closed_form,
@@ -155,7 +154,8 @@ def test_sop_zero_rate_equals_lower_bound(monkeypatch):
     assert exact.value == pytest.approx(lb_q.value, abs=1e-8)
     assert exact.value == pytest.approx(lb_c.value, abs=1e-8)
     # at rate 0 the exact outage is the lower bound's integral, float
-    # for float, and the planner integrates it once for both and SPSC
+    # for float, and the planner integrates it once for both and SPSC,
+    # in one group with the two ASC cross terms
     groups = []
 
     def recorded_many(f_many, x_peaks):
@@ -172,11 +172,10 @@ def test_sop_zero_rate_equals_lower_bound(monkeypatch):
         lb = sop_lower_bound(scen, method="quadrature")
         assert (lb.value, lb.error) == (want.value, want.error)
         groups.clear()
-        report = evaluate_scenario(scen, ("quadrature",),
-                                   ("sop", "sop_lb", "spsc"))
-        assert [row.value for row in report["quadrature"][:2]] == [
+        report = evaluate_scenario(scen, ("quadrature",))
+        assert [row.value for row in report["quadrature"][1:3]] == [
             want.value] * 2
-        assert groups == [1]
+        assert groups == [3]
 
 
 def test_sop_lower_bound_frozen():
@@ -302,15 +301,15 @@ def test_standalone_spsc_takes_a_family_of_one(monkeypatch):
     real = secrecy.meijer_g
 
     def spy(spec, **kwargs):
-        specs.append(spec)
+        if (spec.m, spec.n, spec.p, spec.q) == (2, 3, 3, 3):
+            specs.append(spec)
         return real(spec, **kwargs)
 
     monkeypatch.setattr(secrecy, "meijer_g", spy)
     alone = spsc(PAIR, "closed_form")
     assert [len(spec.z) for spec in specs] == [1]
     assert specs[0].z[0] == secrecy._lb_scale(replace(PAIR, target_rate=0.0))
-    assert evaluate_scenario(PAIR, ("closed_form",),
-                             ("sop_lb", "spsc"))["closed_form"][1] == alone
+    assert evaluate_scenario(PAIR, ("closed_form",))["closed_form"][2] == alone
     assert [len(spec.z) for spec in specs] == [1, 2]
 
 
@@ -326,8 +325,10 @@ def test_overflowing_rate_member_fails_only_its_own_route():
         sop_lower_bound(scen, "closed_form")
     alone = spsc(scen, "closed_form")
     assert alone == spsc(replace(scen, target_rate=0.0), "closed_form")
-    assert evaluate_scenario(scen, ("closed_form",), ("spsc",)) == {
-        "closed_form": (alone,)}
+    _, lower, planned = evaluate_scenario(scen,
+                                          ("closed_form",))["closed_form"]
+    assert isinstance(lower, NonConvergent)
+    assert planned == alone
 
 
 def test_evaluate_scenario_report():
@@ -344,14 +345,11 @@ def test_evaluate_scenario_report():
     assert closed[0] == asc_closed_form(PAIR)
     assert closed[2].value == pytest.approx(quad[3].value, abs=1e-8)
     assert evaluate_scenario(PAIR) == report
-    # a metric set keeps the row order of what it names
-    assert evaluate_scenario(PAIR, ("closed_form",), ("spsc", "asc")) == {
-        "closed_form": (closed[0], closed[2])}
+    # one method alone gives the same rows
+    assert evaluate_scenario(PAIR, ("closed_form",)) == {
+        "closed_form": closed}
     with pytest.raises(ValueError):
         evaluate_scenario(PAIR, ("fancy",))
-    # so is a metric name outside the four, rather than giving no rows
-    with pytest.raises(ValueError, match="unknown metric"):
-        evaluate_scenario(PAIR, metrics=("SOP",))
     # the one-method call form of earlier releases is refused by name
     with pytest.raises(TypeError, match=r"\('closed_form',\)"):
         evaluate_scenario(PAIR, "closed_form")
@@ -696,9 +694,9 @@ _STANDALONE = {
 def test_planner_values_equal_the_standalone_routes(monkeypatch):
     # library callers reach the routes directly, the cli through
     # evaluate_scenario: both must see the same floats or exception
-    # types, route by route, whatever the methods and metrics asked
-    # for, and no route of a scenario that fails nowhere may integrate
-    # a CDF term outside its one lockstep group.  At a = b = 1e6 the
+    # types, route by route, whatever the methods asked for, and no
+    # route of a scenario that fails nowhere may integrate a CDF term
+    # outside its one lockstep group.  At a = b = 1e6 the
     # ASC window is over its node budget and the closed-form contours
     # do not decay, while the outage quadratures give rows
     def outcome(result):
@@ -728,16 +726,14 @@ def test_planner_values_equal_the_standalone_routes(monkeypatch):
                         alone[method, metric] = outcome(exc)
             for methods in (("quadrature",), ("closed_form",),
                             ("quadrature", "closed_form")):
-                for metrics in (None, MC_METRICS):
-                    groups.clear()
-                    report = evaluate_scenario(scenario, methods, metrics)
-                    for method in methods:
-                        want = [alone[method, metric]
-                                for metric, _ in _STANDALONE[method]
-                                if metrics is None or metric in metrics]
-                        assert list(map(outcome, report[method])) == want
-                    if _all_values(report):
-                        assert not any(groups[1:])
+                groups.clear()
+                report = evaluate_scenario(scenario, methods)
+                for method in methods:
+                    want = [alone[method, metric]
+                            for metric, _ in _STANDALONE[method]]
+                    assert list(map(outcome, report[method])) == want
+                if _all_values(report):
+                    assert not any(groups[1:])
 
 
 def test_zero_sample_at_the_hint_keeps_the_scan_local():
