@@ -445,13 +445,13 @@ def test_family_members_within_error_of_mpmath(monkeypatch):
     # at the first member's saddle is 3.7 nats above its own minimum:
     # the family splits
     ((300.0, 300.0), (300.0, 300.0), (1.0, 2.0), [1, 1]),
-    # a lower bound of the wide domain whose members share a saddle, but
-    # whose strip is so narrow that the shared contour needs more nodes
-    # than its budget, while each member alone converges
+    # draw 41 of test_secrecy._wide_scenarios(1, 400): the members pass
+    # the 1-nat rule, but the shared contour needs more nodes than its
+    # budget, while each member alone converges
     ((97074.21879178933, 3902.643062544821), (1238.514366048436,
                                               1.3877398337565048),
      (2.7773384907394823e-162, 3.302830693958311e-162), [2, 1, 1]),
-])
+], ids=["split-saddles", "shared-contour-over-budget"])
 def test_far_family_takes_one_contour_per_member(monkeypatch, bob, eve, zs,
                                                  want):
     # each member is then its scalar call
