@@ -14,7 +14,7 @@ evaluator, though the ASC closed form shares its two cross terms with
 the quadrature.
 """
 
-from .errors import ConfigError, FsosecError, NonConvergent, PoleCollision
+from .errors import ConfigError, FsosecError, NonConvergent
 from .fading import FFadingParams, SnrChannel
 from .mc import McConfig, McEstimate
 from .secrecy import WiretapScenario, evaluate_scenario
@@ -28,7 +28,6 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "NonConvergent",
-    "PoleCollision",
     "SnrChannel",
     "WiretapScenario",
     "evaluate_scenario",

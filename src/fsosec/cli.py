@@ -7,12 +7,11 @@ against Monte Carlo and fails on any z-score above three.
 
 Output is CSV with a header row; numbers below 1e-3 in magnitude are
 forced to scientific notation so spreadsheet locale guessing never
-bites.  A metric by a route that fails at a point gives a status row,
-``non_convergent`` or ``pole_collision``, in place of its numbers.  A
-run manifest (config digest, seed, versions) goes next to every file
-written, named ``<out>.manifest.json``.  All output is a pure function
-of configuration plus seed: the same invocation gives byte-identical
-files.
+bites.  A route that fails at a point gives the status row
+``non_convergent`` in place of its numbers.  A run manifest (config
+digest, seed, versions) goes next to every file written, named
+``<out>.manifest.json``.  All output is a pure function of
+configuration plus seed: the same invocation gives byte-identical files.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical non-convergence.
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .config import build_scenario, link_state, parse_config, parse_methods
-from .errors import ConfigError, NonConvergent, PoleCollision
+from .errors import ConfigError, NonConvergent
 from .mc import MC_METRICS, McConfig, mc_metrics
 from .secrecy import MetricValue, _routes, evaluate_scenario
 
@@ -79,23 +78,21 @@ def _rows_over_points(rc, methods, jobs, point_rows):
             for row in point_rows(coord, rc_point, methods, jobs)]
 
 
-_STATUS = {PoleCollision: "pole_collision", NonConvergent: "non_convergent"}
-
-
 def _evaluate_point(rc, methods, jobs):
     """(metric, method, outcome) of each row of one sweep point, method
     by method in the order of methods, every metric of each.
 
-    The outcome is the route's MetricValue, or the status string that
-    replaces it on failure.
+    The outcome is the route's MetricValue or the NonConvergent it
+    raised; a scenario that cannot be built fails every route with its
+    NonConvergent.
     """
     names = {method: MC_METRICS if method == "monte_carlo" else
              [metric for metric, _, _ in _routes(method)]
              for method in methods}
     try:
         scenario = build_scenario(rc)
-    except NonConvergent:
-        return [(metric, method, "non_convergent")
+    except NonConvergent as exc:
+        return [(metric, method, exc)
                 for method in methods for metric in names[method]]
     outcomes = evaluate_scenario(
         scenario, [m for m in methods if m != "monte_carlo"])
@@ -104,8 +101,7 @@ def _evaluate_point(rc, methods, jobs):
         outcomes["monte_carlo"] = [
             MetricValue(name, "monte_carlo", est.mean, est.std_error)
             for name, est in zip(MC_METRICS, mc_metrics(scenario, cfg))]
-    return [(metric, method, _STATUS.get(type(outcome), outcome))
-            for method in methods
+    return [(metric, method, outcome) for method in methods
             for metric, outcome in zip(names[method], outcomes[method])]
 
 
@@ -113,7 +109,8 @@ def _metric_rows_for_point(coord, rc, methods, jobs):
     """All CSV rows of one sweep point; a failed route is a status row."""
     rows = []
     for metric, method, outcome in _evaluate_point(rc, methods, jobs):
-        cells = (("", "", outcome) if isinstance(outcome, str) else
+        cells = (("", "", "non_convergent")
+                 if isinstance(outcome, NonConvergent) else
                  (fmt_number(outcome.value), fmt_number(outcome.error), "ok"))
         rows.append((coord, metric, method) + cells)
     return rows
@@ -165,8 +162,9 @@ def _validate_rows_for_point(coord, rc, methods, jobs):
     for metric, method, mv in outcomes:
         if metric not in MC_METRICS:
             continue
-        if isinstance(mv, str):
-            rows.append((coord, metric, method, "", "", "", "", mv))
+        if isinstance(mv, NonConvergent):
+            rows.append((coord, metric, method, "", "", "", "",
+                         "non_convergent"))
             continue
         if method == "monte_carlo":
             continue
@@ -194,7 +192,7 @@ def cmd_validate(rc, methods, jobs):
     counterpart (the sampler estimates the true outage), so its rows
     are skipped, a failed one too; at zero target rate the bound is
     exact and enters through spsc anyway.  A route of another metric
-    that fails gives its status row, with the status string of
+    that fails gives its ``non_convergent`` status row, as in
     ``metrics``.
     """
     rows = _rows_over_points(rc, methods, jobs, _validate_rows_for_point)
@@ -305,7 +303,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except (NonConvergent, PoleCollision) as exc:
+    except NonConvergent as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICS
 

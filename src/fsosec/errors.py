@@ -5,14 +5,9 @@ class FsosecError(Exception):
     """Base class for package errors."""
 
 
-class PoleCollision(FsosecError):
-    """Raised when the two Gamma pole families of a Mellin-Barnes integrand
-    cannot be separated by an integration contour."""
-
-
 class NonConvergent(FsosecError):
-    """Raised when a numerical scheme misses its tolerance within its
-    budget, meets a non-finite value, or rounding leaves it no digit."""
+    """Raised when a numerical scheme has no contour, misses its tolerance
+    within its budget, meets a non-finite value, or loses every digit."""
 
 
 class ConfigError(FsosecError):

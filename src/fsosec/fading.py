@@ -26,8 +26,9 @@ class FFadingParams:
     """Shape pair of the F fading distribution.
 
     a is the small-scale (diffractive) shape, b the large-scale
-    (refractive) shape, both finite.  b must exceed 1 for the unit-mean
-    scaling to exist; the variance additionally needs b > 2.
+    (refractive) shape, both finite, with a + b at most 1e300, below
+    which ln Gamma(a + b) is a double.  b must exceed 1 for the
+    unit-mean scaling to exist; the variance additionally needs b > 2.
     """
 
     a: float
@@ -38,6 +39,9 @@ class FFadingParams:
             raise ValueError(f"shape a must be in (0, inf), got {self.a!r}")
         if not 1.0 < self.b < math.inf:
             raise ValueError(f"shape b must be in (1, inf), got {self.b!r}")
+        if not self.a + self.b <= 1e300:
+            raise ValueError(f"shapes a + b must be at most 1e300, got "
+                             f"{self.a + self.b!r}")
 
 
 def _scalar_or_array(x, out):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonConvergent, PoleCollision
+from .errors import NonConvergent
 from .fading import cdf_ht, pdf_ht
 from .quadrature import quad_positive_axis, quad_positive_axis_many
 from .specfun import (_EPS, _LOG_GAMMA_ULPS, _TINY, MeijerGSpec, log_beta,
@@ -257,7 +257,9 @@ def eve_ergodic_rate_closed_form(channel):
     Returns (value, error) in nats.
     """
     a, b = channel.fading.a, channel.fading.b
-    z = a * a / (4.0 * (b - 1.0) ** 2 * channel.mean_snr)
+    z = 0.0  # where (b - 1)^2 overflows, z underflows
+    with suppress(OverflowError):
+        z = a * a / (4.0 * (b - 1.0) ** 2 * channel.mean_snr)
     spec = MeijerGSpec(4, 3, 4, 4,
                        ((1.0 - b) / 2.0, (2.0 - b) / 2.0, 0.0, 1.0),
                        (a / 2.0, (a + 1.0) / 2.0, 0.0, 0.0),
@@ -318,7 +320,8 @@ def sop_lower_bound(scenario, method="closed_form"):
         (value, err), = _shared(terms)
         return MetricValue("sop_lb", method, _probability(value), err)
     bob, eve = scenario.bob.fading, scenario.eve.fading
-    shape = bob.a * (eve.b - 1.0) / ((bob.b - 1.0) * eve.a)
+    den = (bob.b - 1.0) * eve.a  # 0 where it underflows
+    shape = bob.a * (eve.b - 1.0) / den if den else math.inf
     zs = {("sop_lb_g", r): _lb_scale(replace(scenario, target_rate=r)) * shape
           for r in (0.0, scenario.target_rate)}
     _g_argument(zs["sop_lb_g", scenario.target_rate], "outage lower bound")
@@ -359,10 +362,10 @@ def _routes(method):
 def evaluate_scenario(scenario, methods=_METHODS):
     """{method: a tuple of one outcome per route of every metric of the
     method, in the CLI's row order} of one scenario, an outcome being
-    the route's MetricValue or the PoleCollision or NonConvergent it
-    raised; a term two routes share is computed once per call, the
-    CDF-weighted integrals all together, and each outcome equals that
-    of the standalone route.
+    the route's MetricValue or the NonConvergent it raised, the one
+    exception a route raises; a term two routes share is computed once
+    per call, the CDF-weighted integrals all together, and each outcome
+    equals that of the standalone route.
     """
     if isinstance(methods, str):
         raise TypeError(f"methods is a tuple of names: ({methods!r},)")
@@ -386,7 +389,7 @@ def evaluate_scenario(scenario, methods=_METHODS):
             for _, route, args in rows:
                 try:
                     outcomes.append(route(scenario, *args))
-                except (PoleCollision, NonConvergent) as exc:
+                except NonConvergent as exc:
                     outcomes.append(exc)
             out[method] = tuple(outcomes)
     finally:

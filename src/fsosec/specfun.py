@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent, PoleCollision
+from .errors import NonConvergent
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)
@@ -427,12 +427,11 @@ def meijer_g(spec, log_scale=0.0):
 
     Raises
     ------
-    PoleCollision
-        If no vertical contour separates the Gamma pole families.
     NonConvergent
-        If the contour integrand does not decay within the scan budget,
-        or the strip around the contour is so narrow that the trapezoid
-        step would need more than _CONTOUR_NODE_BUDGET nodes.
+        If no vertical contour separates the Gamma pole families, the
+        contour integrand does not decay within the scan budget, or the
+        strip around the contour is so narrow that the trapezoid step
+        would need more than _CONTOUR_NODE_BUDGET nodes.
     """
     order = (spec.m, spec.n, spec.p, spec.q)
     if order not in _SUPPORTED_ORDERS:
@@ -446,7 +445,7 @@ def meijer_g(spec, log_scale=0.0):
     lo = max(a - 1.0 for a in spec.a_params[:spec.n])
     hi = min(spec.b_params[:spec.m])
     if lo >= hi:
-        raise PoleCollision(
+        raise NonConvergent(
             f"no vertical contour separates the pole families "
             f"(strip [{lo:g}, {hi:g}] is empty)")
     factors = _reduce_factors(_gamma_factors(spec))
@@ -472,8 +471,19 @@ def meijer_g(spec, log_scale=0.0):
 def _contour(factors, c, d, lnzs, log_scale):
     # [(value, error)] of the G-family with arguments exp(lnzs) on the
     # contour Re s = c, at distance d from the nearest pole
+    if not d > 0.0:
+        raise NonConvergent(f"the contour abscissa {c:g} sits on a pole")
     terms = _log_phi_terms(factors, c)
     log_peaks = [sum(terms) + c * lnz for lnz in lnzs]
+    # each member's rounding in eps: a log term is good to about
+    # _LOG_GAMMA_ULPS eps times its size, and those at c stand for the
+    # nodes that carry the mass
+    ulps = [1.0 + _LOG_GAMMA_ULPS * (len(terms) + sum(map(abs, terms))
+                                     + abs(c * lnz)) + abs(log_scale)
+            for lnz in lnzs]
+    if not _EPS * max(ulps) < 1.0:
+        raise NonConvergent(f"the contour integrand at c={c:g} loses "
+                            f"every digit to rounding")
 
     # Walk outward in blocks of t until the integrand modulus on the
     # contour has dropped far below the peak, then bound the remaining
@@ -527,23 +537,19 @@ def _contour(factors, c, d, lnzs, log_scale):
     s = c + 1j * h * np.arange(nodes)
     log_phi = _log_phi_complex(factors, s)
     out = []
-    for lnz, log_peak, sub in zip(lnzs, log_peaks,
-                                  [stride] + [1] * (len(lnzs) - 1)):
+    for lnz, log_peak, ulp, sub in zip(lnzs, log_peaks, ulps,
+                                       [stride] + [1] * (len(lnzs) - 1)):
         w = np.exp(log_phi[::sub] + s[::sub] * lnz - log_peak)
         w[0] *= 0.5
         val = h * sub * float(w.real.sum())
         # the trapezoid bound, the tails, and the rounding of the nodes,
-        # of their sum and of the factor in front: a log term is good to
-        # about _LOG_GAMMA_ULPS eps times its size, and those at c stand
-        # for the nodes that carry the mass
-        ulps = (1.0 + _LOG_GAMMA_ULPS * (len(terms) + sum(map(abs, terms))
-                                         + abs(c * lnz)) + abs(log_scale))
+        # of their sum and of the factor in front
         err = (_TRAPEZOID_TOL + tail_bound
-               + _EPS * ulps * h * sub * float(np.abs(w).sum()))
+               + _EPS * ulp * h * sub * float(np.abs(w).sum()))
         scale = log_peak + log_scale
         if scale > 700.0:
-            raise NonConvergent(
-                f"G value overflows double precision (log {scale:.1f})")
+            raise NonConvergent(f"contour integrand peaks at e^{scale:.1f}, "
+                                "beyond double precision")
         factor = math.exp(scale) / math.pi
         value = val * factor
         # a subnormal value is rounded to its ulp, which the error scaled

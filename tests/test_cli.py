@@ -14,7 +14,7 @@ from fsosec import secrecy
 from fsosec.atmosphere import peak_collection
 from fsosec.cli import fmt_number, main
 from fsosec.config import build_geometry, parse_config
-from fsosec.errors import NonConvergent, PoleCollision
+from fsosec.errors import NonConvergent
 from fsosec.mc import McEstimate, mc_metrics
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -200,9 +200,9 @@ def test_gnuplot_keeps_the_columns_of_a_failed_route(sweep_cfg, monkeypatch,
                                                      capsys):
     # a failed route reads nan in its own column; the other routes of
     # its method keep their columns and values
-    def collides(scenario):
-        raise PoleCollision("synthetic")
-    monkeypatch.setattr("fsosec.secrecy.asc_closed_form", collides)
+    def fails(scenario):
+        raise NonConvergent("synthetic")
+    monkeypatch.setattr("fsosec.secrecy.asc_closed_form", fails)
     assert main(["metrics", "--config", sweep_cfg, "--gnuplot"]) == 3
     lines = capsys.readouterr().out.strip().split("\n")
     columns = lines[0].split()[1:]
@@ -391,23 +391,40 @@ def test_huge_shapes_exit_numerics(tmp_path, capsys):
     assert all(row[3:] == ["", "", "non_convergent"] for row in closed)
 
 
-def test_metrics_pole_collision_row(cfg, monkeypatch, capsys):
-    def collides(scenario):
-        raise PoleCollision("synthetic")
-    monkeypatch.setattr("fsosec.secrecy.asc_closed_form", collides)
+def test_shapes_that_lose_every_digit_exit_numerics(tmp_path, capsys):
+    # configs/turbulence-sweep.cfg unswept at cn2_ground 1e8, shapes
+    # a = 2.3e20 and b = 5.5e36: every route rounds off every digit,
+    # which gives seven status rows, not a traceback
+    text = (CONFIGS / "turbulence-sweep.cfg").read_text()
+    text = text[:text.index("[sweep]")].replace("cn2_ground = 1e-14",
+                                                "cn2_ground = 1e8")
+    path = tmp_path / "unswept.cfg"
+    path.write_text(text)
+    assert main(["metrics", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    rows = _rows(captured.out)
+    assert len(rows) == 7
+    assert {(row[1], row[2]) for row in rows} == _ANALYTIC_ROUTES
+    assert all(row[3:] == ["", "", "non_convergent"] for row in rows)
+    assert captured.err == ""
+
+
+def test_metrics_failed_route_gives_status_row(cfg, monkeypatch, capsys):
+    def fails(scenario):
+        raise NonConvergent("synthetic")
+    monkeypatch.setattr("fsosec.secrecy.asc_closed_form", fails)
     code = main(["metrics", "--config", cfg])
     lines = capsys.readouterr().out.splitlines()
     assert code == 3
     assert [line for line in lines if not line.endswith(",ok")] == [
         "sweep_value,metric,method,value,error,status",
-        ",asc,closed_form,,,pole_collision"]
+        ",asc,closed_form,,,non_convergent"]
     # the method's other routes and the quadrature rows are unaffected
     assert any(line.startswith(",spsc,closed_form,") for line in lines)
     assert any(line.startswith(",asc,quadrature,") for line in lines)
 
 
-@pytest.mark.parametrize("error, status", [(NonConvergent, "non_convergent"),
-                                           (PoleCollision, "pole_collision")])
+@pytest.mark.parametrize("error, status", [(NonConvergent, "non_convergent")])
 def test_validate_failed_route_gives_status_row(cfg, monkeypatch, capsys,
                                                 error, status):
     def fails(scenario):

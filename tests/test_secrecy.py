@@ -3,6 +3,7 @@ references (mpmath, 50 digits), and degenerate branches."""
 import importlib.util
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,8 +13,9 @@ import pytest
 
 from fsosec import secrecy
 from fsosec.config import build_scenario, parse_config
-from fsosec.errors import NonConvergent, PoleCollision
-from fsosec.fading import FFadingParams, SnrChannel, cdf_ht, pdf_ht
+from fsosec.errors import NonConvergent
+from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht, cdf_ht_gform,
+                           pdf_ht, pdf_ht_gform)
 from fsosec.quadrature import quad_positive_axis, quad_positive_axis_many
 from fsosec.secrecy import (MetricValue, WiretapScenario, asc_closed_form,
                             asc_quadrature, eve_ergodic_rate_closed_form,
@@ -454,12 +456,12 @@ def _wide_scenarios(seed, count):
 
 
 def test_wide_domain_gives_values_or_a_status():
-    # every route gives a finite value and error, or a PoleCollision or
-    # NonConvergent; no other exception escapes
+    # every route gives a finite value and error, or a NonConvergent; no
+    # other exception escapes
     for scen in _wide_scenarios(21, 40):
         for method, rows in evaluate_scenario(scen).items():
             for row in rows:
-                if isinstance(row, (PoleCollision, NonConvergent)):
+                if isinstance(row, NonConvergent):
                     continue
                 assert math.isfinite(row.value) and math.isfinite(
                     row.error), (scen, method, row)
@@ -667,16 +669,16 @@ def test_shared_term_failure_fails_both_routes(monkeypatch):
     assert len(attempts) == 3
 
 
-def test_pole_collision_leaves_the_other_method(monkeypatch):
-    def collides(scenario):
-        raise PoleCollision("synthetic")
+def test_failed_route_leaves_the_other_method(monkeypatch):
+    def fails(scenario):
+        raise NonConvergent("synthetic")
 
     scenario = _shipped_scenario(0.5)
     alone = evaluate_scenario(scenario)
-    monkeypatch.setattr(secrecy, "asc_closed_form", collides)
+    monkeypatch.setattr(secrecy, "asc_closed_form", fails)
     report = evaluate_scenario(scenario)
     # the failed route alone: its method's other routes keep their rows
-    assert isinstance(report["closed_form"][0], PoleCollision)
+    assert isinstance(report["closed_form"][0], NonConvergent)
     assert report["closed_form"][1:] == alone["closed_form"][1:]
     assert report["quadrature"] == alone["quadrature"]
 
@@ -700,7 +702,7 @@ def test_planner_values_equal_the_standalone_routes(monkeypatch):
     # ASC window is over its node budget and the closed-form contours
     # do not decay, while the outage quadratures give rows
     def outcome(result):
-        if isinstance(result, (NonConvergent, PoleCollision)):
+        if isinstance(result, NonConvergent):
             return type(result)
         return (result.metric, result.method, result.value.hex(),
                 result.error.hex())
@@ -722,7 +724,7 @@ def test_planner_values_equal_the_standalone_routes(monkeypatch):
                 for metric, route in routes:
                     try:
                         alone[method, metric] = outcome(route(scenario))
-                    except (NonConvergent, PoleCollision) as exc:
+                    except NonConvergent as exc:
                         alone[method, metric] = outcome(exc)
             for methods in (("quadrature",), ("closed_form",),
                             ("quadrature", "closed_form")):
@@ -734,6 +736,117 @@ def test_planner_values_equal_the_standalone_routes(monkeypatch):
                     assert list(map(outcome, report[method])) == want
                 if _all_values(report):
                     assert not any(groups[1:])
+
+
+_ESCAPES = {
+    # a_Bob = 5e-324: the lower bound's strip (0, 5e-324) holds no double
+    # and its contour sat on a pole (ValueError)
+    "strip-without-a-double": ((5e-324, 3.0), (5e-324, 3.0)),
+    # (b_Bob - 1) a_Eve underflows to 0 in the lower bound's argument
+    # (ZeroDivisionError)
+    "argument-denominator-underflows": ((5e-324, 1.0 + 2.2e-16),
+                                        (5e-324, 1.0 + 2.2e-16)),
+    # (b - 1)^2 overflows in the Eve ergodic rate's argument
+    # (OverflowError)
+    "ergodic-argument-overflows": ((1.0, 1e200), (1.0, 1e200)),
+}
+
+
+@pytest.mark.parametrize("bob, eve", list(_ESCAPES.values()),
+                         ids=list(_ESCAPES))
+def test_no_other_exception_escapes_a_route(bob, eve):
+    # at the edges of the shape domain every route, alone or through
+    # evaluate_scenario, gives a value or raises NonConvergent
+    for rate in (0.0, 0.5):
+        scen = WiretapScenario(SnrChannel(FFadingParams(*bob), 100.0),
+                               SnrChannel(FFadingParams(*eve), 10.0), rate)
+        for rows in evaluate_scenario(scen).values():
+            assert all(isinstance(row, (MetricValue, NonConvergent))
+                       for row in rows)
+        for routes in _STANDALONE.values():
+            for _, route in routes:
+                with suppress(NonConvergent):
+                    route(scen)
+        with suppress(NonConvergent):
+            eve_ergodic_rate_closed_form(scen.eve)
+
+
+def test_shape_sum_past_the_bound_is_rejected():
+    # past about 2.5e305, ln Gamma(a + b) of every route's normalisation
+    # overflows (OverflowError); the domain stops at a + b = 1e300
+    FFadingParams(1.0, 1e300)
+    for a, b in ((1.7e308, 3.0), (1e300, 1e300), (1.0, 1.7e308)):
+        with pytest.raises(ValueError, match="at most 1e300"):
+            FFadingParams(a, b)
+
+
+@pytest.mark.parametrize("cn2", [1e8, 1e60, 1e84, 1e92])
+def test_shapes_that_lose_every_digit_give_statuses(cn2):
+    # configs/turbulence-sweep.cfg at a ground Cn2 whose shapes reach
+    # 1e20 to 1e188: the log terms of every integrand are so large that
+    # their rounding leaves no digit, which the contour's tail walk met
+    # as a division by zero
+    rc = parse_config(CONFIGS / "turbulence-sweep.cfg")
+    scen = build_scenario(rc.with_value("turbulence.cn2_ground", cn2))
+    report = evaluate_scenario(scen)
+    assert all(isinstance(row, NonConvergent)
+               for rows in report.values() for row in rows)
+    assert all("loses every digit to rounding" in str(row)
+               for row in report["closed_form"])
+
+
+def test_contour_rounding_gives_no_false_value():
+    # at shapes (1e16, 1e14) the log terms at the contour are about 4e17
+    # and round off more than the value: the route read -8.8e-57 +-
+    # 6.8e-53 nats where the rate is about 0.2986
+    chan = SnrChannel(FFadingParams(1e16, 1e14), 0.087)
+    with pytest.raises(NonConvergent, match="loses every digit to rounding"):
+        eve_ergodic_rate_closed_form(chan)
+
+
+def test_every_production_g_form_has_a_contour(monkeypatch):
+    # the strip (lo, hi) between the pole families is open at every
+    # accepted shape pair, so no route meets "no vertical contour"; the
+    # spy records each spec and evaluates none
+    specs = []
+
+    def spy(spec, log_scale=0.0):
+        specs.append(spec)
+        raise NonConvergent("spy")
+
+    monkeypatch.setattr(secrecy, "meijer_g", spy)
+    monkeypatch.setattr("fsosec.fading.meijer_g", spy)
+    shapes = [FFadingParams(a, b)
+              for a in (5e-324, 1e-100, 0.3, 1.0, 30.0, 1e100, 1e299)
+              for b in (1.0 + 2.2e-16, 1.5, 3.0, 1e10, 1e154, 1e299)]
+    for bob in shapes:
+        chan = SnrChannel(bob, 1.0)
+        with suppress(NonConvergent):
+            eve_ergodic_rate_closed_form(chan)
+        # the density forms take their argument a h / (b - 1) at h = 1
+        if 0.0 < bob.a / (bob.b - 1.0) < math.inf:
+            for form in (pdf_ht_gform, cdf_ht_gform):
+                with suppress(NonConvergent):
+                    form(bob, 1.0)
+        for eve in shapes:
+            scen = WiretapScenario(chan, SnrChannel(eve, 1.0), 0.5)
+            with suppress(NonConvergent):
+                sop_lower_bound(scen, "closed_form")
+    assert {(s.m, s.n, s.p, s.q) for s in specs} == {
+        (1, 1, 1, 1), (1, 2, 2, 2), (4, 3, 4, 4), (2, 3, 3, 3)}
+    for spec in specs:
+        lo = max(a - 1.0 for a in spec.a_params[:spec.n])
+        hi = min(spec.b_params[:spec.m])
+        assert lo < hi, spec
+
+
+def test_contour_overflow_names_the_integrand_peak():
+    # draw 110 of the wide domain: both lower-bound members are
+    # probabilities, but the contour integrand peaks at e^3786
+    scen = _wide_scenarios(1, 111)[110]
+    for row in evaluate_scenario(scen, ("closed_form",))["closed_form"][1:]:
+        assert str(row) == ("contour integrand peaks at e^3786.0, beyond "
+                            "double precision")
 
 
 def test_zero_sample_at_the_hint_keeps_the_scan_local():

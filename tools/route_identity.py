@@ -9,26 +9,28 @@ draws 300 wiretap scenarios from a domain seeded with 0: shapes a in
 0.3-300 and b in 1.05-300, Bob's mean SNR in 1e-3-1e10 (all three
 log-uniform), Eve's mean SNR -60 to +20 dB from Bob's, target rate 0,
 0.5, 2 or 8 bits, and every second scenario with shapes of Eve's own.
-Per scenario it records float.hex of value and error, or the type of
-the exception raised, of the seven standalone routes and of the seven
-metric x route outcomes of evaluate_scenario over both analytic
-methods.  A checkout whose evaluate_scenario gives one exception for a
-whole method counts it for each of the method's rows, so comparing it
-with one whose outcome is per route lists exactly the routes that
-gained or lost rows.  It also records a digest
-of reg_inc_beta on 300 seeded point sets of up to 1500 points (with
-0, 1 and nan among them).  Then each checkout runs ``fsosec
+Per scenario it records float.hex of value and error, or the failure
+as "<type>: <message>", of the seven standalone routes and of the
+seven metric x route outcomes of evaluate_scenario over both analytic
+methods.  A census records the evaluate_scenario outcomes of 400 more
+scenarios from a wide domain seeded with 1, where routes do fail:
+shapes a in 0.05-1e6 and b - 1 in 1e-3-1e6, every second scenario
+with shapes of Eve's own, mean SNRs 1e-300-1e300 (all log-uniform),
+target rate 0, 0.5, 20 or 1023 bits in turn.  It also records a
+digest of reg_inc_beta on 300 seeded point sets of up to 1500 points
+(with 0, 1 and nan among them).  Then each checkout runs ``fsosec
 link-budget``, ``fsosec metrics`` and ``fsosec validate``, the last two
 with ``--methods quadrature,closed_form,monte_carlo``, on the
 configs/*.cfg of AFTER at --jobs 1 and 2, and the exit codes, CSVs and
 messages are compared byte by byte.
 
 Every difference is printed, then one line that sizes them: how many
-value records differ, how many changed kind (a value against an
-exception, or one exception type against another), and the worst shift
-|value_after - value_before| / (error_before + error_after) with its
-key.  The exit status is 1 if there is any difference.  Needs numpy
-only.
+value records differ, how many changed kind (a value against a
+failure, or one exception type against another), how many changed
+their failure's message alone, and the worst shift |value_after -
+value_before| / (error_before + error_after) with its key; and one
+line with the number of failing records on each side.  The exit
+status is 1 if there is any difference.  Needs numpy only.
 """
 
 import argparse
@@ -56,6 +58,9 @@ _COMMANDS = (("link-budget",), ("metrics", "--methods", _METHODS),
              ("validate", "--methods", _METHODS))
 _COUNT = 300
 _SEED = 0
+_CENSUS_COUNT = 400
+_CENSUS_SEED = 1
+_CENSUS_RATES = (0.0, 0.5, 20.0, 1023.0)
 
 
 def _log_uniform(rng, lo, hi):
@@ -81,16 +86,50 @@ def _draw_scenario(rng, index):
     return [shapes, snr_bob, ratio_db, rate], scenario
 
 
-def _hex(mv):
-    return [float(mv.value).hex(), float(mv.error).hex()]
+def _census_scenarios():
+    # the census domain, drawn in the order of its seeded stream
+    from fsosec.fading import FFadingParams, SnrChannel
+    from fsosec.secrecy import WiretapScenario
+
+    rng = np.random.default_rng(_CENSUS_SEED)
+
+    def fading():
+        a, b1 = np.exp(rng.uniform(np.log([0.05, 1e-3]), np.log([1e6, 1e6])))
+        return FFadingParams(float(a), 1.0 + float(b1))
+
+    for index in range(_CENSUS_COUNT):
+        bob = fading()
+        eve = fading() if index % 2 else bob
+        snr_bob, snr_eve = 10.0 ** rng.uniform(-300.0, 300.0, 2)
+        yield WiretapScenario(SnrChannel(bob, float(snr_bob)),
+                              SnrChannel(eve, float(snr_eve)),
+                              _CENSUS_RATES[index % len(_CENSUS_RATES)])
+
+
+def _record(outcome):
+    # [float.hex of value, of error] of a MetricValue, or the failure
+    if isinstance(outcome, Exception):
+        return f"{type(outcome).__name__}: {outcome}"
+    return [float(outcome.value).hex(), float(outcome.error).hex()]
 
 
 def _outcome(call):
-    # _hex of the MetricValue call() returns, or the exception's type
+    # _record of what call() returns or raises
     try:
-        return _hex(call())
+        return _record(call())
     except Exception as exc:  # every outcome is compared, failures too
-        return type(exc).__name__
+        return _record(exc)
+
+
+def _shared_records(out, prefix, scenario):
+    # the evaluate_scenario outcomes of scenario into out, one per route
+    from fsosec import secrecy
+
+    for method, result in secrecy.evaluate_scenario(scenario).items():
+        metrics = [metric for metric, own, _, _ in _ROUTES if own == method]
+        for metric, outcome in zip(metrics, result):
+            out[f"{prefix} evaluate_scenario {metric}/{method}"] = \
+                _record(outcome)
 
 
 def _records():
@@ -107,21 +146,7 @@ def _records():
             route = getattr(secrecy, name)
             out[f"scenario {index} {metric}/{method}"] = _outcome(
                 lambda: route(scenario, **kwargs))
-        try:
-            shared = secrecy.evaluate_scenario(scenario)
-        except Exception as exc:
-            shared = {method: exc for _, method, _, _ in _ROUTES}
-        for method, result in shared.items():
-            metrics = [metric for metric, own, _, _ in _ROUTES
-                       if own == method]
-            if isinstance(result, Exception):
-                # one outcome for the whole method
-                result = [result] * len(metrics)
-            for metric, outcome in zip(metrics, result):
-                key = f"scenario {index} evaluate_scenario {metric}/{method}"
-                out[key] = (type(outcome).__name__
-                            if isinstance(outcome, Exception)
-                            else _hex(outcome))
+        _shared_records(out, f"scenario {index}", scenario)
 
     for index in range(_COUNT):
         a, b = _log_uniform(rng, 0.3, 300.0), _log_uniform(rng, 1.05, 300.0)
@@ -133,6 +158,9 @@ def _records():
                 np.ascontiguousarray(y).tobytes()).hexdigest()
         except Exception as exc:
             out[f"reg_inc_beta {index}"] = type(exc).__name__
+
+    for index, scenario in enumerate(_census_scenarios()):
+        _shared_records(out, f"census {index}", scenario)
     return out
 
 
@@ -145,22 +173,30 @@ def _shift(before, after):
     return abs(v1 - v0) / (e0 + e1) if e0 + e1 > 0.0 else float("inf")
 
 
+def _is_route(key):
+    # draws and digests are neither values nor failures
+    return not (key.endswith(" draw") or key.startswith("reg_inc_beta"))
+
+
 def _summary(changed):
-    # the line that sizes the differing records {key: (before, after)};
-    # draws and digests are neither values nor exceptions
-    values, kinds, others, worst, worst_key = 0, 0, 0, 0.0, None
+    # the line that sizes the differing records {key: (before, after)}
+    values, kinds, messages, others, worst, worst_key = 0, 0, 0, 0, 0.0, None
     for key, (before, after) in changed.items():
-        if key.endswith(" draw") or key.startswith("reg_inc_beta"):
+        if not _is_route(key):
             others += 1
         elif isinstance(before, list) and isinstance(after, list):
             values += 1
             shift = _shift(before, after)
             if shift > worst:
                 worst, worst_key = shift, key
+        elif (isinstance(before, str) and isinstance(after, str)
+              and before.split(":")[0] == after.split(":")[0]):
+            messages += 1
         else:
             kinds += 1
     return (f"{values} value records differ, {kinds} changed kind, "
-            f"{others} draws or digests differ; worst shift {worst:.3g} "
+            f"{messages} changed message alone, {others} draws or digests "
+            f"differ; worst shift {worst:.3g} "
             f"of the summed errors" + (f" at {worst_key}" if worst_key
                                        else ""))
 
@@ -205,21 +241,24 @@ def main(argv=None):
             print(f"{key}: {before} -> {after}")
     print(f"{len(sides[1])} route records compared")
     print(_summary(changed))
-    differences = len(changed)
+    failing = [sum(_is_route(key) and isinstance(record, str)
+                   for key, record in side.items()) for side in sides]
+    print(f"failing route records: {failing[0]} before, {failing[1]} after")
 
     configs = sorted((args.after / "configs").glob("*.cfg"))
+    runs_differ = 0
     for command in _COMMANDS:
         for config in configs:
             for jobs in (1, 2):
                 runs = [_run_cli(c, command, config.resolve(), jobs)
                         for c in (args.before, args.after)]
                 if runs[0] != runs[1]:
-                    differences += 1
+                    runs_differ += 1
                     print(f"{command[0]} {config.name} --jobs {jobs}: exit "
                           f"{runs[0][0]} -> {runs[1][0]}, output differs")
     print(f"{2 * len(configs) * len(_COMMANDS)} CLI runs compared; "
-          f"{differences} differences")
-    return 1 if differences else 0
+          f"{runs_differ} differences")
+    return 1 if changed or runs_differ else 0
 
 
 if __name__ == "__main__":
