@@ -739,15 +739,15 @@ def test_planner_values_equal_the_standalone_routes(monkeypatch):
 
 
 _ESCAPES = {
-    # a_Bob = 5e-324: the lower bound's strip (0, 5e-324) holds no double
-    # and its contour sat on a pole (ValueError)
+    # a_Bob = 5e-324: the lower bound's strip (0, 5e-324) holds no
+    # double, so its contour abscissa is a pole, where math.lgamma raises
+    # ValueError
     "strip-without-a-double": ((5e-324, 3.0), (5e-324, 3.0)),
-    # (b_Bob - 1) a_Eve underflows to 0 in the lower bound's argument
-    # (ZeroDivisionError)
+    # (b_Bob - 1) a_Eve underflows to 0 in the lower bound's argument, a
+    # ZeroDivisionError
     "argument-denominator-underflows": ((5e-324, 1.0 + 2.2e-16),
                                         (5e-324, 1.0 + 2.2e-16)),
-    # (b - 1)^2 overflows in the Eve ergodic rate's argument
-    # (OverflowError)
+    # (b - 1)^2 raises OverflowError in the Eve ergodic rate's argument
     "ergodic-argument-overflows": ((1.0, 1e200), (1.0, 1e200)),
 }
 
@@ -784,8 +784,8 @@ def test_shape_sum_past_the_bound_is_rejected():
 def test_shapes_that_lose_every_digit_give_statuses(cn2):
     # configs/turbulence-sweep.cfg at a ground Cn2 whose shapes reach
     # 1e20 to 1e188: the log terms of every integrand are so large that
-    # their rounding leaves no digit, which the contour's tail walk met
-    # as a division by zero
+    # their rounding leaves no digit; on the contour every tail sample
+    # then reads 0 against the peak, and the step sizing divides by it
     rc = parse_config(CONFIGS / "turbulence-sweep.cfg")
     scen = build_scenario(rc.with_value("turbulence.cn2_ground", cn2))
     report = evaluate_scenario(scen)
@@ -797,8 +797,8 @@ def test_shapes_that_lose_every_digit_give_statuses(cn2):
 
 def test_contour_rounding_gives_no_false_value():
     # at shapes (1e16, 1e14) the log terms at the contour are about 4e17
-    # and round off more than the value: the route read -8.8e-57 +-
-    # 6.8e-53 nats where the rate is about 0.2986
+    # and round off more than the value, so any number read there (the
+    # rate is about 0.2986 nats) is noise with a false error bar
     chan = SnrChannel(FFadingParams(1e16, 1e14), 0.087)
     with pytest.raises(NonConvergent, match="loses every digit to rounding"):
         eve_ergodic_rate_closed_form(chan)
