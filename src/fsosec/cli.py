@@ -25,12 +25,13 @@ import os
 import platform
 import sys
 from contextlib import suppress
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .config import build_scenario, link_state, parse_config, parse_methods
+from .config import (LinkState, build_scenario, link_state, parse_config,
+                     parse_methods)
 from .errors import ConfigError, NonConvergent
 from .mc import MC_METRICS, McConfig, mc_metrics
 from .secrecy import MetricValue, _routes, evaluate_scenario
@@ -39,10 +40,6 @@ _EXIT_OK = 0
 _EXIT_VALIDATION = 1
 _EXIT_CONFIG = 2
 _EXIT_NUMERICS = 3
-
-_BUDGET_COLUMNS = ("path_length_m", "atmospheric_gain", "pointing_gain_bob",
-                   "pointing_gain_eve", "cloud_gain", "mean_snr_bob",
-                   "mean_snr_eve", "rytov_variance", "shape_a", "shape_b")
 
 
 def fmt_number(x):
@@ -144,12 +141,10 @@ def _gnuplot_table(rows):
 
 def cmd_link_budget(rc):
     """Deterministic budget table text over the sweep."""
-    rows = []
-    for coord, rc_point in _sweep_points(rc):
-        state = link_state(rc_point)
-        rows.append((coord,) + tuple(
-            fmt_number(getattr(state, name)) for name in _BUDGET_COLUMNS))
-    return _csv("sweep_value," + ",".join(_BUDGET_COLUMNS), rows)
+    rows = [(coord,) + tuple(map(fmt_number, astuple(link_state(rc_point))))
+            for coord, rc_point in _sweep_points(rc)]
+    columns = ["sweep_value"] + [field.name for field in fields(LinkState)]
+    return _csv(",".join(columns), rows)
 
 
 def _validate_rows_for_point(coord, rc, methods, jobs):
@@ -282,24 +277,20 @@ def main(argv=None):
         out_path = args.out if args.out is not None else rc.output
 
         if args.command == "link-budget":
-            text = cmd_link_budget(rc)
-            _write(text, out_path, _manifest(rc, args, methods, out_path))
-            return _EXIT_OK
-        if args.command == "metrics":
+            text, code = cmd_link_budget(rc), _EXIT_OK
+        elif args.command == "metrics":
             text, failed = cmd_metrics(rc, methods, args.jobs,
                                        gnuplot=args.gnuplot)
-            _write(text, out_path, _manifest(rc, args, methods, out_path))
-            return _EXIT_NUMERICS if failed else _EXIT_OK
-        if "monte_carlo" not in methods or len(methods) < 2:
-            raise ConfigError("validate needs monte_carlo plus at least "
-                              "one analytic method")
-        text, any_fail, any_status = cmd_validate(rc, methods, args.jobs)
+            code = _EXIT_NUMERICS if failed else _EXIT_OK
+        else:
+            if "monte_carlo" not in methods or len(methods) < 2:
+                raise ConfigError("validate needs monte_carlo plus at least "
+                                  "one analytic method")
+            text, any_fail, any_status = cmd_validate(rc, methods, args.jobs)
+            code = (_EXIT_NUMERICS if any_status else
+                    _EXIT_VALIDATION if any_fail else _EXIT_OK)
         _write(text, out_path, _manifest(rc, args, methods, out_path))
-        if any_status:
-            return _EXIT_NUMERICS
-        if any_fail:
-            return _EXIT_VALIDATION
-        return _EXIT_OK
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

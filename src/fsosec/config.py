@@ -154,11 +154,11 @@ class RunConfig:
         return _RULES[path].default
 
     def with_value(self, path, value):
-        """Copy of this config with one leaf overridden."""
+        """Copy with one leaf overridden, its value parsed as in a file."""
         if path not in _RULES:
             raise ConfigError(f"unknown configuration key {path!r}")
         values = dict(self.values)
-        values[path] = float(value)
+        values[path] = _parse_number(path, value)
         return replace(self, values=values)
 
 
@@ -353,7 +353,7 @@ def build_turbulence(rc):
 
 @dataclass(frozen=True)
 class LinkState:
-    """Everything the budget table and the scenario share."""
+    """The budget table's columns; the scenario takes SNRs and shapes."""
 
     path_length_m: float
     atmospheric_gain: float
@@ -365,7 +365,6 @@ class LinkState:
     rytov_variance: float
     shape_a: float
     shape_b: float
-    target_rate_bits: float
 
 
 def _budget_snr(receiver, pointing_key, power, noise, h_a, h_s, h_c):
@@ -373,7 +372,8 @@ def _budget_snr(receiver, pointing_key, power, noise, h_a, h_s, h_c):
     # link.tx_power_w, one that underflows by the key of its smallest factor
     gain = h_a * h_s * h_c
     try:
-        snr = mean_snr_from_budget(power, noise, gain) if gain > 0.0 else 0.0
+        snr = (_in_section("link", lambda: mean_snr_from_budget(
+            power, noise, gain)) if gain > 0.0 else 0.0)
     except OverflowError:
         snr = math.inf
     if not 0.0 < snr < math.inf:
@@ -433,7 +433,6 @@ def link_state(rc):
         rytov_variance=rytov,
         shape_a=a,
         shape_b=b,
-        target_rate_bits=rc.value("link.target_rate_bits"),
     )
 
 
@@ -449,5 +448,5 @@ def build_scenario(rc):
     return _in_section("link", lambda: WiretapScenario(
         bob=SnrChannel(fading, state.mean_snr_bob),
         eve=SnrChannel(fading, state.mean_snr_eve),
-        target_rate=state.target_rate_bits,
+        target_rate=rc.value("link.target_rate_bits"),
     ))

@@ -91,7 +91,8 @@ def pdf_ht_gform(params, h):
     a, b = params.a, params.b
     if not h > 0.0:
         raise ValueError("G-form density needs h > 0")
-    spec = MeijerGSpec(1, 1, 1, 1, (1.0 - a - b,), (0.0,), a * h / (b - 1.0))
+    spec = MeijerGSpec(1, 1, 1, 1, (1.0 - a - b,), (0.0,),
+                       math.log(a) + math.log(h) - math.log(b - 1.0))
     log_pref = (a * math.log(a) + (a - 1.0) * math.log(h) - log_beta(a, b)
                 - a * math.log(b - 1.0) - math.lgamma(a + b))
     return meijer_g(spec, log_scale=log_pref)
@@ -102,7 +103,8 @@ def cdf_ht_gform(params, h):
     a, b = params.a, params.b
     if not h > 0.0:
         raise ValueError("G-form distribution needs h > 0")
-    spec = MeijerGSpec(1, 2, 2, 2, (1.0 - b, 1.0), (a, 0.0), a * h / (b - 1.0))
+    spec = MeijerGSpec(1, 2, 2, 2, (1.0 - b, 1.0), (a, 0.0),
+                       math.log(a) + math.log(h) - math.log(b - 1.0))
     log_pref = -log_beta(a, b) - math.lgamma(a + b)
     return meijer_g(spec, log_scale=log_pref)
 

@@ -242,28 +242,18 @@ def asc_quadrature(scenario):
     return _asc_value(cross - v3, e_cross + e3 + rel * abs(v3), "quadrature")
 
 
-def _g_argument(z, form):
-    # the argument of a G-form, which has no value here once it has left
-    # the range of a double
-    if not 0.0 < z < math.inf:
-        raise NonConvergent(f"the G argument {z:g} of the {form} is "
-                            f"outside the range of a double")
-    return z
-
-
 def eve_ergodic_rate_closed_form(channel):
     """Eavesdropper ergodic rate E[ln(1+gamma)] via the G-form.
 
     Returns (value, error) in nats.
     """
     a, b = channel.fading.a, channel.fading.b
-    z = 0.0  # where (b - 1)^2 overflows, z underflows
-    with suppress(OverflowError):
-        z = a * a / (4.0 * (b - 1.0) ** 2 * channel.mean_snr)
+    # ln of the argument a^2 / (4 (b - 1)^2 mean_snr)
+    log_z = (2.0 * (math.log(a) - math.log(b - 1.0) - _LN2)
+             - math.log(channel.mean_snr))
     spec = MeijerGSpec(4, 3, 4, 4,
                        ((1.0 - b) / 2.0, (2.0 - b) / 2.0, 0.0, 1.0),
-                       (a / 2.0, (a + 1.0) / 2.0, 0.0, 0.0),
-                       _g_argument(z, "Eve ergodic rate"))
+                       (a / 2.0, (a + 1.0) / 2.0, 0.0, 0.0), log_z)
     log_pref = ((a + b) * _LN2 - math.log(4.0 * math.pi)
                 - log_beta(a, b) - math.lgamma(a + b))
     return meijer_g(spec, log_scale=log_pref)
@@ -283,25 +273,30 @@ def asc_closed_form(scenario):
 
 
 def _lb_scale(scenario):
-    # argument of the outage lower bound: the rate-scaled rms gain ratio,
-    # of the roots where the mean SNRs' ratio leaves the normal range
+    # the scale w of the lower bound's CDF argument w h in the outage
+    # quadrature: the rate-scaled rms gain ratio, of the roots where the
+    # mean SNRs' ratio leaves the normal range
     eve, bob = scenario.eve.mean_snr, scenario.bob.mean_snr
     root = (math.sqrt(eve / bob) if _TINY <= eve / bob < math.inf
             else math.sqrt(eve) / math.sqrt(bob))
     return 2.0 ** (0.5 * scenario.target_rate) * root
 
 
-def _probability(value):
-    # value clamped to [0, 1]; + 0.0 turns a -0.0 into 0.0, and a nan
-    # stays nan
-    return min(max(value, 0.0), 1.0) + 0.0
+def _probability(metric, method, value, err):
+    # the MetricValue of a probability, its value clamped to [0, 1]; + 0.0
+    # turns a -0.0 into 0.0, and a nan stays nan.  A bar of 1 or more
+    # bounds nothing, and the clamp would hide that
+    if not err < 1.0:
+        raise NonConvergent(f"{metric} by {method} has the error bar "
+                            f"{err:.3g}, which spans every probability")
+    return MetricValue(metric, method, min(max(value, 0.0), 1.0) + 0.0, err)
 
 
 def sop_exact(scenario):
     """Secrecy outage probability by quadrature over the Eve gain: the
     lower bound's integrand with the +1 offsets, at rate 0 its integral."""
     (value, err), = _shared(_cdf_terms(scenario, "sop", "quadrature"))
-    return MetricValue("sop", "quadrature", _probability(value), err)
+    return _probability("sop", "quadrature", value, err)
 
 
 def sop_lower_bound(scenario, method="closed_form"):
@@ -311,21 +306,25 @@ def sop_lower_bound(scenario, method="closed_form"):
     rate enter; at target rate zero it is sop_exact's integral.  The
     closed form, a G^{2,3}_{3,3}, is P(U < z) for U = X_B Y_E / (Y_B X_E)
     with X ~ Gamma(a), Y ~ Gamma(b) of each branch's own shapes; it is
-    one G-family with the zero-rate member spsc takes, and a member
-    whose argument leaves the double range fails only its own route.
+    one G-family with the zero-rate member spsc takes.  Its log
+    argument is a sum of one log per factor, so it is finite for every
+    scenario.  A probability whose error bar reaches 1 raises
+    NonConvergent.
     """
     _check_method(method)
     terms = _cdf_terms(scenario, "sop_lb", method)
     if terms:
         (value, err), = _shared(terms)
-        return MetricValue("sop_lb", method, _probability(value), err)
+        return _probability("sop_lb", method, value, err)
     bob, eve = scenario.bob.fading, scenario.eve.fading
-    den = (bob.b - 1.0) * eve.a  # 0 where it underflows
-    shape = bob.a * (eve.b - 1.0) / den if den else math.inf
-    zs = {("sop_lb_g", r): _lb_scale(replace(scenario, target_rate=r)) * shape
-          for r in (0.0, scenario.target_rate)}
-    _g_argument(zs["sop_lb_g", scenario.target_rate], "outage lower bound")
-    family = {key: z for key, z in zs.items() if 0.0 < z < math.inf}
+    # ln z at rate r: the shape logs in Bob/Eve pairs, so that shared
+    # shapes give exactly 0, then the mean SNRs' and the rate's
+    family = {("sop_lb_g", r): (
+        (math.log(bob.a) - math.log(eve.a))
+        + (math.log(eve.b - 1.0) - math.log(bob.b - 1.0))
+        + 0.5 * (math.log(scenario.eve.mean_snr)
+                 - math.log(scenario.bob.mean_snr))
+        + 0.5 * r * _LN2) for r in (0.0, scenario.target_rate)}
     log_pref = -((log_beta(bob.a, bob.b) + math.lgamma(bob.a + bob.b))
                  + (log_beta(eve.a, eve.b) + math.lgamma(eve.a + eve.b)))
     # the target rate's member is the family's last
@@ -333,7 +332,7 @@ def sop_lower_bound(scenario, method="closed_form"):
         MeijerGSpec(2, 3, 3, 3, (1.0 - bob.b, 1.0, 1.0 - eve.a),
                     (bob.a, eve.b, 0.0), tuple(args)),
         log_scale=log_pref))[-1]
-    return MetricValue("sop_lb", method, _probability(value), err)
+    return _probability("sop_lb", method, value, err)
 
 
 def spsc(scenario, method="quadrature"):

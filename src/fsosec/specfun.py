@@ -9,20 +9,22 @@ computed by direct quadrature of its Mellin-Barnes representation
     G(z) = 1/(2*pi*i) * integral of Phi(s) z^s ds
 
 along a vertical contour Re(s) = c chosen inside the strip that
-separates the two Gamma pole families.  Phi is first reduced: equal
-Gamma factors merge into one power, and Gamma(x + 1) = x Gamma(x) folds
-a factor into the one a unit below it, so each contour node takes
-fewer complex log-gammas.  The abscissa is placed by golden-section
-search at the minimum of |Phi(c) z^c| on the strip (the real-axis
-saddle), which keeps the oscillatory cancellation of the contour
-integral mild for arguments far from 1.  The integrand is analytic on
-the pole-free strip around c, so the plain trapezoidal rule converges
-geometrically, with an a-priori error bound (Trefethen & Weideman,
-SIAM Review 56(3), 2014, Theorem 5.1): one batch of nodes, its step
-sized from the strip's half-width and the integrand's size on the
-strip's edges, gives the value.  No residue summation is performed, so
-parameter sets with repeated or integer-spaced bottom parameters need
-no special casing.
+separates the two Gamma pole families.  The argument is given and
+used as its logarithm, z^s = exp(s ln z): a caller builds ln z as a
+sum of logs, so no argument can leave the range of a double.  Phi is
+first reduced: equal Gamma factors merge into one power, and
+Gamma(x + 1) = x Gamma(x) folds a factor into the one a unit below it,
+so each contour node takes fewer complex log-gammas.  The abscissa is
+placed by golden-section search at the minimum of |Phi(c) z^c| on the
+strip (the real-axis saddle), which keeps the oscillatory cancellation
+of the contour integral mild for arguments far from 1.  The integrand
+is analytic on the pole-free strip around c, so the plain trapezoidal
+rule converges geometrically, with an a-priori error bound (Trefethen
+& Weideman, SIAM Review 56(3), 2014, Theorem 5.1): one batch of nodes,
+its step sized from the strip's half-width and the integrand's size on
+the strip's edges, gives the value.  No residue summation is
+performed, so parameter sets with repeated or integer-spaced bottom
+parameters need no special casing.
 
 Evaluation is restricted to the four (m, n, p, q) orders the rest of
 the package needs; anything else is rejected up front rather than
@@ -268,8 +270,10 @@ class MeijerGSpec:
 
     a_params holds the p upper parameters (first n belong to the
     numerator), b_params the q lower parameters (first m belong to the
-    numerator).  z is the positive real argument, or a tuple of them
-    for a family of G-values that share the parameters.
+    numerator).  log_z is the log argument, ln z of the positive real
+    argument z, or a tuple of them for a family of G-values that share
+    the parameters; any finite log argument is valid, even one whose z
+    a double cannot hold.
     """
 
     m: int
@@ -278,7 +282,7 @@ class MeijerGSpec:
     q: int
     a_params: tuple
     b_params: tuple
-    z: float | tuple
+    log_z: float | tuple
 
     def __post_init__(self):
         if not (0 <= self.n <= self.p and 0 <= self.m <= self.q):
@@ -286,13 +290,12 @@ class MeijerGSpec:
                              f"p={self.p}, q={self.q})")
         if len(self.a_params) != self.p or len(self.b_params) != self.q:
             raise ValueError("parameter tuple lengths must match p and q")
-        for v in (*self.a_params, *self.b_params):
+        lnzs = self.log_z if isinstance(self.log_z, tuple) else (self.log_z,)
+        for v in (*self.a_params, *self.b_params, *lnzs):
             if not math.isfinite(v):
-                raise ValueError(f"non-finite G parameter {v!r}")
-        zs = self.z if isinstance(self.z, tuple) else (self.z,)
-        if not zs or not all(z > 0.0 and math.isfinite(z) for z in zs):
-            raise ValueError(
-                f"arguments must be finite and positive, got {self.z!r}")
+                raise ValueError(f"non-finite G parameter or ln z {v!r}")
+        if not lnzs:
+            raise ValueError("a family needs a log argument")
 
 
 def _gamma_factors(spec):
@@ -396,10 +399,10 @@ def meijer_g(spec, log_scale=0.0):
     Parameters
     ----------
     spec : MeijerGSpec
-        Order, parameters and argument.  Only the four orders used in
-        this package are accepted: (1,1,1,1), (1,2,2,2), (4,3,4,4) and
-        (2,3,3,3).  A tuple of arguments asks for the family of G-values
-        of one parameter set.
+        Order, parameters and log argument ln z.  Only the four orders
+        used in this package are accepted: (1,1,1,1), (1,2,2,2),
+        (4,3,4,4) and (2,3,3,3).  A tuple of log arguments asks for the
+        family of G-values of one parameter set.
     log_scale : float
         Optional log-space prefactor folded into the integrand, so
         expressions of the form exp(log_scale) * G(z) stay finite when
@@ -413,7 +416,7 @@ def meijer_g(spec, log_scale=0.0):
         5.1), the truncated contour tails, the rounding of the nodes
         and of their sum, and the rounding of the log-space factor
         exp(log Phi(c) + c ln z + log_scale) in front of the integral.
-        For a tuple of arguments, one pair per argument, in order.
+        For a tuple of log arguments, one pair per argument, in order.
 
     Notes
     -----
@@ -449,8 +452,8 @@ def meijer_g(spec, log_scale=0.0):
             f"no vertical contour separates the pole families "
             f"(strip [{lo:g}, {hi:g}] is empty)")
     factors = _reduce_factors(_gamma_factors(spec))
-    family = isinstance(spec.z, tuple)
-    lnzs = [math.log(z) for z in (spec.z if family else (spec.z,))]
+    family = isinstance(spec.log_z, tuple)
+    lnzs = list(spec.log_z) if family else [spec.log_z]
     saddles = [_contour_abscissa(factors, lo, hi, lnz) for lnz in lnzs]
     c = saddles[0]
     out = None
@@ -469,7 +472,7 @@ def meijer_g(spec, log_scale=0.0):
 
 
 def _contour(factors, c, d, lnzs, log_scale):
-    # [(value, error)] of the G-family with arguments exp(lnzs) on the
+    # [(value, error)] of the G-family with log arguments lnzs on the
     # contour Re s = c, at distance d from the nearest pole
     if not d > 0.0:
         raise NonConvergent(f"the contour abscissa {c:g} sits on a pole")

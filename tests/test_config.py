@@ -287,7 +287,7 @@ def test_link_state_consistency(tmp_path):
     want = fading_shapes_from_rytov(
         rytov_variance(build_turbulence(rc), build_geometry(rc)))
     assert (state.shape_a, state.shape_b) == want
-    assert state.target_rate_bits == 0.5
+    assert rc.value("link.target_rate_bits") == 0.5
 
 
 def test_eve_noise_defaults_to_bob(tmp_path):
@@ -336,19 +336,24 @@ def test_shipped_fixture_configs_parse():
      "link: target rate must be in [0, 1024) bits, got 2000.0"),
     ("geometry.ground_height_m", 7e5, True,
      "geometry: satellite must sit above the ground station"),
+    ("link.noise_std_a", -1.0, False,
+     "link: power, noise and gain must all be positive"),
+    ("atmosphere.cloud_lwc_mg_m3", math.nan, True,
+     "atmosphere.cloud_lwc_mg_m3: must be finite, got nan"),
 ])
 def test_model_checks_are_config_errors_of_their_section(
         tmp_path, capsys, path, value, in_file, message):
-    # a check of the physical model fails the build as a ConfigError
-    # named by its section, without the ValueError chained to it
-    rc = parse_config(str(_SHIPPED)).with_value(path, value)
+    # a check of the physical model, or of a number, fails a library
+    # sweep as a ConfigError named by its section or key, without the
+    # ValueError chained to it
     with pytest.raises(ConfigError) as info:
-        build_scenario(rc)
+        build_scenario(parse_config(str(_SHIPPED)).with_value(path, value))
     assert str(info.value) == message
-    assert info.value.__cause__ is None and info.value.__suppress_context__
+    assert info.value.__cause__ is None
+    assert info.value.__context__ is None or info.value.__suppress_context__
     if in_file:
         # the key's own rule lets the value through, so the cli meets
-        # the model's check: a configuration error, exit code 2
+        # the same check: a configuration error, exit code 2
         key = path.split(".")[1]
         edited = tmp_path / "edited.cfg"
         edited.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value!r}",

@@ -20,21 +20,22 @@ from fsosec.specfun import (MeijerGSpec, _gamma_factors, _log_phi_complex,
 
 
 def g1111(a, b, z, **kw):
-    return meijer_g(MeijerGSpec(1, 1, 1, 1, (a,), (b,), z), **kw)
+    return meijer_g(MeijerGSpec(1, 1, 1, 1, (a,), (b,), math.log(z)), **kw)
 
 
 def _ergodic_spec(a, b, z):
     # (4,3,4,4) pattern and prefactor of the Eve ergodic rate
     spec = MeijerGSpec(4, 3, 4, 4,
                        ((1.0 - b) / 2.0, (2.0 - b) / 2.0, 0.0, 1.0),
-                       (a / 2.0, (a + 1.0) / 2.0, 0.0, 0.0), z)
+                       (a / 2.0, (a + 1.0) / 2.0, 0.0, 0.0), math.log(z))
     return spec, ((a + b) * math.log(2.0) - math.log(4.0 * math.pi)
                   - log_beta(a, b) - math.lgamma(a + b))
 
 
 def _lower_bound_spec(a, b, w):
     # (2,3,3,3) pattern and prefactor of the outage lower bound
-    spec = MeijerGSpec(2, 3, 3, 3, (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0), w)
+    spec = MeijerGSpec(2, 3, 3, 3, (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0),
+                       math.log(w))
     return spec, -2.0 * (log_beta(a, b) + math.lgamma(a + b))
 
 
@@ -42,7 +43,7 @@ def _mpmath_g(spec, log_scale=0.0):
     # exp(log_scale) * G at the working precision of mpmath
     return mp.exp(log_scale) * mp.meijerg(
         [spec.a_params[:spec.n], spec.a_params[spec.n:]],
-        [spec.b_params[:spec.m], spec.b_params[spec.m:]], spec.z)
+        [spec.b_params[:spec.m], spec.b_params[spec.m:]], mp.exp(spec.log_z))
 
 
 def test_g1111_power_identity():
@@ -77,7 +78,7 @@ def test_g1111_error_estimate_honest():
 def test_g1222_log_identity():
     # G^{1,2}_{2,2}(z | 1,1; 1,0) = ln(1+z)
     for z in (1e-3, 1e-2, 0.5, 1.0, 2.0, 50.0, 1e3):
-        spec = MeijerGSpec(1, 2, 2, 2, (1.0, 1.0), (1.0, 0.0), z)
+        spec = MeijerGSpec(1, 2, 2, 2, (1.0, 1.0), (1.0, 0.0), math.log(z))
         val, err = meijer_g(spec)
         exact = math.log1p(z)
         assert abs(val - exact) <= 1e-10 * exact
@@ -106,7 +107,7 @@ def test_g2333_frozen_mpmath():
     ]
     for a, b, w, want in cases:
         spec = MeijerGSpec(2, 3, 3, 3,
-                           (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0), w)
+                           (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0), math.log(w))
         val, err = meijer_g(spec)
         assert abs(val - want) <= 1e-9 * abs(want)
 
@@ -116,7 +117,7 @@ def test_g2333_at_unit_argument():
     # value: prefactor^-1 * G(1) must equal exactly one half.
     for a, b in ((2.5, 3.2), (9.1, 11.7), (5.0, 6.5)):
         spec = MeijerGSpec(2, 3, 3, 3,
-                           (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0), 1.0)
+                           (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0), 0.0)
         log_pref = -2.0 * (log_beta(a, b) + math.lgamma(a + b))
         val, err = meijer_g(spec, log_scale=log_pref)
         assert abs(val - 0.5) <= max(err, 1e-10)
@@ -159,22 +160,22 @@ def test_strip_narrower_than_the_node_budget_is_non_convergent(width):
 
 
 def test_unsupported_order_rejected():
-    spec = MeijerGSpec(2, 0, 0, 2, (), (0.5, -0.5), 1.0)
+    spec = MeijerGSpec(2, 0, 0, 2, (), (0.5, -0.5), 0.0)
     with pytest.raises(ValueError):
         meijer_g(spec)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        MeijerGSpec(1, 1, 1, 1, (1.0, 2.0), (0.5,), 1.0)   # length mismatch
+        MeijerGSpec(1, 1, 1, 1, (1.0, 2.0), (0.5,), 0.0)   # length mismatch
     with pytest.raises(ValueError):
-        MeijerGSpec(1, 1, 1, 1, (1.0,), (0.5,), -1.0)      # bad argument
+        MeijerGSpec(1, 1, 1, 1, (1.0,), (0.5,), math.nan)  # bad log argument
     with pytest.raises(ValueError):
-        MeijerGSpec(1, 1, 1, 1, (1.0,), (0.5,), 0.0)
+        MeijerGSpec(1, 1, 1, 1, (1.0,), (0.5,), math.inf)
     with pytest.raises(ValueError):
-        MeijerGSpec(2, 1, 1, 1, (1.0,), (0.5,), 1.0)       # m > q
+        MeijerGSpec(2, 1, 1, 1, (1.0,), (0.5,), 0.0)       # m > q
     with pytest.raises(ValueError):
-        MeijerGSpec(1, 1, 1, 1, (math.nan,), (0.5,), 1.0)
+        MeijerGSpec(1, 1, 1, 1, (math.nan,), (0.5,), 0.0)
 
 
 def test_production_orders_against_mpmath_within_error():
@@ -232,14 +233,14 @@ def test_surviving_denominator_gamma_within_error_of_mpmath():
     # a denominator Gamma that no numerator factor folds into leaves
     # log|Phi| non-convex on the strip of the saddle search
     a_params, b_params = (0.3, 0.6), (0.5, 0.2)
-    spec = MeijerGSpec(1, 2, 2, 2, a_params, b_params, 1.0)
+    spec = MeijerGSpec(1, 2, 2, 2, a_params, b_params, 0.0)
     gammas, _ = _reduce_factors(_gamma_factors(spec))
     assert any(power < 0.0 for _, _, power in gammas)
     with mp.workdps(30):
         for z in (1e-3, 0.1, 0.5, 1.0, 2.0, 30.0):
-            val, err = meijer_g(MeijerGSpec(1, 2, 2, 2, a_params, b_params, z))
-            want = mp.meijerg([a_params, ()], [b_params[:1], b_params[1:]], z)
-            assert abs(val - want) <= err, z
+            member = replace(spec, log_z=math.log(z))
+            val, err = meijer_g(member)
+            assert abs(val - _mpmath_g(member)) <= err, z
 
 
 @pytest.mark.parametrize("offset", [1.0 + 1e-8, 1.0 - 1e-8, 1.0 + 1e-6,
@@ -254,9 +255,9 @@ def test_narrow_strip_gives_a_value_within_error_or_raises(offset):
     rng = np.random.default_rng(18)
     b = rng.uniform(0.2, 2.0)
     z = math.exp(rng.uniform(math.log(1e-3), math.log(0.3)))
-    for spec in (MeijerGSpec(1, 1, 1, 1, (b + offset,), (b,), z),
+    for spec in (MeijerGSpec(1, 1, 1, 1, (b + offset,), (b,), math.log(z)),
                  MeijerGSpec(4, 3, 4, 4, (-1.0, offset, 0.0, 1.0),
-                             (b + 0.25, b + 0.75, 0.0, 0.0), z)):
+                             (b + 0.25, b + 0.75, 0.0, 0.0), math.log(z))):
         try:
             val, err = meijer_g(spec)
         except NonConvergent:
@@ -283,11 +284,12 @@ def test_contour_takes_one_walk_and_one_trapezoid_batch(make, monkeypatch):
     for a, b, z in ((9.1, 11.7, 0.0037), (2.5, 3.2, 0.7), (5.0, 6.5, 1.8)):
         spec, log_pref = make(a, b, z)
         # a family of two on one contour takes the same two batches
-        for zs in (z, (z, 2.0 ** 0.25 * z)):
+        lnz = spec.log_z
+        for lnzs in (lnz, (lnz, math.log(2.0 ** 0.25 * z))):
             batches.clear()
-            meijer_g(replace(spec, z=zs), log_scale=log_pref)
+            meijer_g(replace(spec, log_z=lnzs), log_scale=log_pref)
             assert batches[0] == (3, specfun._TAIL_BLOCK + 1)
-            assert len(batches) == 2, (a, b, zs, batches)
+            assert len(batches) == 2, (a, b, lnzs, batches)
 
 
 def test_largest_node_shapes_of_the_shipped_configs_within_error(monkeypatch):
@@ -322,11 +324,12 @@ def test_largest_node_shapes_of_the_shipped_configs_within_error(monkeypatch):
     with mp.workdps(30):
         for spec, kwargs in calls:
             # the lower bound's spec is the family of its two rates
-            zs = spec.z if isinstance(spec.z, tuple) else (spec.z,)
-            pairs = meijer_g(replace(spec, z=zs), **kwargs)
+            lnzs = (spec.log_z if isinstance(spec.log_z, tuple)
+                    else (spec.log_z,))
+            pairs = meijer_g(replace(spec, log_z=lnzs), **kwargs)
             assert sizes[-1] > 3000, spec
-            for z, (val, err) in zip(zs, pairs, strict=True):
-                member = replace(spec, z=z)
+            for lnz, (val, err) in zip(lnzs, pairs, strict=True):
+                member = replace(spec, log_z=lnz)
                 assert abs(val - _mpmath_g(member, **kwargs)) <= err, member
 
 
@@ -348,10 +351,10 @@ def test_coincident_integer_shapes_within_error_of_mpmath():
 
 
 def _family_spec(bob, eve, zs):
-    # the outage lower bound's (2,3,3,3) family and prefactor at Bob's
-    # and Eve's (a, b)
+    # the outage lower bound's (2,3,3,3) family of the arguments zs and
+    # its prefactor at Bob's and Eve's (a, b)
     spec = MeijerGSpec(2, 3, 3, 3, (1.0 - bob[1], 1.0, 1.0 - eve[0]),
-                       (bob[0], eve[1], 0.0), zs)
+                       (bob[0], eve[1], 0.0), tuple(map(math.log, zs)))
     return spec, -sum(log_beta(a, b) + math.lgamma(a + b)
                       for a, b in (bob, eve))
 
@@ -361,7 +364,8 @@ def test_subnormal_values_carry_their_rounding():
     # subnormal ulp, which the error scaled from the contour's peak
     # underflows below: the error still covers mpmath's value
     for z in (0.0257, 0.02):
-        spec, log_pref = _family_spec((273.0, 46.4), (7.72, 189.4), z)
+        spec, log_pref = _family_spec((273.0, 46.4), (7.72, 189.4), (z,))
+        spec = replace(spec, log_z=math.log(z))
         val, err = meijer_g(spec, log_scale=log_pref)
         with mp.workdps(40):
             want = _mpmath_g(spec, log_pref)
@@ -385,7 +389,7 @@ def _contours(monkeypatch):
 
 def test_zero_rate_family_is_one_member_and_the_scalar_call(monkeypatch):
     # at target rate 0 the lower bound's family has one member: the
-    # scalar call, with the bits the scalar call had before families
+    # scalar call, bit for bit, at pinned bits
     specs = []
     real = secrecy.meijer_g
 
@@ -395,7 +399,7 @@ def test_zero_rate_family_is_one_member_and_the_scalar_call(monkeypatch):
 
     monkeypatch.setattr(secrecy, "meijer_g", spy)
     for eve, want in (((9.1, 11.7), ("0x1.34344ab10b291p-5",
-                                     "0x1.8c3cc3a42f19dp-49")),
+                                     "0x1.8c3cc3a42f1a0p-49")),
                       ((2.5, 3.2), ("0x1.2efe44dd5912ep-4",
                                     "0x1.c2f3136ce994ep-49"))):
         scen = WiretapScenario(SnrChannel(FFadingParams(9.1, 11.7), 472.7),
@@ -403,8 +407,8 @@ def test_zero_rate_family_is_one_member_and_the_scalar_call(monkeypatch):
         secrecy.sop_lower_bound(scen, "closed_form")
         spec, kwargs = specs[-1]
         (pair,) = real(spec, **kwargs)
-        assert len(spec.z) == 1
-        assert pair == real(replace(spec, z=spec.z[0]), **kwargs)
+        assert len(spec.log_z) == 1
+        assert pair == real(replace(spec, log_z=spec.log_z[0]), **kwargs)
         assert tuple(map(float.hex, pair)) == want
 
 
@@ -431,9 +435,10 @@ def test_family_members_within_error_of_mpmath(monkeypatch):
                 continue
             spec, log_pref = _family_spec(bob, eve, zs)
             pairs = meijer_g(spec, log_scale=log_pref)
-            assert pairs[0] == meijer_g(replace(spec, z=w), log_scale=log_pref)
-            for z, (val, err) in zip(zs, pairs, strict=True):
-                member = replace(spec, z=z)
+            assert pairs[0] == meijer_g(replace(spec, log_z=math.log(w)),
+                                        log_scale=log_pref)
+            for lnz, (val, err) in zip(spec.log_z, pairs, strict=True):
+                member = replace(spec, log_z=lnz)
                 assert abs(val - _mpmath_g(member, log_pref)) <= err, member
             families += 1
     # the seeded draws reach both a shared contour and a split family
@@ -459,5 +464,5 @@ def test_far_family_takes_one_contour_per_member(monkeypatch, bob, eve, zs,
     spec, log_pref = _family_spec(bob, eve, zs)
     pairs = meijer_g(spec, log_scale=log_pref)
     assert contours == want
-    assert pairs == [meijer_g(replace(spec, z=z), log_scale=log_pref)
-                     for z in spec.z]
+    assert pairs == [meijer_g(replace(spec, log_z=lnz), log_scale=log_pref)
+                     for lnz in spec.log_z]

@@ -282,14 +282,17 @@ def test_own_shapes_take_the_closed_form():
 
 def test_shared_shapes_keep_the_closed_form_floats():
     # at shared shapes the gain-ratio G-form reduces to the shared-shape
-    # spec, argument and prefactor, float for float: the last member of
-    # the family of the zero and the target rate
+    # spec, log argument and prefactor, float for float: the last member
+    # of the family of the zero and the target rate, whose ln z is
+    # ln(2^(R/2) sqrt(snr_E / snr_B))
     for scen in _drawn_scenarios(20261019, 8)[::2]:
         a, b = scen.bob.fading.a, scen.bob.fading.b
-        zs = dict.fromkeys(secrecy._lb_scale(replace(scen, target_rate=r))
-                           for r in (0.0, scen.target_rate))
+        half = 0.5 * (math.log(scen.eve.mean_snr)
+                      - math.log(scen.bob.mean_snr))
+        lnzs = dict.fromkeys(half + 0.5 * r * math.log(2.0)
+                             for r in (0.0, scen.target_rate))
         spec = MeijerGSpec(2, 3, 3, 3, (1.0 - b, 1.0, 1.0 - a), (a, b, 0.0),
-                           tuple(zs))
+                           tuple(lnzs))
         value, err = meijer_g(
             spec, log_scale=-2.0 * (log_beta(a, b) + math.lgamma(a + b)))[-1]
         assert sop_lower_bound(scen, "closed_form") == secrecy.MetricValue(
@@ -309,28 +312,31 @@ def test_standalone_spsc_takes_a_family_of_one(monkeypatch):
 
     monkeypatch.setattr(secrecy, "meijer_g", spy)
     alone = spsc(PAIR, "closed_form")
-    assert [len(spec.z) for spec in specs] == [1]
-    assert specs[0].z[0] == secrecy._lb_scale(replace(PAIR, target_rate=0.0))
+    assert [len(spec.log_z) for spec in specs] == [1]
+    assert specs[0].log_z[0] == 0.5 * (math.log(EVE.mean_snr)
+                                       - math.log(BOB.mean_snr))
     assert evaluate_scenario(PAIR, ("closed_form",))["closed_form"][2] == alone
-    assert [len(spec.z) for spec in specs] == [1, 2]
+    assert [len(spec.log_z) for spec in specs] == [1, 2]
 
 
-def test_overflowing_rate_member_fails_only_its_own_route():
-    # at 1023 bits the lower bound's argument 2^(R/2) z(0) leaves the
-    # double range while z(0) does not: the closed-form lower bound
-    # fails, and SPSC takes the zero-rate member of its family alone,
-    # standalone and in the planner
-    scen = WiretapScenario(SnrChannel(FFadingParams(9.1, 11.7), 1e-158),
-                           SnrChannel(FFadingParams(1.2, 40.0), 1e150),
-                           1023.0)
-    with pytest.raises(NonConvergent, match="outside the range of a double"):
-        sop_lower_bound(scen, "closed_form")
-    alone = spsc(scen, "closed_form")
-    assert alone == spsc(replace(scen, target_rate=0.0), "closed_form")
+def _agrees_with_the_quadrature(scen):
+    # the closed-form lower bound sits within the summed errors of the
+    # quadrature, and SPSC alone equals the planner's
+    got = sop_lower_bound(scen, "closed_form")
+    quad = sop_lower_bound(scen, "quadrature")
+    assert abs(got.value - quad.value) <= got.error + quad.error
     _, lower, planned = evaluate_scenario(scen,
                                           ("closed_form",))["closed_form"]
-    assert isinstance(lower, NonConvergent)
-    assert planned == alone
+    assert lower == got
+    assert planned == spsc(scen, "closed_form")
+
+
+def test_overflowing_rate_member_takes_the_closed_form():
+    # at 1023 bits the lower bound's argument 2^(R/2) z(0) is past the
+    # largest double while z(0) is not; ln z is finite at both rates
+    _agrees_with_the_quadrature(WiretapScenario(
+        SnrChannel(FFadingParams(9.1, 11.7), 1e-158),
+        SnrChannel(FFadingParams(1.2, 40.0), 1e150), 1023.0))
 
 
 def test_evaluate_scenario_report():
@@ -403,23 +409,12 @@ def test_target_rate_validation():
                    for row in rows)
 
 
-def test_lower_bound_argument_out_of_range_is_non_convergent():
+def test_lower_bound_argument_past_the_double_range_takes_the_closed_form():
     # Eve/Bob mean-SNR ratio 1e600 at 1023 bits: the G argument
-    # 2^511.5 * 1e300 overflows to inf, and the tail beyond the largest
-    # double is not known to be below the bar
+    # 2^511.5 * 1e300 is past the largest double, its log is not
     fading = FFadingParams(2.5, 4.0)
-    scen = WiretapScenario(SnrChannel(fading, 1e-300),
-                           SnrChannel(fading, 1e300), 1023.0)
-    with pytest.raises(NonConvergent, match="G argument inf"):
-        sop_lower_bound(scen, "closed_form")
-    report = evaluate_scenario(scen)
-    # the lower bound alone fails; ASC and the zero-rate SPSC of the
-    # method give rows
-    asc, lower, positive = report["closed_form"]
-    assert isinstance(lower, NonConvergent)
-    assert "G argument inf" in str(lower)
-    assert (asc, positive) == (asc_closed_form(scen), spsc(scen, "closed_form"))
-    assert all(math.isfinite(row.value) for row in report["quadrature"])
+    _agrees_with_the_quadrature(WiretapScenario(
+        SnrChannel(fading, 1e-300), SnrChannel(fading, 1e300), 1023.0))
 
 
 def test_mean_snr_ratio_beyond_the_double_range_takes_the_closed_form():
@@ -739,16 +734,19 @@ def test_planner_values_equal_the_standalone_routes(monkeypatch):
 
 
 _ESCAPES = {
-    # a_Bob = 5e-324: the lower bound's strip (0, 5e-324) holds no
-    # double, so its contour abscissa is a pole, where math.lgamma raises
-    # ValueError
+    # each case once let another exception escape.  a_Bob = 5e-324: the
+    # lower bound's strip (0, 5e-324) holds no double, so its contour
+    # abscissa is a pole, where math.lgamma raises ValueError
     "strip-without-a-double": ((5e-324, 3.0), (5e-324, 3.0)),
-    # (b_Bob - 1) a_Eve underflows to 0 in the lower bound's argument, a
+    # (b_Bob - 1) a_Eve underflowed to 0 in the lower bound's argument, a
     # ZeroDivisionError
     "argument-denominator-underflows": ((5e-324, 1.0 + 2.2e-16),
                                         (5e-324, 1.0 + 2.2e-16)),
-    # (b - 1)^2 raises OverflowError in the Eve ergodic rate's argument
+    # (b - 1)^2 raised OverflowError in the Eve ergodic rate's argument
     "ergodic-argument-overflows": ((1.0, 1e200), (1.0, 1e200)),
+    # the argument a h / (b - 1) of the density forms underflowed to 0 at
+    # h = 1, which MeijerGSpec rejected with a ValueError
+    "density-argument-underflows": ((5e-324, 1e299), (5e-324, 1e299)),
 }
 
 
@@ -756,7 +754,11 @@ _ESCAPES = {
                          ids=list(_ESCAPES))
 def test_no_other_exception_escapes_a_route(bob, eve):
     # at the edges of the shape domain every route, alone or through
-    # evaluate_scenario, gives a value or raises NonConvergent
+    # evaluate_scenario, and each density form gives a value or raises
+    # NonConvergent
+    for form in (pdf_ht_gform, cdf_ht_gform):
+        with suppress(NonConvergent):
+            form(FFadingParams(*bob), 1.0)
     for rate in (0.0, 0.5):
         scen = WiretapScenario(SnrChannel(FFadingParams(*bob), 100.0),
                                SnrChannel(FFadingParams(*eve), 10.0), rate)
@@ -823,11 +825,10 @@ def test_every_production_g_form_has_a_contour(monkeypatch):
         chan = SnrChannel(bob, 1.0)
         with suppress(NonConvergent):
             eve_ergodic_rate_closed_form(chan)
-        # the density forms take their argument a h / (b - 1) at h = 1
-        if 0.0 < bob.a / (bob.b - 1.0) < math.inf:
-            for form in (pdf_ht_gform, cdf_ht_gform):
-                with suppress(NonConvergent):
-                    form(bob, 1.0)
+        # the density forms at h = 1
+        for form in (pdf_ht_gform, cdf_ht_gform):
+            with suppress(NonConvergent):
+                form(bob, 1.0)
         for eve in shapes:
             scen = WiretapScenario(chan, SnrChannel(eve, 1.0), 0.5)
             with suppress(NonConvergent):
@@ -847,6 +848,25 @@ def test_contour_overflow_names_the_integrand_peak():
     for row in evaluate_scenario(scen, ("closed_form",))["closed_form"][1:]:
         assert str(row) == ("contour integrand peaks at e^3786.0, beyond "
                             "double precision")
+
+
+@pytest.mark.parametrize("draw", [2, 33])
+def test_probability_whose_bar_reaches_one_is_a_status(draw):
+    # draws 2 and 33 of the wide domain: the lower bound's contour
+    # cancels over many nats below the overflow cut, and the clamp read
+    # 0 with bars of 1.8e4 and 1.2e95 where the quadrature gives 1 within
+    # 1e-8.  Such a bar bounds nothing: both closed-form probabilities
+    # are statuses, alone and in the planner, and the quadrature's rows
+    # stay
+    scen = _wide_scenarios(1, draw + 1)[draw]
+    report = evaluate_scenario(scen)
+    for row, route in zip(report["closed_form"][1:], (sop_lower_bound, spsc)):
+        assert isinstance(row, NonConvergent) and "error bar" in str(row)
+        with pytest.raises(NonConvergent, match="error bar"):
+            route(scen, "closed_form")
+    lower = report["quadrature"][2]
+    assert lower == sop_lower_bound(scen, "quadrature")
+    assert abs(lower.value - 1.0) <= lower.error < 1e-7
 
 
 def test_zero_sample_at_the_hint_keeps_the_scan_local():

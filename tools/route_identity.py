@@ -28,12 +28,14 @@ Every difference is printed, then one line that sizes them: how many
 value records differ, how many changed kind (a value against a
 failure, or one exception type against another), how many changed
 their failure's message alone, and the worst shift |value_after -
-value_before| / (error_before + error_after) with its key; and one
-line with the number of failing records on each side.  The exit
-status is 1 if there is any difference.  Needs numpy only.
+value_before| / (error_before + error_after) with its key; one line
+per route, <metric>/<method>, with its counts of those three changes;
+and one line with the number of failing records on each side.  The
+exit status is 1 if there is any difference.  Needs numpy only.
 """
 
 import argparse
+import collections
 import hashlib
 import json
 import os
@@ -178,27 +180,42 @@ def _is_route(key):
     return not (key.endswith(" draw") or key.startswith("reg_inc_beta"))
 
 
+def _change(before, after):
+    # how two differing route records differ: "value", "message" or "kind"
+    if isinstance(before, list) and isinstance(after, list):
+        return "value"
+    if (isinstance(before, str) and isinstance(after, str)
+            and before.split(":")[0] == after.split(":")[0]):
+        return "message"
+    return "kind"
+
+
 def _summary(changed):
-    # the line that sizes the differing records {key: (before, after)}
-    values, kinds, messages, others, worst, worst_key = 0, 0, 0, 0, 0.0, None
+    # the lines that size the differing records {key: (before, after)}:
+    # the totals, then the counts of each route
+    totals = collections.Counter()
+    routes = {f"{metric}/{method}": collections.Counter()
+              for metric, method, _, _ in _ROUTES}
+    worst, worst_key = 0.0, None
     for key, (before, after) in changed.items():
         if not _is_route(key):
-            others += 1
-        elif isinstance(before, list) and isinstance(after, list):
-            values += 1
-            shift = _shift(before, after)
-            if shift > worst:
-                worst, worst_key = shift, key
-        elif (isinstance(before, str) and isinstance(after, str)
-              and before.split(":")[0] == after.split(":")[0]):
-            messages += 1
-        else:
-            kinds += 1
-    return (f"{values} value records differ, {kinds} changed kind, "
-            f"{messages} changed message alone, {others} draws or digests "
-            f"differ; worst shift {worst:.3g} "
-            f"of the summed errors" + (f" at {worst_key}" if worst_key
-                                       else ""))
+            totals["other"] += 1
+            continue
+        change = _change(before, after)
+        totals[change] += 1
+        routes[key.rsplit(" ", 1)[1]][change] += 1
+        shift = _shift(before, after) if change == "value" else 0.0
+        if shift > worst:
+            worst, worst_key = shift, key
+    lines = [f"{totals['value']} value records differ, {totals['kind']} "
+             f"changed kind, {totals['message']} changed message alone, "
+             f"{totals['other']} draws or digests differ; worst shift "
+             f"{worst:.3g} of the summed errors"
+             + (f" at {worst_key}" if worst_key else "")]
+    lines += [f"{route}: {counts['value']} value, {counts['kind']} kind, "
+              f"{counts['message']} message changes"
+              for route, counts in routes.items()]
+    return "\n".join(lines)
 
 
 def _child_env(checkout):
