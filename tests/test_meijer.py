@@ -350,11 +350,11 @@ def test_coincident_integer_shapes_within_error_of_mpmath():
                     spec.m, a, b, z)
 
 
-def _family_spec(bob, eve, zs):
-    # the outage lower bound's (2,3,3,3) family of the arguments zs and
-    # its prefactor at Bob's and Eve's (a, b)
+def _family_spec(bob, eve, log_z):
+    # the outage lower bound's (2,3,3,3) family and prefactor at Bob's
+    # and Eve's (a, b)
     spec = MeijerGSpec(2, 3, 3, 3, (1.0 - bob[1], 1.0, 1.0 - eve[0]),
-                       (bob[0], eve[1], 0.0), tuple(map(math.log, zs)))
+                       (bob[0], eve[1], 0.0), log_z)
     return spec, -sum(log_beta(a, b) + math.lgamma(a + b)
                       for a, b in (bob, eve))
 
@@ -364,8 +364,8 @@ def test_subnormal_values_carry_their_rounding():
     # subnormal ulp, which the error scaled from the contour's peak
     # underflows below: the error still covers mpmath's value
     for z in (0.0257, 0.02):
-        spec, log_pref = _family_spec((273.0, 46.4), (7.72, 189.4), (z,))
-        spec = replace(spec, log_z=math.log(z))
+        spec, log_pref = _family_spec((273.0, 46.4), (7.72, 189.4),
+                                      math.log(z))
         val, err = meijer_g(spec, log_scale=log_pref)
         with mp.workdps(40):
             want = _mpmath_g(spec, log_pref)
@@ -389,7 +389,7 @@ def _contours(monkeypatch):
 
 def test_zero_rate_family_is_one_member_and_the_scalar_call(monkeypatch):
     # at target rate 0 the lower bound's family has one member: the
-    # scalar call, bit for bit, at pinned bits
+    # scalar call, bit for bit, at a pinned value and error
     specs = []
     real = secrecy.meijer_g
 
@@ -433,7 +433,7 @@ def test_family_members_within_error_of_mpmath(monkeypatch):
             zs = (w, 2.0 ** ((0.5, 2.0, 8.0)[families % 3] / 2.0) * w)
             if any(0.8 < z < 1.25 for z in zs):
                 continue
-            spec, log_pref = _family_spec(bob, eve, zs)
+            spec, log_pref = _family_spec(bob, eve, tuple(map(math.log, zs)))
             pairs = meijer_g(spec, log_scale=log_pref)
             assert pairs[0] == meijer_g(replace(spec, log_z=math.log(w)),
                                         log_scale=log_pref)
@@ -461,7 +461,7 @@ def test_far_family_takes_one_contour_per_member(monkeypatch, bob, eve, zs,
                                                  want):
     # each member is then its scalar call
     contours = _contours(monkeypatch)
-    spec, log_pref = _family_spec(bob, eve, zs)
+    spec, log_pref = _family_spec(bob, eve, tuple(map(math.log, zs)))
     pairs = meijer_g(spec, log_scale=log_pref)
     assert contours == want
     assert pairs == [meijer_g(replace(spec, log_z=lnz), log_scale=log_pref)
