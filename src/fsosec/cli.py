@@ -7,7 +7,8 @@ against Monte Carlo and fails on any z-score above three.
 
 Output is CSV with a header row; numbers below 1e-3 in magnitude are
 forced to scientific notation so spreadsheet locale guessing never
-bites.  A route that fails at a point gives the status row
+bites, and every number has the shortest digits that read back to the
+same double.  A route that fails at a point gives the status row
 ``non_convergent`` in place of its numbers.  A run manifest (config
 digest, seed, versions) goes next to every file written, named
 ``<out>.manifest.json``.  All output is a pure function of
@@ -51,7 +52,15 @@ def fmt_number(x):
         return "inf" if x > 0 else "-inf"
     if x != 0.0 and abs(x) >= 1e-3:
         return repr(x)
-    return f"{x:e}"
+    # e-notation with repr's digits, which repr gives below 1e-4 and
+    # otherwise writes as [-]0.0 or [-]0.000d... (d the digits)
+    text = repr(x)
+    if "e" not in text:
+        sign, _, digits = text.partition("0.")
+        digits = digits.lstrip("0") or "0"
+        text = (f"{sign}{digits[0]}.{digits[1:]}".rstrip(".")
+                + f"e{-4 if x else 0:+03d}")
+    return text
 
 
 def _sweep_points(rc):
@@ -273,7 +282,7 @@ def main(argv=None):
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         methods = (parse_methods(args.methods, "--methods")
-                   if args.methods else rc.methods)
+                   if args.methods is not None else rc.methods)
         out_path = args.out if args.out is not None else rc.output
 
         if args.command == "link-budget":

@@ -72,17 +72,17 @@ def _gain_mode(fading):
     return (fading.b - 1.0) / fading.b
 
 
-def _rate_density(channel):
-    # ln(1 + snr) times the gain density, snr = 4 * mean_snr * h^2: the
-    # integrand of the channel's ergodic rate over its gain h.  Where snr
+def _rate(channel):
+    # ln(1 + snr) at the gain h, snr = 4 * mean_snr * h^2: the factor of
+    # the gain density in the channel's ergodic rate.  Where snr
     # overflows, ln(1 + snr) is ln(4 mean_snr) + 2 ln h to the last bit
-    def density(h):
-        rate = np.log1p(4.0 * channel.mean_snr * h * h)
-        big = np.isinf(rate)
+    def rate(h):
+        out = np.log1p(4.0 * channel.mean_snr * h * h)
+        big = np.isinf(out)
         if big.any():
-            rate[big] = math.log(4.0 * channel.mean_snr) + 2.0 * np.log(h[big])
-        return rate * pdf_ht(channel.fading, h)
-    return density
+            out[big] = math.log(4.0 * channel.mean_snr) + 2.0 * np.log(h[big])
+        return out
+    return rate
 
 
 def _check_method(method):
@@ -124,31 +124,44 @@ def _rounding(*parts):
     return rel
 
 
+def _per_fading(kernel, fadings, xs):
+    # [kernel(fading, x)] over the pairs of fadings and xs, one call per
+    # distinct fading on the concatenated abscissae, which the kernels
+    # take element by element, so each part is that of its own call
+    out = {}
+    for fading in dict.fromkeys(fadings):
+        sel = [k for k, own in enumerate(fadings) if own == fading]
+        if len(sel) == 1:
+            out[sel[0]] = kernel(fading, xs[sel[0]])
+        else:
+            flat = kernel(fading, np.concatenate([xs[k] for k in sel]))
+            cuts = np.cumsum([xs[k].size for k in sel])[:-1]
+            out.update(zip(sel, np.split(flat, cuts)))
+    return [out[k] for k in range(len(xs))]
+
+
 def _cdf_integrals(terms):
     """[(value, error)] of the integrals over (0, inf) of
-    weight(h) * cdf_ht(fading, arg(h)), one per term (weight, fading,
-    arg, weight_fading), run in lockstep: each round evaluates weight
-    and arg per integral and cdf_ht once per distinct fading.  cdf_ht
-    acts element by element, so each value is that of the integral
-    alone.  Each is hinted at the mode of the density of weight_fading,
-    and its error adds the rounding of the integrand there: that of the
-    density and of cdf_ht.
+    rate(h) * pdf_ht(own, h) * cdf_ht(fading, arg(h)), one per term
+    (rate, own, fading, arg), rate None for a factor of 1, run in
+    lockstep: each round evaluates rate and arg per integral, and
+    pdf_ht and cdf_ht once per distinct fading each.  Each is hinted at
+    the mode of the density of own, and its error adds the rounding of
+    the integrand there: that of the density and of cdf_ht.
     """
-    peaks = [_gain_mode(own) for *_, own in terms]
+    peaks = [_gain_mode(own) for _, own, _, _ in terms]
     with np.errstate(all="ignore"):
         rounding = [_rounding((own, peak, False), (fading, arg(peak), True))
-                    for (_, fading, arg, own), peak in zip(terms, peaks)]
+                    for (_, own, fading, arg), peak in zip(terms, peaks)]
 
     def f_many(ids, xs):
-        args = [terms[i][2](x) for i, x in zip(ids, xs)]
-        cdfs = [None] * len(ids)
-        for fading in dict.fromkeys(terms[i][1] for i in ids):
-            sel = [k for k, i in enumerate(ids) if terms[i][1] == fading]
-            flat = cdf_ht(fading, np.concatenate([args[k] for k in sel]))
-            cuts = np.cumsum([args[k].size for k in sel])[:-1]
-            for k, part in zip(sel, np.split(flat, cuts)):
-                cdfs[k] = part
-        return [terms[i][0](x) * cdf for i, x, cdf in zip(ids, xs, cdfs)]
+        own = [terms[i] for i in ids]
+        # the kernels by module attribute, so a patched one takes effect
+        pdfs = _per_fading(pdf_ht, [t[1] for t in own], xs)
+        cdfs = _per_fading(cdf_ht, [t[2] for t in own],
+                           [t[3](x) for t, x in zip(own, xs)])
+        return [(pdf if rate is None else rate(x) * pdf) * cdf
+                for (rate, *_), x, pdf, cdf in zip(own, xs, pdfs, cdfs)]
 
     return [(value, err + rel * abs(value)) for (value, err), rel in zip(
         quad_positive_axis_many(f_many, peaks), rounding)]
@@ -169,10 +182,10 @@ def _shared(terms, compute=_cdf_integrals):
 
 
 def _cdf_terms(scenario, metric, method):
-    """{memo key: (weight, fading, arg, weight_fading)} of the
-    CDF-weighted integrals the route of metric by method takes, the one
-    statement of them, each over the power gain of the receiver whose
-    density weighs it; empty only for the lower bound's closed form,
+    """{memo key: (rate, own, fading, arg)} of the CDF-weighted
+    integrals the route of metric by method takes, the one statement of
+    them, each over the power gain of the receiver whose density, of
+    fading own, weighs it; empty only for the lower bound's closed form,
     which takes a G-function instead.  An outage term is keyed
     ("outage", off, w), so at rate 0 the exact outage and the lower
     bound are one integral.
@@ -183,8 +196,7 @@ def _cdf_terms(scenario, metric, method):
         # the other's CDF at the gain of equal SNR, each way round
         def term(own, other):
             ratio = math.sqrt(own.mean_snr / other.mean_snr)
-            return (_rate_density(own), other.fading, lambda h: ratio * h,
-                    own.fading)
+            return (_rate(own), own.fading, other.fading, lambda h: ratio * h)
         return {"asc_bob": term(bob, eve), "asc_eve": term(eve, bob)}
     if metric == "spsc":
         # those of the zero-rate lower bound spsc subtracts from one
@@ -199,8 +211,7 @@ def _cdf_terms(scenario, metric, method):
            if metric == "sop" else 0.0)
     arg = ((lambda h: np.sqrt(off + (w * h) * (w * h))) if off
            else (lambda h: w * h))
-    return {("outage", off, w): (
-        lambda h: pdf_ht(eve.fading, h), bob.fading, arg, eve.fading)}
+    return {("outage", off, w): (None, eve.fading, bob.fading, arg)}
 
 
 def _asc_cross_terms(scenario):
@@ -237,7 +248,8 @@ def asc_quadrature(scenario):
     eve = scenario.eve
     cross, e_cross = _asc_cross_terms(scenario)
     rel = _rounding((eve.fading, _gain_mode(eve.fading), False))
-    v3, e3 = quad_positive_axis(_rate_density(eve),
+    rate = _rate(eve)
+    v3, e3 = quad_positive_axis(lambda h: rate(h) * pdf_ht(eve.fading, h),
                                 x_peak=_gain_mode(eve.fading))
     return _asc_value(cross - v3, e_cross + e3 + rel * abs(v3), "quadrature")
 

@@ -12,9 +12,13 @@ along a vertical contour Re(s) = c chosen inside the strip that
 separates the two Gamma pole families.  The argument is given and
 used as its logarithm, z^s = exp(s ln z): a caller builds ln z as a
 sum of logs, so no argument can leave the range of a double.  Phi is
-first reduced: equal Gamma factors merge into one power, and
-Gamma(x + 1) = x Gamma(x) folds a factor into the one a unit below it,
-so each contour node takes fewer complex log-gammas.  The abscissa is
+first reduced: equal Gamma factors merge into one power, Gamma(x + 1)
+= x Gamma(x) folds a factor into the one a unit below it, and Gauss
+duplication and the reflection formula (DLMF 5.5.5 and 5.5.3) merge
+two factors whose arguments lie exactly 1/2 apart or sum to exactly 1,
+so each contour node takes fewer complex log-gammas: the eavesdropper
+ergodic (4,3,4,4) takes 2 and one log-sine instead of 6 where its
+half-spaced parameters are stored exactly.  The abscissa is
 placed by golden-section search at the minimum of |Phi(c) z^c| on the
 strip (the real-axis saddle), which keeps the oscillatory cancellation
 of the contour integral mild for arguments far from 1.  The integrand
@@ -42,6 +46,7 @@ import numpy as np
 
 from .errors import NonConvergent
 
+_LN2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)
 
@@ -308,15 +313,19 @@ def _gamma_factors(spec):
 
 
 def _reduce_factors(factors):
-    # Phi(s) as (gammas, linears): the product of Gamma(const + sign_s *
-    # s) ** power over gammas times (const + sign_s * s) ** power over
-    # linears.  Equal Gamma factors merge into one power, and
-    # Gamma(x + 1) = x Gamma(x) folds a factor into the one a unit below
-    # it whenever both are present (an exact float match of const), so
-    # fewer complex log-gammas are taken per contour node.  Folding from
-    # the top const down carries a whole unit-spaced chain to its base.
-    # From |const| >= 2^53 on, const - 1 rounds back to const, and the
-    # factor would fold into itself and vanish: it is kept.
+    # Phi(s) as [(kind, const, slope, power)], the product of F(const +
+    # slope * s) ** power with F by kind Gamma, the identity ("linear"),
+    # pi / sin(pi x) ("sine") or exp, Gamma factors first, so that each
+    # contour node takes fewer complex log-gammas.  Equal Gamma factors
+    # merge into one power, and Gamma(x + 1) = x Gamma(x) folds a factor
+    # into the one a unit below it (an exact float match of const), from
+    # the top const down, so a unit-spaced chain folds to its base; from
+    # |const| >= 2^53 on, const - 1 rounds back to const, and the factor
+    # is kept.  Then two Gamma factors of one power merge by Gamma(z)
+    # Gamma(z + 1/2) = 2^(1 - 2z) sqrt(pi) Gamma(2z) at one slope, or by
+    # Gamma(z) Gamma(1 - z) = pi / sin(pi z) at opposite slopes (DLMF 5.5.5
+    # and 5.5.3), where their consts are exactly (by fsum) 1/2 apart or
+    # sum to 1; one exp factor gathers the 2^(1 - 2z) sqrt(pi).
     powers = {}
     for const, sign_s, power in factors:
         powers[const, sign_s] = powers.get((const, sign_s), 0.0) + power
@@ -327,33 +336,57 @@ def _reduce_factors(factors):
                 and (const - 1.0, sign_s) in powers):
             powers[const - 1.0, sign_s] += power
             powers[const, sign_s] = 0.0
-            linears.append((const - 1.0, sign_s, power))
-    gammas = [(const, sign_s, power)
-              for (const, sign_s), power in powers.items() if power]
-    return gammas, linears
+            linears.append(("linear", const - 1.0, sign_s, power))
+    sines, lead = [], [0.0, 0.0]
+    for const, sign_s in list(powers):
+        power = powers[const, sign_s]
+        half, mirror = (const + 0.5, sign_s), (1.0 - const, -sign_s)
+        if (power and powers.get(half) == power
+                and math.fsum((half[0], -const, -0.5)) == 0.0):
+            powers[const, sign_s] = powers[half] = 0.0
+            double = (2.0 * const, 2.0 * sign_s)
+            powers[double] = powers.get(double, 0.0) + power
+            lead[0] += power * ((1.0 - 2.0 * const) * _LN2 + 0.5 * _LN_PI)
+            lead[1] -= power * 2.0 * sign_s * _LN2
+        elif (power and powers.get(mirror) == power
+                and math.fsum((const, mirror[0], -1.0)) == 0.0):
+            powers[const, sign_s] = powers[mirror] = 0.0
+            sines.append(("sine", const, sign_s, power))
+    return ([("gamma", const, sign_s, power)
+             for (const, sign_s), power in powers.items() if power]
+            + linears + sines + ([("exp", *lead, 1.0)] if any(lead) else []))
+
+
+# log F of each kind of factor, of |F| on the real axis; Gamma's complex
+# log goes through log_gamma_complex.  With n the integer nearest Re x,
+# sin(pi x) = (-1)^n sin(pi (x - n)), and x - n is exact, so the sine
+# keeps its digits next to each pole
+_LOG_REAL = {"gamma": math.lgamma, "linear": lambda x: math.log(abs(x)),
+             "sine": lambda x: _LN_PI - math.log(abs(math.sin(
+                 math.pi * (x - round(x))))),
+             "exp": float}
+_LOG_COMPLEX = {"linear": np.log, "exp": lambda x: x,
+                "sine": lambda x: (_LN_PI - _log_sin_pi(x - np.round(x.real))
+                                   - 1j * np.pi * np.round(x.real))}
 
 
 def _log_phi_terms(factors, c):
     # the terms of log |Phi(c)| on the real axis, one per factor in the
     # order they are summed; ValueError at a pole of a factor
-    gammas, linears = factors
-    terms = []
-    for const, sign_s, power in gammas:
-        terms.append(power * math.lgamma(const + sign_s * c))
-    for const, sign_s, power in linears:
-        terms.append(power * math.log(abs(const + sign_s * c)))
-    return terms
+    return [power * _LOG_REAL[kind](const + slope * c)
+            for kind, const, slope, power in factors]
 
 
 def _log_phi_complex(factors, s):
     # log Phi(s) elementwise on an array of s: all Gamma factors go
-    # through one log_gamma_complex call
-    gammas, linears = factors
-    logs = log_gamma_complex(np.stack([const + sign_s * s
-                                       for const, sign_s, _ in gammas]))
-    total = sum(power * term for (_, _, power), term in zip(gammas, logs))
-    for const, sign_s, power in linears:
-        total = total + power * np.log(const + sign_s * s)
+    # through one log_gamma_complex call, the others one by one
+    gammas = [f for f in factors if f[0] == "gamma"]
+    logs = log_gamma_complex(np.array([const + slope * s
+                                       for _, const, slope, _ in gammas]))
+    total = sum(power * term for (*_, power), term in zip(gammas, logs))
+    for kind, const, slope, power in factors:
+        if kind != "gamma":
+            total = total + power * _LOG_COMPLEX[kind](const + slope * s)
     return total
 
 

@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import fsosec.cli as cli
 from fsosec import secrecy
@@ -73,14 +74,32 @@ def sweep_cfg(tmp_path):
 def test_fmt_number():
     assert fmt_number(0.5) == "0.5"
     assert fmt_number(1234.25) == "1234.25"
-    assert fmt_number(1e-4) == "1.000000e-04"
-    assert fmt_number(-2.5e-7) == "-2.500000e-07"
-    assert fmt_number(0.0) == "0.000000e+00"
+    assert fmt_number(1e-4) == "1e-04"
+    assert fmt_number(-2.5e-7) == "-2.5e-07"
+    assert fmt_number(0.0) == "0e+00"
+    assert fmt_number(-0.0) == "-0e+00"
+    assert fmt_number(9.99e-4) == "9.99e-04"
+    assert fmt_number(5e-324) == "5e-324"
+    # the eve-offset-sweep SOP at 30 m, every digit kept
+    assert fmt_number(3.838205508476307e-07) == "3.838205508476307e-07"
     assert fmt_number(float("nan")) == "nan"
     assert fmt_number(float("inf")) == "inf"
     assert fmt_number(float("-inf")) == "-inf"
     # round-trips exactly in the repr branch
     assert float(fmt_number(0.1 + 0.2)) == 0.1 + 0.2
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_fmt_number_reads_back_to_the_same_double(x):
+    cell = fmt_number(x)
+    assert float(cell) == x
+    # below 1e-3 and at 0 the cell is in e-notation
+    assert "e" in cell or abs(x) >= 1e-3
+
+
+def test_empty_methods_is_a_config_error(cfg, capsys):
+    assert main(["metrics", "--config", cfg, "--methods", ""]) == 2
+    assert "at least one method is required" in capsys.readouterr().err
 
 
 def test_metrics_stdout(cfg, capsys):

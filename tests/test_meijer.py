@@ -1,8 +1,10 @@
 """Mellin-Barnes G-function engine against analytic identities and
 frozen mpmath references (50 digits)."""
+import collections
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -204,29 +206,107 @@ def test_production_orders_against_mpmath_within_error():
     assert checked >= 40
 
 
+def _mp_ergodic_rate(a, b, snr):
+    # E[ln(1 + 4 snr h^2)] over the F-law gain of shapes (a, b), the
+    # value the Eve ergodic G-form gives, as an mpmath integral in u = ln h
+    # with knots around the mode of the gain density
+    a, b, snr = mp.mpf(a), mp.mpf(b), mp.mpf(snr)
+    log_front = a * mp.log(a) + b * mp.log(b - 1) - mp.log(mp.beta(a, b))
+
+    def g(u):
+        return mp.log1p(4 * snr * mp.exp(2 * u)) * mp.exp(
+            log_front + a * u - (a + b) * mp.log(a * mp.exp(u) + b - 1))
+
+    mode, width = mp.log((b - 1) / b), mp.sqrt(1 / a + 1 / b)
+    return mp.quad(g, [-mp.inf] + [mode + k * width for k in
+                                   (-30, -8, -2, 0, 2, 8, 30)] + [mp.inf])
+
+
+def test_reduced_eve_ergodic_g_within_error_of_mpmath(monkeypatch):
+    # the Eve ergodic (4,3,4,4) after duplication and reflection: 2
+    # log-gammas and one sine at a shipped shape, and within its error
+    # of 30-digit mpmath over drawn shapes 0.05-1e6 and mean SNRs
+    # 1e-8-1e12; at a < 1, (a + 1)/2 - a/2 is not exactly 1/2, and
+    # Gamma(a/2 - s) stays as it is
+    specs = []
+    real = secrecy.meijer_g
+
+    def spy(spec, **kwargs):
+        specs.append(spec)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(secrecy, "meijer_g", spy)
+    rc = parse_config(Path(__file__).resolve().parent.parent / "configs"
+                      / "turbulence-sweep.cfg")
+    _, raw = rc.sweep.points()[0]
+    secrecy.eve_ergodic_rate_closed_form(
+        build_scenario(rc.with_value(rc.sweep.variable, raw)).eve)
+    kinds = collections.Counter(
+        kind for kind, *_ in _reduce_factors(_gamma_factors(specs[-1])))
+    assert (kinds["gamma"], kinds["sine"]) == (2, 1)
+
+    rng = np.random.default_rng(17)
+    checked, kept = 0, 0
+    for _ in range(14):
+        a = math.exp(rng.uniform(math.log(0.05), math.log(1e6)))
+        b = math.exp(rng.uniform(math.log(1.05), math.log(1e6)))
+        snr = math.exp(rng.uniform(math.log(1e-8), math.log(1e12)))
+        val, err = secrecy.eve_ergodic_rate_closed_form(
+            SnrChannel(FFadingParams(a, b), snr))
+        spec = specs[-1]
+        low, high = spec.b_params[:2]
+        if Fraction(high) - Fraction(low) != Fraction(1, 2):
+            kept += 1
+            assert ("gamma", low, -1.0, 1.0) in _reduce_factors(
+                _gamma_factors(spec)), a
+        with mp.workdps(30):
+            assert abs(val - _mp_ergodic_rate(a, b, snr)) <= err, (a, b, snr)
+        checked += 1
+    assert checked == 14 and kept >= 1
+
+
 def test_reduced_phi_equals_the_gamma_product():
     # merging equal factors and Gamma(x + 1) = x Gamma(x) leave 6 of 8
-    # log-gammas at (4,3,4,4) and 4 of 6 at (2,3,3,3), and the same
-    # Phi(s) at complex s in the strip, up to the rounding of the
-    # unreduced log-gammas
+    # log-gammas at (4,3,4,4) and 4 of 6 at (2,3,3,3); at (4,3,4,4) the
+    # reflection formula then turns Gamma(-s) Gamma(1 + s) into a sine,
+    # and duplication merges each of the two pairs of consts that lie
+    # exactly 1/2 apart.  The reduced Phi(s) is the same at complex s in
+    # the strip, up to the rounding of the unreduced log-gammas
     eps = float(np.finfo(float).eps)
     rng = np.random.default_rng(7)
-    for make, count, lo, hi in ((_ergodic_spec, 6, -0.5, 0.0),
-                                (_lower_bound_spec, 4, 0.0, 1.0)):
+    merged = 0
+    for make, lo, hi in ((_ergodic_spec, -0.5, 0.0),
+                         (_lower_bound_spec, 0.0, 1.0)):
         for _ in range(20):
             a = math.exp(rng.uniform(math.log(1.0), math.log(30.0)))
             b = math.exp(rng.uniform(math.log(2.0), math.log(40.0)))
             spec, _ = make(a, b, 1.0)
             factors = _gamma_factors(spec)
             reduced = _reduce_factors(factors)
-            assert (len(factors), len(reduced[0]), len(reduced[1])) == (
-                count + 2, count, 1)
+            kinds = collections.Counter(kind for kind, *_ in reduced)
+            if make is _ergodic_spec:
+                # the consts of Gamma(a/2 - s), Gamma((a+1)/2 - s) and of
+                # Gamma(b/2 + s), Gamma((b+1)/2 + s), as the spec stores them
+                consts = [const for const, _, _ in factors]
+                halves = sum(Fraction(hi_c) - Fraction(lo_c) == Fraction(1, 2)
+                             for lo_c, hi_c in ((consts[0], consts[1]),
+                                                (consts[5], consts[4])))
+                merged += halves
+                assert kinds == collections.Counter(
+                    gamma=4 - halves, linear=1, sine=1, exp=min(halves, 1)), (a, b)
+            else:
+                assert kinds == collections.Counter(gamma=4, linear=1), (a, b)
+            assert len(factors) == (8 if make is _ergodic_spec else 6)
             s = rng.uniform(lo, hi, 8) + 1j * rng.uniform(-20.0, 20.0, 8)
-            gap = _log_phi_complex(reduced, s) - _log_phi_complex((factors, []), s)
+            unreduced = [("gamma", *factor) for factor in factors]
+            gap = (_log_phi_complex(reduced, s)
+                   - _log_phi_complex(unreduced, s))
             logs = log_gamma_complex(np.stack([const + sign_s * s
                                                for const, sign_s, _ in factors]))
             bound = 8.0 * eps * np.abs(logs).sum(axis=0)
             assert (np.abs(np.exp(gap) - 1.0) <= bound).all(), (a, b)
+    # most drawn shapes store their half-spaced consts exactly
+    assert merged >= 20
 
 
 def test_surviving_denominator_gamma_within_error_of_mpmath():
@@ -234,8 +314,8 @@ def test_surviving_denominator_gamma_within_error_of_mpmath():
     # log|Phi| non-convex on the strip of the saddle search
     a_params, b_params = (0.3, 0.6), (0.5, 0.2)
     spec = MeijerGSpec(1, 2, 2, 2, a_params, b_params, 0.0)
-    gammas, _ = _reduce_factors(_gamma_factors(spec))
-    assert any(power < 0.0 for _, _, power in gammas)
+    assert any(kind == "gamma" and power < 0.0
+               for kind, _, _, power in _reduce_factors(_gamma_factors(spec)))
     with mp.workdps(30):
         for z in (1e-3, 0.1, 0.5, 1.0, 2.0, 30.0):
             member = replace(spec, log_z=math.log(z))

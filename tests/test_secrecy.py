@@ -120,12 +120,13 @@ def test_coincident_integer_shapes_agree_across_routes(monkeypatch):
                 (a, b, scen)
             checked += 2
     assert checked == 160 and len(specs) == checked
-    linears = [_reduce_factors(_gamma_factors(spec))[1] for spec in specs]
+    linears = [[f for f in _reduce_factors(_gamma_factors(spec))
+                if f[0] == "linear"] for spec in specs]
     for order in ((4, 3, 4, 4), (2, 3, 3, 3)):
         assert any(power > 0.0
                    for spec, lin in zip(specs, linears)
                    if (spec.m, spec.n, spec.p, spec.q) == order
-                   for _, _, power in lin), order
+                   for _, _, _, power in lin), order
 
 
 def test_asc_routes_agree():
@@ -619,21 +620,56 @@ def test_planner_computes_each_distinct_integral_once(
     assert secrecy._SHARED.get() is None
 
 
-def test_cdf_integrals_share_each_incomplete_beta_call(monkeypatch):
-    # the CDF-weighted integrals of a point run in lockstep, one
-    # incomplete-beta call per round: 2 at this point, 10 when each
-    # integral makes its own
-    calls = []
+@pytest.mark.parametrize("own_shapes", [False, True],
+                         ids=["shared-shapes", "own-shapes"])
+def test_cdf_integrals_share_each_incomplete_beta_call(monkeypatch,
+                                                       own_shapes):
+    # the CDF-weighted integrals of a point run in lockstep, and each
+    # round calls pdf_ht and cdf_ht once per distinct fading of its
+    # integrals: one incomplete-beta call per round, 2 at this point
+    # with shared shapes, 10 when each integral makes its own; and one
+    # density call per round there, 15 in all when each integral makes
+    # its own
+    calls, rounds, live = [], [], []
 
     def counted(*args):
         calls.append(1)
         return reg_inc_beta(*args)
 
+    def kernel(name, real):
+        def wrapper(fading, h):
+            if live:
+                live[-1].append((name, fading))
+            return real(fading, h)
+        return wrapper
+
+    def counted_many(f_many, x_peaks):
+        def each_round(ids, xs):
+            live.append([])
+            try:
+                return f_many(ids, xs)
+            finally:
+                rounds.append(live.pop())
+        return quad_positive_axis_many(each_round, x_peaks)
+
     monkeypatch.setattr("fsosec.fading.reg_inc_beta", counted)
-    report = evaluate_scenario(_shipped_scenario(0.5),
+    monkeypatch.setattr(secrecy, "pdf_ht", kernel("pdf", secrecy.pdf_ht))
+    monkeypatch.setattr(secrecy, "cdf_ht", kernel("cdf", secrecy.cdf_ht))
+    monkeypatch.setattr(secrecy, "quad_positive_axis_many", counted_many)
+    report = evaluate_scenario(_shipped_scenario(0.5, own_shapes),
                                ("quadrature", "closed_form"))
     assert _all_values(report)
-    assert 0 < len(calls) <= 3
+    assert rounds
+    for made in rounds:
+        # each kernel once per fading, and the density of both receivers
+        # only where their shapes differ
+        assert len(made) == len(set(made)), made
+        pdfs = [fading for name, fading in made if name == "pdf"]
+        assert 1 <= len(pdfs) <= (2 if own_shapes else 1), made
+    if not own_shapes:
+        assert 0 < len(calls) <= 3
+        assert sum(name == "pdf" for made in rounds for name, _ in made) \
+            == len(rounds)
 
 
 def test_shared_term_failure_fails_both_routes(monkeypatch):
@@ -909,7 +945,7 @@ def test_metric_values_are_python_floats():
 def test_huge_shapes_give_a_value_or_non_convergent(shape):
     # from 2^53 on, const - 1 rounds back to const: a Gamma factor must
     # stay in Phi, not fold into itself and vanish
-    assert _reduce_factors([(shape, 1.0, 1.0)]) == ([(shape, 1.0, 1.0)], [])
+    assert _reduce_factors([(shape, 1.0, 1.0)]) == [("gamma", shape, 1.0, 1.0)]
     fading = FFadingParams(shape, shape)
     for rate in (0.0, 0.5, 2.0):
         scen = WiretapScenario(SnrChannel(fading, 100.0),
@@ -1062,11 +1098,11 @@ def test_sop_error_covers_the_oracle_at_small_a(shapes, snrs, rate):
 
 
 def test_non_finite_window_raises_without_a_warning(monkeypatch):
-    # a rate density left to overflow, as a plain log1p does at Eve's
+    # a rate factor left to overflow, as a plain log1p does at Eve's
     # mean SNR 2.77e288, is inf inside the window: the route fails
     # before the level-0 trapezoid sums that inf
-    monkeypatch.setattr(secrecy, "_rate_density", lambda channel: lambda h: (
-        np.log1p(4.0 * channel.mean_snr * h * h) * pdf_ht(channel.fading, h)))
+    monkeypatch.setattr(secrecy, "_rate", lambda channel: lambda h: (
+        np.log1p(4.0 * channel.mean_snr * h * h)))
     fading = FFadingParams(15045.4, 1.3339)
     scen = WiretapScenario(SnrChannel(fading, 1.3e-9),
                            SnrChannel(fading, 2.77e288), 0.0)
