@@ -7,12 +7,12 @@ against Monte Carlo and fails on any z-score above three.
 
 Output is CSV with a header row; numbers below 1e-3 in magnitude are
 forced to scientific notation so spreadsheet locale guessing never
-bites, and every number has the shortest digits that read back to the
-same double.  A route that fails at a point gives the status row
-``non_convergent`` in place of its numbers.  A run manifest (config
-digest, seed, versions) goes next to every file written, named
-``<out>.manifest.json``.  All output is a pure function of
-configuration plus seed: the same invocation gives byte-identical files.
+bites; every number keeps the shortest digits of its double.  A route
+that fails at a point gives the status row ``non_convergent`` in place
+of its numbers.  A run manifest (config digest, seed, versions) goes
+next to every file written, named ``<out>.manifest.json``.  All output
+is a pure function of configuration plus seed: the same invocation
+gives byte-identical files.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical non-convergence.
@@ -46,21 +46,13 @@ _EXIT_NUMERICS = 3
 def fmt_number(x):
     """Deterministic CSV cell for a float."""
     x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x != 0.0 and abs(x) >= 1e-3:
-        return repr(x)
-    # e-notation with repr's digits, which repr gives below 1e-4 and
-    # otherwise writes as [-]0.0 or [-]0.000d... (d the digits)
     text = repr(x)
-    if "e" not in text:
-        sign, _, digits = text.partition("0.")
-        digits = digits.lstrip("0") or "0"
-        text = (f"{sign}{digits[0]}.{digits[1:]}".rstrip(".")
-                + f"e{-4 if x else 0:+03d}")
-    return text
+    if math.isnan(x) or "e" in text or abs(x) >= 1e-3:
+        return text
+    # repr's [-]0.0 and [-]0.000d... (1e-4 <= |x| < 1e-3) in e-notation
+    digits = text.lstrip("-0.") or "0"
+    mantissa = f"{digits[0]}.{digits[1:]}".rstrip(".")
+    return "-" * text.startswith("-") + mantissa + ("e-04" if x else "e+00")
 
 
 def _sweep_points(rc):

@@ -72,17 +72,15 @@ def _gain_mode(fading):
     return (fading.b - 1.0) / fading.b
 
 
-def _rate(channel):
+def _rate(mean_snr, h):
     # ln(1 + snr) at the gain h, snr = 4 * mean_snr * h^2: the factor of
     # the gain density in the channel's ergodic rate.  Where snr
     # overflows, ln(1 + snr) is ln(4 mean_snr) + 2 ln h to the last bit
-    def rate(h):
-        out = np.log1p(4.0 * channel.mean_snr * h * h)
-        big = np.isinf(out)
-        if big.any():
-            out[big] = math.log(4.0 * channel.mean_snr) + 2.0 * np.log(h[big])
-        return out
-    return rate
+    out = np.log1p(4.0 * mean_snr * h * h)
+    big = np.isinf(out)
+    if big.any():
+        out[big] = math.log(4.0 * mean_snr) + 2.0 * np.log(h[big])
+    return out
 
 
 def _check_method(method):
@@ -196,7 +194,8 @@ def _cdf_terms(scenario, metric, method):
         # the other's CDF at the gain of equal SNR, each way round
         def term(own, other):
             ratio = math.sqrt(own.mean_snr / other.mean_snr)
-            return (_rate(own), own.fading, other.fading, lambda h: ratio * h)
+            return (lambda h: _rate(own.mean_snr, h), own.fading,
+                    other.fading, lambda h: ratio * h)
         return {"asc_bob": term(bob, eve), "asc_eve": term(eve, bob)}
     if metric == "spsc":
         # those of the zero-rate lower bound spsc subtracts from one
@@ -248,9 +247,9 @@ def asc_quadrature(scenario):
     eve = scenario.eve
     cross, e_cross = _asc_cross_terms(scenario)
     rel = _rounding((eve.fading, _gain_mode(eve.fading), False))
-    rate = _rate(eve)
-    v3, e3 = quad_positive_axis(lambda h: rate(h) * pdf_ht(eve.fading, h),
-                                x_peak=_gain_mode(eve.fading))
+    v3, e3 = quad_positive_axis(
+        lambda h: _rate(eve.mean_snr, h) * pdf_ht(eve.fading, h),
+        x_peak=_gain_mode(eve.fading))
     return _asc_value(cross - v3, e_cross + e3 + rel * abs(v3), "quadrature")
 
 

@@ -12,17 +12,15 @@ along a vertical contour Re(s) = c chosen inside the strip that
 separates the two Gamma pole families.  The argument is given and
 used as its logarithm, z^s = exp(s ln z): a caller builds ln z as a
 sum of logs, so no argument can leave the range of a double.  Phi is
-first reduced: equal Gamma factors merge into one power, Gamma(x + 1)
-= x Gamma(x) folds a factor into the one a unit below it, and Gauss
-duplication and the reflection formula (DLMF 5.5.5 and 5.5.3) merge
-two factors whose arguments lie exactly 1/2 apart or sum to exactly 1,
-so each contour node takes fewer complex log-gammas: the eavesdropper
-ergodic (4,3,4,4) takes 2 and one log-sine instead of 6 where its
-half-spaced parameters are stored exactly.  The abscissa is
-placed by golden-section search at the minimum of |Phi(c) z^c| on the
-strip (the real-axis saddle), which keeps the oscillatory cancellation
-of the contour integral mild for arguments far from 1.  The integrand
-is analytic on the pole-free strip around c, so the plain trapezoidal
+first reduced: equal Gamma factors merge, and the recurrence, Gauss
+duplication and reflection (DLMF 5.5.1, 5.5.5, 5.5.3) merge two whose
+arguments lie exactly 1 or 1/2 apart or sum to exactly 1, so each
+contour node takes fewer complex log-gammas (2 and a log-sine, not 6,
+for the Eve ergodic (4,3,4,4)).  The abscissa is placed by
+golden-section search at the minimum of |Phi(c) z^c| on the strip (the
+real-axis saddle), which keeps the oscillatory cancellation of the
+contour integral mild for arguments far from 1.  The integrand is
+analytic on the pole-free strip around c, so the plain trapezoidal
 rule converges geometrically, with an a-priori error bound (Trefethen
 & Weideman, SIAM Review 56(3), 2014, Theorem 5.1): one batch of nodes,
 its step sized from the strip's half-width and the integrand's size on
@@ -314,53 +312,46 @@ def _gamma_factors(spec):
 
 def _reduce_factors(factors):
     # Phi(s) as [(kind, const, slope, power)], the product of F(const +
-    # slope * s) ** power with F by kind Gamma, the identity ("linear"),
-    # pi / sin(pi x) ("sine") or exp, Gamma factors first, so that each
-    # contour node takes fewer complex log-gammas.  Equal Gamma factors
-    # merge into one power, and Gamma(x + 1) = x Gamma(x) folds a factor
-    # into the one a unit below it (an exact float match of const), from
-    # the top const down, so a unit-spaced chain folds to its base; from
-    # |const| >= 2^53 on, const - 1 rounds back to const, and the factor
-    # is kept.  Then two Gamma factors of one power merge by Gamma(z)
-    # Gamma(z + 1/2) = 2^(1 - 2z) sqrt(pi) Gamma(2z) at one slope, or by
-    # Gamma(z) Gamma(1 - z) = pi / sin(pi z) at opposite slopes (DLMF 5.5.5
-    # and 5.5.3), where their consts are exactly (by fsum) 1/2 apart or
-    # sum to 1; one exp factor gathers the 2^(1 - 2z) sqrt(pi).
+    # slope * s) ** power, F by kind Gamma, x ("linear"), pi / sin(pi x)
+    # ("sine") or exp.  Equal Gamma factors merge into one power, and
+    # Gamma(x + 1) = x Gamma(x) folds a factor into the one a unit below
+    # it, from the top const down (kept from |const| >= 2^53 on, where
+    # const - 1 rounds back to const); then Gamma(z) Gamma(z + 1/2) =
+    # 2^(1 - 2z) sqrt(pi) Gamma(2z) and Gamma(z) Gamma(1 - z) = pi /
+    # sin(pi z) merge two of one power whose consts, by an exact fsum,
+    # lie 1/2 apart or sum to 1.
     powers = {}
     for const, sign_s, power in factors:
         powers[const, sign_s] = powers.get((const, sign_s), 0.0) + power
-    linears = []
+    extra, lead = [], [0.0, 0.0]
     for const, sign_s in sorted(powers, reverse=True):
         power = powers[const, sign_s]
         if (power and const - 1.0 != const
                 and (const - 1.0, sign_s) in powers):
             powers[const - 1.0, sign_s] += power
             powers[const, sign_s] = 0.0
-            linears.append(("linear", const - 1.0, sign_s, power))
-    sines, lead = [], [0.0, 0.0]
+            extra.append(("linear", const - 1.0, sign_s, power))
     for const, sign_s in list(powers):
         power = powers[const, sign_s]
         half, mirror = (const + 0.5, sign_s), (1.0 - const, -sign_s)
         if (power and powers.get(half) == power
                 and math.fsum((half[0], -const, -0.5)) == 0.0):
             powers[const, sign_s] = powers[half] = 0.0
-            double = (2.0 * const, 2.0 * sign_s)
-            powers[double] = powers.get(double, 0.0) + power
+            powers[2.0 * const, 2.0 * sign_s] = power
             lead[0] += power * ((1.0 - 2.0 * const) * _LN2 + 0.5 * _LN_PI)
             lead[1] -= power * 2.0 * sign_s * _LN2
         elif (power and powers.get(mirror) == power
                 and math.fsum((const, mirror[0], -1.0)) == 0.0):
             powers[const, sign_s] = powers[mirror] = 0.0
-            sines.append(("sine", const, sign_s, power))
+            extra.append(("sine", const, sign_s, power))
     return ([("gamma", const, sign_s, power)
              for (const, sign_s), power in powers.items() if power]
-            + linears + sines + ([("exp", *lead, 1.0)] if any(lead) else []))
+            + extra + ([("exp", *lead, 1.0)] if any(lead) else []))
 
 
-# log F of each kind of factor, of |F| on the real axis; Gamma's complex
-# log goes through log_gamma_complex.  With n the integer nearest Re x,
-# sin(pi x) = (-1)^n sin(pi (x - n)), and x - n is exact, so the sine
-# keeps its digits next to each pole
+# log F per kind, of |F| on the real axis, complex off it (Gamma's by
+# log_gamma_complex); sin(pi x) = (-1)^n sin(pi (x - n)), n the integer
+# nearest Re x, keeps its digits next to each pole, as x - n is exact
 _LOG_REAL = {"gamma": math.lgamma, "linear": lambda x: math.log(abs(x)),
              "sine": lambda x: _LN_PI - math.log(abs(math.sin(
                  math.pi * (x - round(x))))),
@@ -383,11 +374,9 @@ def _log_phi_complex(factors, s):
     gammas = [f for f in factors if f[0] == "gamma"]
     logs = log_gamma_complex(np.array([const + slope * s
                                        for _, const, slope, _ in gammas]))
-    total = sum(power * term for (*_, power), term in zip(gammas, logs))
-    for kind, const, slope, power in factors:
-        if kind != "gamma":
-            total = total + power * _LOG_COMPLEX[kind](const + slope * s)
-    return total
+    return sum([power * term for (*_, power), term in zip(gammas, logs)]
+               + [power * _LOG_COMPLEX[kind](const + slope * s)
+                  for kind, const, slope, power in factors if kind != "gamma"])
 
 
 def _energy(factors, lnz, c):
