@@ -50,16 +50,17 @@ class McEstimate:
 
 def _log2_capacity(h, mean_snr):
     # log2(1 + 4 * mean_snr * h^2) of the array h, rounded as
-    # (h * 4 mean_snr) * h, then + 1, then log2, and where that SNR
-    # overflows log2(4 mean_snr) + 2 log2(h), to the last bit
+    # ((h * mean_snr) * h) * 4, the exact 4 last, then + 1, then log2,
+    # and where that SNR overflows log2(mean_snr) + 2 + 2 log2(h)
     with np.errstate(over="ignore"):
-        cap = h * (4.0 * mean_snr)
+        cap = h * mean_snr
         cap *= h
+        cap *= 4.0
     cap += 1.0
     np.log2(cap, out=cap)
     if cap.max() == math.inf:
         big = np.isinf(cap)
-        cap[big] = math.log2(4.0 * mean_snr) + 2.0 * np.log2(h[big])
+        cap[big] = (math.log2(mean_snr) + 2.0) + 2.0 * np.log2(h[big])
     return cap
 
 

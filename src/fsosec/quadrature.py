@@ -5,13 +5,14 @@ g(u) = f(e^u) e^u, are smooth and decay exponentially in u both ways.
 On such integrands the plain trapezoidal rule converges geometrically
 (Trefethen & Weideman, "The exponentially convergent trapezoidal
 rule", SIAM Review 56(3), 2014), so one rule serves every integral:
-a coarse scan finds the window that holds the mass, and the step is
-halved on it until two levels agree.  The integrand is called on
-arrays: every level is evaluated in a single call, so f must map an
-array of abscissae to an array of real values of the same shape,
-elementwise (numpy ufunc style).  Every request is a 1-D array of
-abscissae, scan grid points or the midpoints of a halved step, and the
-integrals of one group advance in lockstep, one request each per round.
+a coarse scan from a hint of the peak finds the window that holds the
+mass, and the step is halved on it until two levels agree.  The
+integrands are called on arrays: every level is evaluated in a single
+call, so each must map an array of abscissae to an array of real
+values of the same shape, elementwise (numpy ufunc style).  Every
+request is a 1-D array of abscissae, scan grid points or the midpoints
+of a halved step, and the integrals of one group advance in lockstep,
+one request each per round.
 """
 
 import math
@@ -52,8 +53,8 @@ def _walk(vals, i, step, floor, lo, hi, n):
 
 
 def _positive_axis_steps(x_peak):
-    # quad_positive_axis as a step generator: every request is an array
-    # of abscissae u, answered with g(u)
+    # one integral of quad_positive_axis as a step generator: every
+    # request is an array of abscissae u, answered with g(u)
     n = int((_U_HI - _U_LO) / _SCAN_STEP)
     grid = np.zeros(n + 1)
     vals = np.zeros(n + 1)
@@ -65,13 +66,10 @@ def _positive_axis_steps(x_peak):
         grid[idx] = v
         vals[idx] = np.where(np.isfinite(v), np.abs(v), 0.0)
 
-    lo, hi = 0, n
-    hinted = x_peak is not None and math.isfinite(x_peak) and x_peak > 0.0
-    if hinted:
-        i = min(max(round((math.log(x_peak) - _U_LO) / _SCAN_STEP), 0), n)
-        lo, hi = max(i - _SCAN_HALF_BLOCK, 0), min(i + _SCAN_HALF_BLOCK, n)
+    i = min(max(round((math.log(x_peak) - _U_LO) / _SCAN_STEP), 0), n)
+    lo, hi = max(i - _SCAN_HALF_BLOCK, 0), min(i + _SCAN_HALF_BLOCK, n)
     yield from sample(np.arange(lo, hi + 1))
-    if not vals.any() and hi - lo < n:
+    if not vals.any():
         yield from sample(np.delete(np.arange(n + 1), np.s_[lo:hi + 1]))
         lo, hi = 0, n
 
@@ -80,7 +78,7 @@ def _positive_axis_steps(x_peak):
         best = vals[top]
         if best == 0.0:
             # the whole grid read 0: is there mass between its samples?
-            if hinted and abs((yield np.array([math.log(x_peak)]))[0]) > 0.0:
+            if abs((yield np.array([math.log(x_peak)]))[0]) > 0.0:
                 raise NonConvergent(f"mass at the hint {x_peak:g} is "
                                     "between scan grid samples")
             return 0.0, 0.0
@@ -135,61 +133,48 @@ def _positive_axis_steps(x_peak):
     return float(total), float(err)
 
 
-def quad_positive_axis(f, x_peak=None):
-    """Integrate f over (0, inf) after the log-axis substitution x = e^u.
+def quad_positive_axis(f, x_peaks):
+    """[(value, error_estimate)] of the integrals of f_i over (0, inf),
+    one per hint x_peaks[i], after the log-axis substitution x = e^u.
 
-    f is called on arrays of abscissae and must act elementwise.  The
-    transformed integrand g(u) = f(e^u) e^u is sampled on the grid
-    _U_LO, _U_LO + _SCAN_STEP, ..., _U_HI, in as few array calls as
-    possible.  From the largest |g| sample the integration window is
-    walked out each way in steps of two grid points until |g| has
-    dropped to _TAIL_EPS of that maximum and is not rising.  The
-    trapezoidal rule on the window starts from the scan's own samples
-    at step _SCAN_STEP, and the step is halved, evaluating only the new
-    midpoints, until two successive levels T_h, T_2h differ by at most
-    _TOL_REL * |T_h|, or by no more than the rounding of their sum.
+    The integrals advance in lockstep: f({i: x}) returns {i: f_i(x)},
+    called once per round, under np.errstate(all="ignore"), with a 1-D
+    array of abscissae for every integral that is not finished.  Each
+    g(u) = f_i(e^u) e^u is sampled on the grid _U_LO, _U_LO +
+    _SCAN_STEP, ..., _U_HI in a block of 49 points around
+    ln(x_peaks[i]), grown by whole blocks until the window lies inside
+    it.  From the largest |g| sample the window is walked out each way
+    in steps of two grid points until |g| has dropped to _TAIL_EPS of
+    that maximum and is not rising.  The trapezoidal rule on the window
+    starts from the scan's own samples at step _SCAN_STEP, and the step
+    is halved, evaluating only the new midpoints, until two successive
+    levels T_h, T_2h differ by at most _TOL_REL * |T_h|, or by no more
+    than the rounding of their sum.
+
+    The hint is a guess of where g peaks, in x.  For g unimodal in ln x
+    the block holds the same peak as the full grid, the walks read the
+    same samples, and any hint gives the same result.  A block of only
+    zeros falls back to one request for the rest of the grid; a grid of
+    only zeros gives (0, 0), or raises NonConvergent if g is nonzero at
+    the hint, between grid samples.  A hint that is missing, not finite
+    or not positive raises ValueError.
 
     The error is |T_h - T_2h|, plus eps * h * sum |g| for the rounding
     of the sum, plus a bound on each cut tail from the geometric decay
     over the walk's last step: |g| at the cut over its decay rate per
     unit of u, taken as at least 0.05, the rate of x^0.05 near 0.  It
-    does not cover the rounding of f itself; a caller that knows it
+    does not cover the rounding of f_i itself; a caller that knows it
     adds it.  A scan sample that is nan, inf or overflows counts as
     empty, but such a value at any node of the window raises
-    NonConvergent, as does a window that would need more than
-    _NODE_BUDGET nodes.  When the window reaches a grid end before |g|
-    has fallen below its floor, the mass beyond it is not seen, and
-    NonConvergent is raised.
-
-    x_peak, when given, is a guess of where g peaks (in x, not u).  The
-    grid is then sampled in a block of 49 points around ln(x_peak),
-    grown by whole blocks until the window lies inside it, instead of
-    over the whole grid.  This assumes g is unimodal in ln x: the block
-    then holds the same peak as the full grid, the floor depends on
-    that peak alone, the walks read the same samples, and the result is
-    the same as without the hint.  A hint that is None, not finite or
-    not positive falls back to one call on the whole grid; a block that
-    holds only zeros, to one call on the rest of the grid, so no grid
-    point is asked for twice.  A grid of only zeros gives (0, 0), or
-    raises NonConvergent if g is nonzero at the hint, between grid
-    samples.
-
-    Returns (value, error_estimate).
+    NonConvergent, as do a window that would need more than
+    _NODE_BUDGET nodes and one that reaches a grid end before |g| has
+    fallen below its floor.  A NonConvergent of any integral is raised
+    for the group.
     """
-    return quad_positive_axis_many(lambda _, xs: [f(xs[0])], [x_peak])[0]
-
-
-def quad_positive_axis_many(f_many, x_peaks):
-    """[(value, error)] of quad_positive_axis(f_i, x_peak) for each hint
-    in x_peaks, bit for bit, with the integrals advanced in lockstep.
-
-    f_many(ids, xs) returns [f_i(x) for i, x in zip(ids, xs)], the
-    integrands of the integrals numbered ids on their abscissae xs.  It
-    is called once per round, under np.errstate(all="ignore"), with
-    every integral that is not finished, each asking for a 1-D array of
-    abscissae: scan grid points or the midpoints of a halved step.  A
-    NonConvergent of any integral is raised for the group.
-    """
+    for x_peak in x_peaks:
+        if x_peak is None or not 0.0 < x_peak < math.inf:
+            raise ValueError(f"a peak hint must be finite and positive, "
+                             f"got {x_peak!r}")
     steps = [_positive_axis_steps(x_peak) for x_peak in x_peaks]
     out = [None] * len(steps)
     replies = dict.fromkeys(range(len(steps)))
@@ -202,7 +187,7 @@ def quad_positive_axis_many(f_many, x_peaks):
                 out[i] = stop.value
         if not pending:
             return out
-        ids = list(pending)
         with np.errstate(all="ignore"):
-            xs = [np.exp(u) for u in pending.values()]
-            replies = {i: v * x for i, v, x in zip(ids, f_many(ids, xs), xs)}
+            xs = {i: np.exp(u) for i, u in pending.items()}
+            values = f(xs)
+            replies = {i: values[i] * x for i, x in xs.items()}

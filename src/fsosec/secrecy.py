@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NonConvergent
 from .fading import cdf_ht, pdf_ht
-from .quadrature import quad_positive_axis, quad_positive_axis_many
+from .quadrature import quad_positive_axis
 from .specfun import (_EPS, _LOG_GAMMA_ULPS, _TINY, MeijerGSpec, log_beta,
                       meijer_g)
 
@@ -73,13 +73,14 @@ def _gain_mode(fading):
 
 
 def _rate(mean_snr, h):
-    # ln(1 + snr) at the gain h, snr = 4 * mean_snr * h^2: the factor of
-    # the gain density in the channel's ergodic rate.  Where snr
-    # overflows, ln(1 + snr) is ln(4 mean_snr) + 2 ln h to the last bit
-    out = np.log1p(4.0 * mean_snr * h * h)
+    # ln(1 + snr) at the gain h, snr = mean_snr * h^2 * 4 (the exact 4
+    # last): the factor of the gain density in the channel's ergodic
+    # rate.  Where snr overflows, ln(1 + snr) is ln mean_snr + 2 ln 2
+    # + 2 ln h to the last bit
+    out = np.log1p(mean_snr * h * h * 4.0)
     big = np.isinf(out)
     if big.any():
-        out[big] = math.log(4.0 * mean_snr) + 2.0 * np.log(h[big])
+        out[big] = (math.log(mean_snr) + 2.0 * _LN2) + 2.0 * np.log(h[big])
     return out
 
 
@@ -122,47 +123,55 @@ def _rounding(*parts):
     return rel
 
 
-def _per_fading(kernel, fadings, xs):
-    # [kernel(fading, x)] over the pairs of fadings and xs, one call per
+def _per_fading(kernel, calls):
+    # {k: kernel(fading, x)} of the calls {k: (fading, x)}, one call per
     # distinct fading on the concatenated abscissae, which the kernels
     # take element by element, so each part is that of its own call
     out = {}
-    for fading in dict.fromkeys(fadings):
-        sel = [k for k, own in enumerate(fadings) if own == fading]
+    for fading in dict.fromkeys(fading for fading, _ in calls.values()):
+        sel = [k for k, (own, _) in calls.items() if own == fading]
+        xs = [calls[k][1] for k in sel]
         if len(sel) == 1:
-            out[sel[0]] = kernel(fading, xs[sel[0]])
+            out[sel[0]] = kernel(fading, xs[0])
         else:
-            flat = kernel(fading, np.concatenate([xs[k] for k in sel]))
-            cuts = np.cumsum([xs[k].size for k in sel])[:-1]
+            flat = kernel(fading, np.concatenate(xs))
+            cuts = np.cumsum([x.size for x in xs])[:-1]
             out.update(zip(sel, np.split(flat, cuts)))
-    return [out[k] for k in range(len(xs))]
+    return out
 
 
 def _cdf_integrals(terms):
     """[(value, error)] of the integrals over (0, inf) of
     rate(h) * pdf_ht(own, h) * cdf_ht(fading, arg(h)), one per term
-    (rate, own, fading, arg), rate None for a factor of 1, run in
-    lockstep: each round evaluates rate and arg per integral, and
-    pdf_ht and cdf_ht once per distinct fading each.  Each is hinted at
-    the mode of the density of own, and its error adds the rounding of
-    the integrand there: that of the density and of cdf_ht.
+    (rate, own, fading, arg), rate None for a factor of 1 and fading
+    None for no CDF factor, run in lockstep: each round evaluates rate
+    and arg per integral, and pdf_ht and cdf_ht once per distinct
+    fading each.  Each is hinted at the mode of the density of own, and
+    its error adds the rounding of the integrand there: that of the
+    density and of cdf_ht.
     """
     peaks = [_gain_mode(own) for _, own, _, _ in terms]
     with np.errstate(all="ignore"):
-        rounding = [_rounding((own, peak, False), (fading, arg(peak), True))
+        rounding = [_rounding((own, peak, False), *(
+            [] if fading is None else [(fading, arg(peak), True)]))
                     for (_, own, fading, arg), peak in zip(terms, peaks)]
 
-    def f_many(ids, xs):
-        own = [terms[i] for i in ids]
+    def f(xs):
         # the kernels by module attribute, so a patched one takes effect
-        pdfs = _per_fading(pdf_ht, [t[1] for t in own], xs)
-        cdfs = _per_fading(cdf_ht, [t[2] for t in own],
-                           [t[3](x) for t, x in zip(own, xs)])
-        return [(pdf if rate is None else rate(x) * pdf) * cdf
-                for (rate, *_), x, pdf, cdf in zip(own, xs, pdfs, cdfs)]
+        pdfs = _per_fading(pdf_ht, {i: (terms[i][1], x)
+                                    for i, x in xs.items()})
+        cdfs = _per_fading(cdf_ht, {i: (terms[i][2], terms[i][3](x))
+                                    for i, x in xs.items()
+                                    if terms[i][2] is not None})
+        out = {}
+        for i, x in xs.items():
+            rate, _, fading, _ = terms[i]
+            value = pdfs[i] if rate is None else rate(x) * pdfs[i]
+            out[i] = value if fading is None else value * cdfs[i]
+        return out
 
     return [(value, err + rel * abs(value)) for (value, err), rel in zip(
-        quad_positive_axis_many(f_many, peaks), rounding)]
+        quad_positive_axis(f, peaks), rounding)]
 
 
 def _shared(terms, compute=_cdf_integrals):
@@ -180,23 +189,28 @@ def _shared(terms, compute=_cdf_integrals):
 
 
 def _cdf_terms(scenario, metric, method):
-    """{memo key: (rate, own, fading, arg)} of the CDF-weighted
-    integrals the route of metric by method takes, the one statement of
-    them, each over the power gain of the receiver whose density, of
-    fading own, weighs it; empty only for the lower bound's closed form,
-    which takes a G-function instead.  An outage term is keyed
-    ("outage", off, w), so at rate 0 the exact outage and the lower
-    bound are one integral.
+    """{memo key: (rate, own, fading, arg)} of the quadrature integrals
+    the route of metric by method takes, the one statement of them,
+    each over the power gain of the receiver whose density, of fading
+    own, weighs it; empty only for the lower bound's closed form, which
+    takes a G-function instead.  An outage term is keyed ("outage",
+    off, w), so at rate 0 the exact outage and the lower bound are one
+    integral.
     """
     bob, eve = scenario.bob, scenario.eve
     if metric == "asc":
         # both methods: one receiver's rate density over its gain times
-        # the other's CDF at the gain of equal SNR, each way round
+        # the other's CDF at the gain of equal SNR, each way round; by
+        # quadrature also Eve's ergodic rate, her rate density alone
         def term(own, other):
             ratio = math.sqrt(own.mean_snr / other.mean_snr)
             return (lambda h: _rate(own.mean_snr, h), own.fading,
                     other.fading, lambda h: ratio * h)
-        return {"asc_bob": term(bob, eve), "asc_eve": term(eve, bob)}
+        terms = {"asc_bob": term(bob, eve), "asc_eve": term(eve, bob)}
+        if method == "quadrature":
+            terms["eve_ergodic"] = (lambda h: _rate(eve.mean_snr, h),
+                                    eve.fading, None, None)
+        return terms
     if metric == "spsc":
         # those of the zero-rate lower bound spsc subtracts from one
         metric, scenario = "sop_lb", replace(scenario, target_rate=0.0)
@@ -211,12 +225,6 @@ def _cdf_terms(scenario, metric, method):
     arg = ((lambda h: np.sqrt(off + (w * h) * (w * h))) if off
            else (lambda h: w * h))
     return {("outage", off, w): (None, eve.fading, bob.fading, arg)}
-
-
-def _asc_cross_terms(scenario):
-    # the two cross terms summed, (value, error) in nats
-    (v1, e1), (v2, e2) = _shared(_cdf_terms(scenario, "asc", None))
-    return v1 + v2, e1 + e2
 
 
 def _asc_value(total, err, method):
@@ -240,17 +248,13 @@ def asc_quadrature(scenario):
     takes: the main-channel ergodic rate weighted by the probability
     the eavesdropper is weaker, the eavesdropper rate weighted by the
     probability the main channel is weaker, minus the unconditional
-    eavesdropper ergodic rate.  Each error carries the rounding of its
-    integrand.  A tiny negative total is clamped to zero only when it
-    sits inside the combined error bar.
+    eavesdropper ergodic rate, all three in one lockstep group.  Each
+    error carries the rounding of its integrand.  A tiny negative total
+    is clamped to zero only when it sits inside the combined error bar.
     """
-    eve = scenario.eve
-    cross, e_cross = _asc_cross_terms(scenario)
-    rel = _rounding((eve.fading, _gain_mode(eve.fading), False))
-    v3, e3 = quad_positive_axis(
-        lambda h: _rate(eve.mean_snr, h) * pdf_ht(eve.fading, h),
-        x_peak=_gain_mode(eve.fading))
-    return _asc_value(cross - v3, e_cross + e3 + rel * abs(v3), "quadrature")
+    (v1, e1), (v2, e2), (v3, e3) = _shared(
+        _cdf_terms(scenario, "asc", "quadrature"))
+    return _asc_value(v1 + v2 - v3, e1 + e2 + e3, "quadrature")
 
 
 def eve_ergodic_rate_closed_form(channel):
@@ -278,9 +282,9 @@ def asc_closed_form(scenario):
     the G-engine because the subtracted term dominates whenever the
     branches are close.
     """
-    cross, e_cross = _asc_cross_terms(scenario)
+    (v1, e1), (v2, e2) = _shared(_cdf_terms(scenario, "asc", "closed_form"))
     v3, e3 = eve_ergodic_rate_closed_form(scenario.eve)
-    return _asc_value(cross - v3, e_cross + e3, "closed_form")
+    return _asc_value(v1 + v2 - v3, e1 + e2 + e3, "closed_form")
 
 
 def _lb_scale(scenario):
@@ -374,8 +378,8 @@ def evaluate_scenario(scenario, methods=_METHODS):
     method, in the CLI's row order} of one scenario, an outcome being
     the route's MetricValue or the NonConvergent it raised, the one
     exception a route raises; a term two routes share is computed once
-    per call, the CDF-weighted integrals all together, and each outcome
-    equals that of the standalone route.
+    per call, the quadrature integrals all in one lockstep group, and
+    each outcome equals that of the standalone route.
     """
     if isinstance(methods, str):
         raise TypeError(f"methods is a tuple of names: ({methods!r},)")
@@ -385,7 +389,7 @@ def evaluate_scenario(scenario, methods=_METHODS):
     out = {}
     token = _SHARED.set({})
     try:
-        # every route's CDF-weighted integrals as one group; a failed
+        # every route's quadrature integrals as one group; a failed
         # group keeps nothing, so each route meets its own failure
         group = {}
         for method, rows in routes.items():

@@ -131,6 +131,15 @@ def test_overflowing_snr_keeps_every_capacity_finite():
     asc, outage, positive = mc_metrics(equal, cfg)
     assert math.isfinite(asc.mean) and math.isfinite(asc.std_error)
     assert outage.mean + positive.mean == 1.0
+    # from a mean SNR of about 4.5e307 on, 4 mean_snr alone overflows;
+    # the SNR scales by the exact 4 last, so the estimates still agree
+    # with the quadrature
+    fading = FFadingParams(4.0, 6.0)
+    near = WiretapScenario(SnrChannel(fading, 1e308),
+                           SnrChannel(fading, 1e307), 0.5)
+    for est, route in zip(mc_metrics(near, cfg),
+                          (asc_quadrature, sop_exact, spsc)):
+        assert abs(est.mean - route(near).value) <= 3.0 * est.std_error
 
 
 def test_single_sample_has_no_error_bar():

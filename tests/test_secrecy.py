@@ -16,7 +16,7 @@ from fsosec.config import build_scenario, parse_config
 from fsosec.errors import NonConvergent
 from fsosec.fading import (FFadingParams, SnrChannel, cdf_ht, cdf_ht_gform,
                            pdf_ht, pdf_ht_gform)
-from fsosec.quadrature import quad_positive_axis, quad_positive_axis_many
+from fsosec.quadrature import quad_positive_axis
 from fsosec.secrecy import (MetricValue, WiretapScenario, asc_closed_form,
                             asc_quadrature, eve_ergodic_rate_closed_form,
                             evaluate_scenario, sop_exact, sop_lower_bound,
@@ -37,11 +37,17 @@ def _all_values(report):
                for rows in report.values() for mv in rows)
 
 
+def _quad(f, x_peak):
+    # (value, error) of one integrand, as a lockstep group of one
+    return quad_positive_axis(lambda xs: {i: f(x) for i, x in xs.items()},
+                              [x_peak])[0]
+
+
 def _ergodic_rate(chan):
     # (value, error) of E[ln(1 + gamma)] in nats by its defining integral
     # over the gain h, gamma = 4 * mean_snr * h^2
-    return quad_positive_axis(lambda h: np.log1p(4.0 * chan.mean_snr * h * h)
-                              * pdf_ht(chan.fading, h))
+    return _quad(lambda h: np.log1p(4.0 * chan.mean_snr * h * h)
+                 * pdf_ht(chan.fading, h), 1.0)
 
 
 def test_eve_ergodic_rate_frozen():
@@ -158,14 +164,14 @@ def test_sop_zero_rate_equals_lower_bound(monkeypatch):
     assert exact.value == pytest.approx(lb_c.value, abs=1e-8)
     # at rate 0 the exact outage is the lower bound's integral, float
     # for float, and the planner integrates it once for both and SPSC,
-    # in one group with the two ASC cross terms
+    # in one group with the two ASC cross terms and Eve's ergodic rate
     groups = []
 
-    def recorded_many(f_many, x_peaks):
+    def recorded(f, x_peaks):
         groups.append(len(x_peaks))
-        return quad_positive_axis_many(f_many, x_peaks)
+        return quad_positive_axis(f, x_peaks)
 
-    monkeypatch.setattr(secrecy, "quad_positive_axis_many", recorded_many)
+    monkeypatch.setattr(secrecy, "quad_positive_axis", recorded)
     for scen in [zero] + _drawn_scenarios(20261019, 8):
         scen = replace(scen, target_rate=0.0)
         try:
@@ -178,6 +184,10 @@ def test_sop_zero_rate_equals_lower_bound(monkeypatch):
         report = evaluate_scenario(scen, ("quadrature",))
         assert [row.value for row in report["quadrature"][1:3]] == [
             want.value] * 2
+        assert groups == [4]
+        # the ASC route alone: its three integrals in one group
+        groups.clear()
+        assert asc_quadrature(scen) == report["quadrature"][0]
         assert groups == [3]
 
 
@@ -508,49 +518,37 @@ def test_peak_hints_leave_every_route_unchanged(monkeypatch):
     hinted = [[(mv.value, mv.error) for mv in (r(s) for r in routes)]
               for s in scenarios]
 
-    def full_scan(f, x_peak=None, **kwargs):
-        return quad_positive_axis(f, **kwargs)
+    def far_hints(f, x_peaks):
+        # every scan from near the bottom of the grid, where it reads
+        # zeros and takes the rest of the grid or grows its block up to
+        # the mass
+        return quad_positive_axis(f, [1e-250] * len(x_peaks))
 
-    def full_scans(f_many, x_peaks):
-        return quad_positive_axis_many(f_many, [None] * len(x_peaks))
-
-    monkeypatch.setattr(secrecy, "quad_positive_axis", full_scan)
-    monkeypatch.setattr(secrecy, "quad_positive_axis_many", full_scans)
+    monkeypatch.setattr(secrecy, "quad_positive_axis", far_hints)
     reference = [[(mv.value, mv.error) for mv in (r(s) for r in routes)]
                  for s in scenarios]
     assert hinted == reference
 
 
 def test_shipped_configs_never_take_the_full_scan(monkeypatch):
-    # a hint that silently falls back leaves every value as it was, so
-    # only the count of integrand nodes shows it: the full scan alone
-    # is 2761
+    # a hint whose block reads only zeros leaves every value as it was,
+    # so only the count of integrand nodes shows it: the full scan
+    # alone is 2761
     counts = []
 
-    def counting(f, **kwargs):
-        n = [0]
-
-        def g(x):
-            n[0] += np.size(x)
-            return f(x)
-        out = quad_positive_axis(g, **kwargs)
-        counts.append(n[0])
-        return out
-
-    def counting_many(f_many, x_peaks):
-        # the same count for each integral of a lockstep group
+    def counting(f, x_peaks):
+        # the count of each integral of a lockstep group
         n = [0] * len(x_peaks)
 
-        def g(ids, xs):
-            for i, x in zip(ids, xs):
+        def g(xs):
+            for i, x in xs.items():
                 n[i] += np.size(x)
-            return f_many(ids, xs)
-        out = quad_positive_axis_many(g, x_peaks)
+            return f(xs)
+        out = quad_positive_axis(g, x_peaks)
         counts.extend(n)
         return out
 
     monkeypatch.setattr(secrecy, "quad_positive_axis", counting)
-    monkeypatch.setattr(secrecy, "quad_positive_axis_many", counting_many)
     for path in sorted(CONFIGS.glob("*.cfg")):
         rc = parse_config(str(path))
         points = rc.sweep.points()
@@ -600,14 +598,12 @@ def test_planner_computes_each_distinct_integral_once(
             return fn(*args, **kwargs)
         return wrapper
 
-    def counted_many(f_many, x_peaks):
+    def counted_group(f, x_peaks):
         # a lockstep group counts one integral per member
         calls.extend(["integral"] * len(x_peaks))
-        return quad_positive_axis_many(f_many, x_peaks)
+        return quad_positive_axis(f, x_peaks)
 
-    monkeypatch.setattr(secrecy, "quad_positive_axis",
-                        counted("integral", quad_positive_axis))
-    monkeypatch.setattr(secrecy, "quad_positive_axis_many", counted_many)
+    monkeypatch.setattr(secrecy, "quad_positive_axis", counted_group)
     monkeypatch.setattr(secrecy, "meijer_g",
                         counted("g", secrecy.meijer_g))
     scenario = _shipped_scenario(rate, own_shapes)
@@ -621,14 +617,16 @@ def test_planner_computes_each_distinct_integral_once(
 
 
 def test_cdf_integrals_share_each_incomplete_beta_call(monkeypatch):
-    # the CDF-weighted integrals of a point run in lockstep, and each
+    # the quadrature integrals of a point run in lockstep, and each
     # round calls pdf_ht and cdf_ht once per distinct fading of its
-    # integrals: one incomplete-beta call per round, 2 at this point
-    # with shared shapes, 10 when each integral makes its own; and one
-    # density call per round there, 15 in all when each integral makes
-    # its own.  With Eve's shapes of her own, the rounds that hold
-    # integrals of both receivers call the density of each once
-    calls, rounds, live = [], [], []
+    # integrals: one incomplete-beta call per round, 3 at this point
+    # with shared shapes, 15 when each integral makes its own; and one
+    # density call per round there, 18 in all when each integral makes
+    # its own.  Eve's ergodic rate takes no CDF, and its density is
+    # part of the round's call: no kernel is called outside a round.
+    # With Eve's shapes of her own, the rounds that hold integrals of
+    # both receivers call the density of each once
+    calls, rounds, live, outside = [], [], [], []
 
     def counted(*args):
         calls.append(1)
@@ -636,31 +634,30 @@ def test_cdf_integrals_share_each_incomplete_beta_call(monkeypatch):
 
     def kernel(name, real):
         def wrapper(fading, h):
-            if live:
-                live[-1].append((name, fading))
+            (live[-1] if live else outside).append((name, fading))
             return real(fading, h)
         return wrapper
 
-    def counted_many(f_many, x_peaks):
-        def each_round(ids, xs):
+    def counted_rounds(f, x_peaks):
+        def each_round(xs):
             live.append([])
             try:
-                return f_many(ids, xs)
+                return f(xs)
             finally:
                 rounds.append(live.pop())
-        return quad_positive_axis_many(each_round, x_peaks)
+        return quad_positive_axis(each_round, x_peaks)
 
     monkeypatch.setattr("fsosec.fading.reg_inc_beta", counted)
     monkeypatch.setattr(secrecy, "pdf_ht", kernel("pdf", secrecy.pdf_ht))
     monkeypatch.setattr(secrecy, "cdf_ht", kernel("cdf", secrecy.cdf_ht))
-    monkeypatch.setattr(secrecy, "quad_positive_axis_many", counted_many)
+    monkeypatch.setattr(secrecy, "quad_positive_axis", counted_rounds)
     for own_shapes in (False, True):
         calls.clear()
         rounds.clear()
         report = evaluate_scenario(_shipped_scenario(0.5, own_shapes),
                                    ("quadrature", "closed_form"))
         assert _all_values(report)
-        assert rounds
+        assert rounds and not outside
         for made in rounds:
             # each kernel once per fading, the density of both receivers
             # only where their shapes differ
@@ -744,11 +741,11 @@ def test_planner_values_equal_the_standalone_routes(monkeypatch):
 
     groups = []
 
-    def recorded_many(f_many, x_peaks):
+    def recorded(f, x_peaks):
         groups.append(len(x_peaks))
-        return quad_positive_axis_many(f_many, x_peaks)
+        return quad_positive_axis(f, x_peaks)
 
-    monkeypatch.setattr(secrecy, "quad_positive_axis_many", recorded_many)
+    monkeypatch.setattr(secrecy, "quad_positive_axis", recorded)
     huge = FFadingParams(1e6, 1e6)
     hidden = WiretapScenario(SnrChannel(huge, 1e4), SnrChannel(huge, 1e2))
     for base in _drawn_scenarios(20261019, 8) + [hidden]:
@@ -931,9 +928,12 @@ def test_zero_sample_at_the_hint_keeps_the_scan_local():
         nodes.append(np.size(h))
         return term(h)
 
-    val, err = quad_positive_axis(counted, x_peak=hint)
+    val, err = _quad(counted, hint)
     assert sum(nodes) < 2761
-    full_val, full_err = quad_positive_axis(term)
+    # from a hint where every sample of the block is 0, the scan takes
+    # the rest of the grid
+    assert term(np.exp(-230.0 + 0.5 * np.arange(-24, 25))).max() == 0.0
+    full_val, full_err = _quad(term, math.exp(-230.0))
     assert abs(val - full_val) <= err
 
 
@@ -1130,6 +1130,18 @@ def test_huge_mean_snrs_give_quadrature_rows():
     got = asc_quadrature(scen)
     value, error = eve_ergodic_rate_closed_form(scen.bob)
     assert abs(got.value - value / math.log(2.0)) <= got.error + error / math.log(2.0)
+    # from a mean SNR of about 4.5e307 on, 4 mean_snr alone overflows;
+    # the rate factor scales by the exact 4 last, so both ASC routes
+    # give rows that agree, and the same ratio of mean SNRs a decade
+    # lower gives the same ASC
+    fading = FFadingParams(4.0, 6.0)
+    near = [WiretapScenario(SnrChannel(fading, snr),
+                            SnrChannel(fading, 0.1 * snr), 0.5)
+            for snr in (1e308, 1e307)]
+    quad, closed = asc_quadrature(near[0]), asc_closed_form(near[0])
+    assert abs(quad.value - closed.value) <= quad.error + closed.error
+    lower = asc_quadrature(near[1])
+    assert abs(quad.value - lower.value) <= quad.error + lower.error
 
 
 def test_tiny_eavesdropper_snrs_give_quadrature_rows_that_agree():

@@ -11,10 +11,14 @@ child imports fsosec from its checkout's src/ and evaluates
 configs/*.cfg of AFTER.  A child makes one warm-up pass, one timed pass
 (process CPU time per config) and one counting pass, in which it counts
 the calls of ``pdf_ht`` and ``cdf_ht`` that ``secrecy`` makes, the
-arguments of ``specfun.log_gamma_complex`` and the contour points of
-``specfun._log_phi_complex``.  Per config and side it prints the CPU ms
-per point (minimum over the N rounds) and those counts per point, then
-the same over all points.  Needs numpy only.
+arguments of ``specfun.log_gamma_complex``, the contour points of
+``specfun._log_phi_complex``, and the calls of the quadrature entries
+``secrecy`` imports (``quad_positive_axis``, and
+``quad_positive_axis_many`` where a checkout has it) with the integrals
+they take: the length of a list of hints, or 1 for a single hint.  Per
+config and side it prints the CPU ms per point (minimum over the N
+rounds) and those counts per point, then the same over all points.
+Needs numpy only.
 """
 
 import argparse
@@ -25,7 +29,14 @@ import sys
 import time
 from pathlib import Path
 
-_COUNTS = ("pdf_ht", "cdf_ht", "lgamma_args", "contour_points")
+_COUNTS = ("pdf_ht", "cdf_ht", "lgamma_args", "contour_points",
+           "quad_calls", "integrals")
+
+
+def _integrals(args, kwargs):
+    # the integrals of one quadrature entry call: a list of hints, or one
+    hints = (args[1:] or list(kwargs.values()) or [None])[0]
+    return len(hints) if isinstance(hints, (list, tuple)) else 1
 
 
 def _child(configs):
@@ -40,7 +51,7 @@ def _child(configs):
         points[Path(path).stem] = [
             build_scenario(rc.with_value(rc.sweep.variable, raw))
             for _, raw in rc.sweep.points()]
-    out = {name: [0.0, len(scenarios), 0, 0, 0, 0]
+    out = {name: [0.0, len(scenarios)] + [0] * len(_COUNTS)
            for name, scenarios in points.items()}
     for timed in (False, True):
         for name, scenarios in points.items():
@@ -51,18 +62,28 @@ def _child(configs):
                 out[name][0] = time.process_time() - start
     counter = [None]
 
-    def counted(owner, attr, slot, size):
+    def counted(owner, attr, slots):
+        # each slot in slots counts size(args, kwargs) per call
         real = getattr(owner, attr)
 
-        def wrapper(*args):
-            counter[0][slot] += size(args)
-            return real(*args)
+        def wrapper(*args, **kwargs):
+            for slot, size in slots.items():
+                counter[0][slot] += size(args, kwargs)
+            return real(*args, **kwargs)
         setattr(owner, attr, wrapper)
 
-    counted(secrecy, "pdf_ht", 2, lambda args: 1)
-    counted(secrecy, "cdf_ht", 3, lambda args: 1)
-    counted(specfun, "log_gamma_complex", 4, lambda args: np.size(args[0]))
-    counted(specfun, "_log_phi_complex", 5, lambda args: np.size(args[1]))
+    def once(args, kwargs):
+        return 1
+
+    counted(secrecy, "pdf_ht", {2: once})
+    counted(secrecy, "cdf_ht", {3: once})
+    counted(specfun, "log_gamma_complex",
+            {4: lambda args, kwargs: np.size(args[0])})
+    counted(specfun, "_log_phi_complex",
+            {5: lambda args, kwargs: np.size(args[1])})
+    for entry in ("quad_positive_axis", "quad_positive_axis_many"):
+        if hasattr(secrecy, entry):
+            counted(secrecy, entry, {6: once, 7: _integrals})
     for name, scenarios in points.items():
         counter[0] = out[name]
         for scenario in scenarios:

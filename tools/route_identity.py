@@ -22,7 +22,11 @@ digest of reg_inc_beta on 300 seeded point sets of up to 1500 points
 link-budget``, ``fsosec metrics`` and ``fsosec validate``, the last two
 with ``--methods quadrature,closed_form,monte_carlo``, on the
 configs/*.cfg of AFTER at --jobs 1 and 2, and the exit codes, CSVs and
-messages are compared byte by byte.
+messages are compared byte by byte.  A run whose CSV differs is sized
+cell by cell: every cell whose parsed value moved is printed with its
+row and column, then the largest relative shift |after - before| /
+max(|before|, |after|) of its numbers, and on a line of its own the count
+of cells whose text alone changed (the same double written otherwise).
 
 Every difference is printed, then one line that sizes them: how many
 value records differ, how many changed kind (a value against a
@@ -63,6 +67,8 @@ _SEED = 0
 _CENSUS_COUNT = 400
 _CENSUS_SEED = 1
 _CENSUS_RATES = (0.0, 0.5, 20.0, 1023.0)
+# the leading CSV columns that name a row rather than hold a value
+_ROW_KEYS = ("sweep_value", "metric", "method")
 
 
 def _log_uniform(rng, lo, hi):
@@ -230,6 +236,43 @@ def _run_records(checkout):
     return json.loads(out)
 
 
+def _number(text):
+    # the double a CSV cell reads as, or None for a word
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _cell_lines(before, after):
+    # the lines that size two differing CSV outputs cell by cell: one per
+    # cell whose parsed value moved, then the run's largest relative
+    # shift and its count of cells whose text alone changed
+    rows = [text.decode().splitlines() for text in (before, after)]
+    if len(rows[0]) != len(rows[1]) or rows[0][:1] != rows[1][:1]:
+        return [f"  rows or header differ: {len(rows[0])} -> "
+                f"{len(rows[1])} lines"]
+    header = rows[0][0].split(",") if rows[0] else []
+    keys = sum(1 for name in header[:len(_ROW_KEYS)] if name in _ROW_KEYS)
+    lines, text_only, worst = [], 0, 0.0
+    for old, new in zip(rows[0][1:], rows[1][1:]):
+        old, new = old.split(","), new.split(",")
+        for column, a, b in zip(header[keys:], old[keys:], new[keys:]):
+            if a == b:
+                continue
+            x, y = _number(a), _number(b)
+            if x is not None and x == y:
+                text_only += 1
+                continue
+            if x is not None and y is not None:
+                worst = max(worst, abs(y - x) / max(abs(x), abs(y)))
+            lines.append(f"  {','.join(old[:keys])} {column}: {a} -> {b}")
+    lines.append(f"  {len(lines)} cells moved, worst relative shift "
+                 f"{worst:.3g}")
+    lines.append(f"  {text_only} cells differ in text alone")
+    return lines
+
+
 def _run_cli(checkout, command, config, jobs):
     command = [sys.executable, "-m", "fsosec.cli", *command, "--config",
                str(config), "--jobs", str(jobs)]
@@ -271,8 +314,12 @@ def main(argv=None):
                         for c in (args.before, args.after)]
                 if runs[0] != runs[1]:
                     runs_differ += 1
+                    (code0, out0, err0), (code1, out1, err1) = runs
                     print(f"{command[0]} {config.name} --jobs {jobs}: exit "
-                          f"{runs[0][0]} -> {runs[1][0]}, output differs")
+                          f"{code0} -> {code1}, output differs"
+                          + (", stderr differs" if err0 != err1 else ""))
+                    if out0 != out1:
+                        print("\n".join(_cell_lines(out0, out1)))
     print(f"{2 * len(configs) * len(_COMMANDS)} CLI runs compared; "
           f"{runs_differ} differences")
     return 1 if changed or runs_differ else 0
