@@ -50,8 +50,8 @@ class McEstimate:
 
 def _log2_capacity(h, mean_snr):
     # log2(1 + 4 * mean_snr * h^2) of the array h, rounded as
-    # ((h * mean_snr) * h) * 4, the exact 4 last, then + 1, then log2,
-    # and where that SNR overflows log2(mean_snr) + 2 + 2 log2(h)
+    # ((h * mean_snr) * h) * 4, the 4 last (exact for normal doubles),
+    # then + 1, then log2, and where that SNR overflows log2(mean_snr) + 2 + 2 log2(h)
     with np.errstate(over="ignore"):
         cap = h * mean_snr
         cap *= h

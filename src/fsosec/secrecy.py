@@ -73,9 +73,9 @@ def _gain_mode(fading):
 
 
 def _rate(mean_snr, h):
-    # ln(1 + snr) at the gain h, snr = mean_snr * h^2 * 4 (the exact 4
-    # last): the factor of the gain density in the channel's ergodic
-    # rate.  Where snr overflows, ln(1 + snr) is ln mean_snr + 2 ln 2
+    # ln(1 + snr) at the gain h, snr = mean_snr * h^2 * 4 (the 4 last,
+    # exact for normal doubles): the factor of the gain density in the
+    # channel's ergodic rate.  Where snr overflows, ln(1 + snr) is ln mean_snr + 2 ln 2
     # + 2 ln h to the last bit
     out = np.log1p(mean_snr * h * h * 4.0)
     big = np.isinf(out)

@@ -132,7 +132,7 @@ def test_overflowing_snr_keeps_every_capacity_finite():
     assert math.isfinite(asc.mean) and math.isfinite(asc.std_error)
     assert outage.mean + positive.mean == 1.0
     # from a mean SNR of about 4.5e307 on, 4 mean_snr alone overflows;
-    # the SNR scales by the exact 4 last, so the estimates still agree
+    # the SNR is scaled by 4 last, so the estimates still agree
     # with the quadrature
     fading = FFadingParams(4.0, 6.0)
     near = WiretapScenario(SnrChannel(fading, 1e308),

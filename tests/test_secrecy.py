@@ -1131,7 +1131,7 @@ def test_huge_mean_snrs_give_quadrature_rows():
     value, error = eve_ergodic_rate_closed_form(scen.bob)
     assert abs(got.value - value / math.log(2.0)) <= got.error + error / math.log(2.0)
     # from a mean SNR of about 4.5e307 on, 4 mean_snr alone overflows;
-    # the rate factor scales by the exact 4 last, so both ASC routes
+    # the rate factor is scaled by 4 last, so both ASC routes
     # give rows that agree, and the same ratio of mean SNRs a decade
     # lower gives the same ASC
     fading = FFadingParams(4.0, 6.0)
